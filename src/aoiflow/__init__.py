@@ -32,7 +32,7 @@ from .expander import (
     horizon_upper_bound,
     link_groups,
 )
-from .lp import LinearProgram, LpSolution, format_lp, solve_lp
+from .lp import LinearProgram, LpSolution, solve_lp
 from .flowlp import build_flow_lp, extract_edge_flow
 from .mmd import MmdResult, decompose, lift_path_flow, min_max_delay, min_max_delay_oracle
 from .solvers import (
@@ -44,7 +44,6 @@ from .solvers import (
     approx_solve,
     check_objective_relations,
     mmd1_exact,
-    solve_mmd_problem,
     solve_optimal,
 )
 from .experiments import (
@@ -55,5 +54,58 @@ from .experiments import (
     scaled_instance,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # model
+    "AoiReport",
+    "Instance",
+    "Link",
+    "ModelError",
+    "Network",
+    "PeriodicSolution",
+    "ScheduleEntry",
+    "Violation",
+    "aoi_from_max_delay",
+    "feasible_periods",
+    "network",
+    "normalize_holding",
+    "report_for",
+    "residue_loads",
+    "simulate_aoi",
+    "validate_network",
+    "validate_solution",
+    # expander
+    "ExpandedNetwork",
+    "LinkGroup",
+    "build_expanded",
+    "horizon_upper_bound",
+    "link_groups",
+    # lp, flowlp
+    "LinearProgram",
+    "LpSolution",
+    "solve_lp",
+    "build_flow_lp",
+    "extract_edge_flow",
+    # mmd
+    "MmdResult",
+    "decompose",
+    "lift_path_flow",
+    "min_max_delay",
+    "min_max_delay_oracle",
+    # solvers
+    "AllInfeasibleError",
+    "ApproxOutcome",
+    "Objective",
+    "PathFlow",
+    "SolveOutcome",
+    "approx_solve",
+    "check_objective_relations",
+    "mmd1_exact",
+    "solve_optimal",
+    # experiments
+    "TopologySpec",
+    "batch_capacity",
+    "generate",
+    "run_sweep",
+    "scaled_instance",
+]
 __version__ = "0.1.0"

@@ -11,13 +11,7 @@ import sys
 from . import experiments, fileio
 from .model import ModelError, aoi_from_max_delay, validate_network, validate_solution
 from .mmd import min_max_delay
-from .solvers import (
-    AllInfeasibleError,
-    Objective,
-    approx_solve,
-    solve_mmd_problem,
-    solve_optimal,
-)
+from .solvers import AllInfeasibleError, Objective, approx_solve, solve_optimal
 
 OBJECTIVES = {
     "mpa": Objective.PEAK_AOI,
@@ -116,10 +110,7 @@ def _cmd_solve(args) -> int:
     inst = fileio.load_instance(args.instance)
     objective = OBJECTIVES[args.objective]
     try:
-        if objective is Objective.MAX_DELAY:
-            outcome = solve_mmd_problem(inst, args.mu_override)
-        else:
-            outcome = solve_optimal(inst, objective, args.mu_override)
+        outcome = solve_optimal(inst, objective, args.mu_override)
     except AllInfeasibleError:
         _emit(args, "infeasible at every period")
         return 2

@@ -49,18 +49,6 @@ class ExpandedNetwork:
     def layer_of(self, dense: int) -> int:
         return dense % (self.horizon + 1)
 
-    def to_dot(self) -> str:
-        """Graphviz dump for eyeballing small expansions."""
-        lines = ["digraph expanded {"]
-        for dense in range(self.node_count):
-            v, layer = self.node_of(dense)
-            lines.append(f'  n{dense} [label="{v}@{layer}"];')
-        for el in self.links:
-            style = "" if el.kind == TRANSIT else " [style=dashed]"
-            lines.append(f"  n{el.tail} -> n{el.head}{style};")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class LinkGroup:

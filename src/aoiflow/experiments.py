@@ -14,10 +14,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .maxflow import max_steady_rate
-from .mmd import min_max_delay
-from .model import Instance, ModelError, Network, Link, feasible_periods, report_for
-from .solvers import mmd1_exact
+from .fileio import format_rational
+from .maxflow import max_flow
+from .model import Instance, ModelError, Network, Link, report_for
+from .solvers import mmd1_exact, sweep_periods
 
 DEFAULT_DELAYS = (1, 2, 3, 4, 5)
 DEFAULT_BANDWIDTHS = (
@@ -169,7 +169,7 @@ def batch_capacity(net: Network, sender: str, receiver: str) -> Fraction:
     """
     if sender == receiver:
         raise ModelError("sender and receiver must differ")
-    return max_steady_rate(net, sender, receiver)
+    return max_flow(net, sender, receiver)[1]
 
 
 def scaled_instance(
@@ -205,10 +205,9 @@ class SweepRow:
 def run_sweep(inst: Instance, horizon: int | None = None) -> list[SweepRow]:
     """Per-period optimal values next to the steady-rate replay's values."""
     rows = []
-    for period in feasible_periods(inst):
-        throughput = Fraction(inst.batch, period)
-        opt = min_max_delay(inst, period, horizon)
-        if opt is None:
+    for grid, _ in sweep_periods(inst, horizon):
+        period, throughput, opt_report = grid.period, grid.throughput, grid.report
+        if opt_report is None:
             rows.append(
                 SweepRow(period, throughput, "infeasible", None, None, None, None, None)
             )
@@ -216,7 +215,6 @@ def run_sweep(inst: Instance, horizon: int | None = None) -> list[SweepRow]:
         ap = mmd1_exact(inst.network, inst.sender, inst.receiver, throughput)
         if ap is None:
             raise AssertionError("steady-rate problem infeasible at a feasible period")
-        opt_report = report_for(throughput, period, opt.max_delay)
         ap_report = report_for(throughput, period, ap.max_delay + period - 1)
         rows.append(
             SweepRow(
@@ -246,15 +244,6 @@ SWEEP_HEADER = [
 ]
 
 
-def format_rational(value: Fraction | int | None) -> str:
-    if value is None:
-        return ""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def write_sweep_csv(rows: list[SweepRow], instance_id: str, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -267,9 +256,9 @@ def write_sweep_csv(rows: list[SweepRow], instance_id: str, path: str) -> None:
                     format_rational(row.throughput),
                     "" if row.delay_opt is None else row.delay_opt,
                     "" if row.peak_opt is None else row.peak_opt,
-                    format_rational(row.avg_opt),
+                    "" if row.avg_opt is None else format_rational(row.avg_opt),
                     "" if row.peak_ap is None else row.peak_ap,
-                    format_rational(row.avg_ap),
+                    "" if row.avg_ap is None else format_rational(row.avg_ap),
                     row.status,
                 ]
             )

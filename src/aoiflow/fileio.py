@@ -73,7 +73,7 @@ def network_from_dict(data: dict) -> Network:
             for entry in data["links"]
         )
         return Network(nodes=tuple(str(v) for v in data["nodes"]), links=links)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed network data: {exc}") from exc
 
 
@@ -147,16 +147,27 @@ def save_solution(net: Network, sol: PeriodicSolution, batch: Fraction, path: st
         fh.write(solution_to_text(net, sol, batch))
 
 
+def _named_fields(
+    parts: list[str], line: str, required: tuple[str, ...]
+) -> dict[str, str]:
+    """``key=value`` parts as a dict; ModelError naming the line if one is bad."""
+    pairs = [part.split("=", 1) for part in parts]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ModelError(f"schedule field without '=': {line!r}")
+    fields = dict(pairs)
+    missing = [f"{key}=" for key in required if key not in fields]
+    if missing:
+        raise ModelError(f"schedule line missing {', '.join(missing)}: {line!r}")
+    return fields
+
+
 def solution_from_text(net: Network, text: str) -> tuple[PeriodicSolution, Fraction]:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ModelError("empty schedule file")
-    header = dict(part.split("=", 1) for part in lines[0].split())
-    try:
-        period = int(header["period"])
-        batch = parse_rational(header["batch"])
-    except KeyError as exc:
-        raise ModelError(f"schedule header missing {exc}") from exc
+    header = _named_fields(lines[0].split(), lines[0], ("period", "batch"))
+    period = int(header["period"])
+    batch = parse_rational(header["batch"])
     index = net.link_index
     entries = []
     for line in lines[1:]:
@@ -164,7 +175,7 @@ def solution_from_text(net: Network, text: str) -> tuple[PeriodicSolution, Fract
         if len(fields) != 4:
             raise ModelError(f"malformed schedule line: {line!r}")
         amount = parse_rational(fields[0])
-        parts = dict(part.split("=", 1) for part in fields[1:])
+        parts = _named_fields(fields[1:], line, ("path", "via", "offsets"))
         link_ids = tuple(parts["via"].split(","))
         file_offsets = [int(u) for u in parts["offsets"].split(",")]
         if len(file_offsets) != len(link_ids) + 2:

@@ -89,16 +89,7 @@ def build_flow_lp(
     for j in out_at.get(source, []):
         objective[j] = Fraction(1)
 
-    names = []
-    for idx in var_links:
-        el = exp.links[idx]
-        if el.kind == TRANSIT:
-            names.append(f"t_{el.link_id}_{el.push}")
-        else:
-            v, layer = exp.node_of(el.tail)
-            names.append(f"h_{v}_{layer}")
-
-    lp = LinearProgram(n_vars=n, objective=objective, names=names)
+    lp = LinearProgram(n_vars=n, objective=objective)
 
     balance = {j: Fraction(1) for j in out_at.get(source, [])}
     for j in in_at.get(sink, []):
@@ -145,14 +136,6 @@ def extract_edge_flow(flow_lp: FlowLp, sol: LpSolution) -> dict[int, Fraction]:
         for j, v in enumerate(sol.values)
         if v > 0
     }
-
-
-def flow_value(exp: ExpandedNetwork, flow: dict[int, Fraction], source: int) -> Fraction:
-    total = Fraction(0)
-    for idx, v in flow.items():
-        if exp.links[idx].tail == source:
-            total += v
-    return total
 
 
 def useful_links(exp: ExpandedNetwork, inst: Instance, bound: int) -> set[int] | None:

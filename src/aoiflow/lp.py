@@ -43,7 +43,7 @@ class SimplexBudgetExceeded(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """maximize objective . x subject to rows, x >= 0 (optional upper bounds).
+    """maximize objective . x subject to rows, x >= 0.
 
     Rows are (coeffs, rhs, sense) with sparse coeffs {var index: Fraction}
     and sense "eq" or "le".
@@ -52,8 +52,6 @@ class LinearProgram:
     n_vars: int
     objective: list[Fraction]
     rows: list[tuple[dict[int, Fraction], Fraction, str]] = field(default_factory=list)
-    upper_bounds: dict[int, Fraction] = field(default_factory=dict)
-    names: list[str] | None = None
 
     def add_row(self, coeffs: dict[int, Fraction], rhs, sense: str) -> None:
         if sense not in (EQ, LE):
@@ -63,19 +61,12 @@ class LinearProgram:
                 raise ValueError(f"row references undeclared variable {j}")
         self.rows.append((dict(coeffs), Fraction(rhs), sense))
 
-    def var_name(self, j: int) -> str:
-        return self.names[j] if self.names else f"x{j}"
-
 
 @dataclass
 class LpSolution:
     status: str
     values: list[Fraction]
     objective_value: Fraction
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == OPTIMAL
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -109,12 +100,9 @@ def _assert_satisfies(lp: LinearProgram, values: list[Fraction]) -> None:
             raise AssertionError(f"equality row violated: {lhs} != {rhs}")
         if sense == LE and lhs > rhs:
             raise AssertionError(f"inequality row violated: {lhs} > {rhs}")
-    for j, ub in lp.upper_bounds.items():
-        if values[j] > ub:
-            raise AssertionError(f"upper bound violated on {lp.var_name(j)}")
     for j, v in enumerate(values):
         if v < 0:
-            raise AssertionError(f"negative value on {lp.var_name(j)}")
+            raise AssertionError(f"negative value on x{j}")
 
 
 def _solve(lp: LinearProgram, target: Fraction | None) -> LpSolution:
@@ -135,12 +123,9 @@ class _Tableau:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n = lp.n_vars
-        rows: list[tuple[dict[int, Fraction], Fraction, str]] = list(lp.rows)
-        for j, ub in sorted(lp.upper_bounds.items()):
-            rows.append(({j: Fraction(1)}, Fraction(ub), LE))
 
         # column layout: structural | slack/surplus | artificial
-        n_slack = sum(1 for _, _, sense in rows if sense == LE)
+        n_slack = sum(1 for _, _, sense in lp.rows if sense == LE)
         self.n_struct = n
         self.n_slack = n_slack
         self.cols = n + n_slack  # artificials appended later
@@ -151,7 +136,7 @@ class _Tableau:
 
         slack_at = n
         art_specs: list[int] = []  # row indices needing artificials
-        for coeffs, rhs, sense in rows:
+        for coeffs, rhs, sense in lp.rows:
             flip = -1 if rhs < 0 else 1
             row = [_ZERO] * self.cols
             for j, c in coeffs.items():
@@ -328,25 +313,3 @@ class _Tableau:
                 q = self.rhs[r]
                 values[b] = Fraction(q.numerator, q.denominator)
         return values
-
-
-def format_lp(lp: LinearProgram) -> str:
-    """Human-readable dump in LP text format (for external cross-checks)."""
-
-    def term(c: Fraction, j: int) -> str:
-        return f"{'+' if c >= 0 else '-'} {abs(c)} {lp.var_name(j)}"
-
-    lines = ["Maximize", " obj: " + " ".join(
-        term(c, j) for j, c in enumerate(lp.objective) if c != 0
-    )]
-    lines.append("Subject To")
-    for i, (coeffs, rhs, sense) in enumerate(lp.rows):
-        op = "=" if sense == EQ else "<="
-        body = " ".join(term(c, j) for j, c in sorted(coeffs.items()) if c != 0)
-        lines.append(f" r{i}: {body} {op} {rhs}")
-    if lp.upper_bounds:
-        lines.append("Bounds")
-        for j, ub in sorted(lp.upper_bounds.items()):
-            lines.append(f" 0 <= {lp.var_name(j)} <= {ub}")
-    lines.append("End")
-    return "\n".join(lines)

@@ -14,12 +14,6 @@ import heapq
 from .model import Link, Network
 
 
-def max_steady_rate(net: Network, source: str, sink: str) -> Fraction:
-    """Maximum per-slot rate routable from source to sink (exact max-flow)."""
-    flow, value = max_flow(net, source, sink)
-    return value
-
-
 def max_flow(
     net: Network, source: str, sink: str
 ) -> tuple[dict[str, Fraction], Fraction]:
@@ -27,11 +21,11 @@ def max_flow(
     if source == sink:
         return {}, Fraction(0)
     flow: dict[str, Fraction] = {link.id: Fraction(0) for link in net.links}
-    out_links: dict[str, list[Link]] = {v: [] for v in net.nodes}
-    in_links: dict[str, list[Link]] = {v: [] for v in net.nodes}
+    outgoing: dict[str, list[Link]] = {v: [] for v in net.nodes}
+    incoming: dict[str, list[Link]] = {v: [] for v in net.nodes}
     for link in net.links:
-        out_links[link.tail].append(link)
-        in_links[link.head].append(link)
+        outgoing[link.tail].append(link)
+        incoming[link.head].append(link)
 
     value = Fraction(0)
     while True:
@@ -41,12 +35,12 @@ def max_flow(
         queue = deque([source])
         while queue and sink not in seen:
             v = queue.popleft()
-            for link in out_links[v]:
+            for link in outgoing[v]:
                 if link.head not in seen and flow[link.id] < link.bandwidth:
                     seen.add(link.head)
                     parent[link.head] = (link, True)
                     queue.append(link.head)
-            for link in in_links[v]:
+            for link in incoming[v]:
                 if link.tail not in seen and flow[link.id] > 0:
                     seen.add(link.tail)
                     parent[link.tail] = (link, False)
@@ -83,13 +77,13 @@ def decompose_paths(
     sum to the flow value.
     """
     residual = {k: v for k, v in flow.items() if v > 0}
-    out_links: dict[str, list[Link]] = {v: [] for v in net.nodes}
+    outgoing: dict[str, list[Link]] = {v: [] for v in net.nodes}
     for link in net.links:
-        out_links[link.tail].append(link)
+        outgoing[link.tail].append(link)
     paths: list[tuple[tuple[str, ...], Fraction]] = []
 
     def next_link(v: str) -> Link | None:
-        for link in out_links[v]:
+        for link in outgoing[v]:
             if residual.get(link.id, Fraction(0)) > 0:
                 return link
         return None
@@ -134,14 +128,14 @@ def shortest_delay(net: Network, source: str) -> dict[str, int]:
     """Dijkstra over link delays; unreachable nodes are absent."""
     dist = {source: 0}
     heap = [(0, source)]
-    out_links: dict[str, list[Link]] = {v: [] for v in net.nodes}
+    outgoing: dict[str, list[Link]] = {v: [] for v in net.nodes}
     for link in net.links:
-        out_links[link.tail].append(link)
+        outgoing[link.tail].append(link)
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist.get(v, d):
             continue
-        for link in out_links[v]:
+        for link in outgoing[v]:
             nd = d + link.delay
             if nd < dist.get(link.head, nd + 1):
                 dist[link.head] = nd

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 
@@ -65,18 +66,10 @@ class Network:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "links", tuple(self.links))
 
-    def link_by_id(self, link_id: str) -> Link:
-        for link in self.links:
-            if link.id == link_id:
-                return link
-        raise ModelError(f"unknown link id {link_id!r}")
-
-    @property
+    @cached_property
     def link_index(self) -> dict[str, Link]:
+        """Link id -> link, built on first use; callers only read it."""
         return {link.id: link for link in self.links}
-
-    def out_links(self, node: str) -> list[Link]:
-        return [link for link in self.links if link.tail == node]
 
 
 def network(nodes: Iterable[str], links: Iterable[tuple]) -> Network:
@@ -94,6 +87,7 @@ class Instance:
     ``r_min``/``r_max`` bound the throughput ``batch / period``; both
     ``batch / r_min`` and ``batch / r_max`` must be positive integers, so the
     candidate periods form the integer range [batch/r_max, batch/r_min].
+    The network must pass `validate_network`.
     """
 
     network: Network
@@ -107,6 +101,9 @@ class Instance:
         object.__setattr__(self, "batch", Fraction(self.batch))
         object.__setattr__(self, "r_min", Fraction(self.r_min))
         object.__setattr__(self, "r_max", Fraction(self.r_max))
+        problems = validate_network(self.network)
+        if problems:
+            raise ModelError("invalid network: " + "; ".join(map(str, problems)))
         if self.batch <= 0:
             raise ModelError("batch must be positive")
         if self.sender == self.receiver:
@@ -353,7 +350,7 @@ def validate_solution(
         violations.append(
             Violation("throughput", "solution", f"total {total} != batch {inst.batch}")
         )
-    if sol.period not in feasible_periods(inst):
+    if sol.period not in range(inst.min_period, inst.max_period + 1):
         violations.append(
             Violation("period-window", "solution", f"T={sol.period} outside window")
         )

@@ -140,10 +140,6 @@ def solve_optimal(
     )
 
 
-def solve_mmd_problem(inst: Instance, horizon: int | None = None) -> SolveOutcome:
-    return solve_optimal(inst, Objective.MAX_DELAY, horizon)
-
-
 def mmd1_exact(net: Network, sender: str, receiver: str, rate: Fraction) -> PathFlow | None:
     """Exact steady-rate min-max-delay flow (unit period specialization).
 

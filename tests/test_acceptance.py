@@ -24,7 +24,6 @@ from aoiflow import (
     network,
     simulate_aoi,
     solve_lp,
-    solve_mmd_problem,
     solve_optimal,
     validate_solution,
 )
@@ -88,7 +87,7 @@ def test_criterion_1_fastslow_golden_table():
         assert aoi_from_max_delay(result.max_delay, period) == (peak, avg)
     peak_outcome = solve_optimal(inst, Objective.PEAK_AOI)
     avg_outcome = solve_optimal(inst, Objective.AVG_AOI)
-    delay_outcome = solve_mmd_problem(inst)
+    delay_outcome = solve_optimal(inst, Objective.MAX_DELAY)
     assert peak_outcome.optimal_throughputs == {F(10, 7)}
     assert avg_outcome.optimal_throughputs == {F(10, 7)}
     assert delay_outcome.optimal_throughputs == {F(1)}
@@ -217,7 +216,7 @@ def test_criterion_7_ordering_and_gap_suite():
         except AllInfeasibleError:
             continue
         avg = solve_optimal(inst, Objective.AVG_AOI)
-        delay = solve_mmd_problem(inst)
+        delay = solve_optimal(inst, Objective.MAX_DELAY)
         for check in check_objective_relations(peak, avg, delay, inst):
             assert check.holds, (inst, check.name, check.detail)
         checked += 1
@@ -229,7 +228,7 @@ def test_criterion_7_ordering_and_gap_suite():
         )
         inst = Instance(net, "s", "r", F(n), F(1), F(n, m))
         peak = solve_optimal(inst, Objective.PEAK_AOI)
-        delay = solve_mmd_problem(inst)
+        delay = solve_optimal(inst, Objective.MAX_DELAY)
         reports = _grid_reports(peak)
         worst = max(reports[r].peak_aoi for r in delay.optimal_throughputs)
         gap = worst - peak.best.peak_aoi

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 
 from aoiflow import Instance, network
 from aoiflow.cli import main
-from aoiflow.fileio import save_instance
+from aoiflow.fileio import instance_to_dict, save_instance
 from conftest import make_fastslow_instance, make_triple_instance
 
 
@@ -59,6 +60,25 @@ def test_bad_input_exits_1(tmp_path, capsys):
     bad.write_text("{not json")
     rc = main(["solve", "mpa", str(bad)])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "pos,field,value,code",
+    [
+        (1, "id", "e1", "duplicate-link-id"),
+        (0, "delay", 0, "nonpositive-delay"),
+        (0, "delay", -1, "nonpositive-delay"),
+        (1, "to", "x", "unknown-endpoint"),
+    ],
+)
+def test_ill_formed_network_exits_1(pos, field, value, code, tmp_path, capsys):
+    data = instance_to_dict(make_fastslow_instance())
+    data["links"][pos][field] = value
+    path = tmp_path / "ill.inst"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "mpa", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert code in err and "Traceback" not in err
 
 
 def test_validate_detects_batch_mismatch(fastslow_path, tmp_path, capsys):

@@ -61,7 +61,6 @@ def test_expansion_deterministic():
     a = build_expanded(make_fastslow_network(), 13)
     b = build_expanded(make_fastslow_network(), 13)
     assert a.links == b.links
-    assert a.to_dot() == b.to_dot()
 
 
 def test_groups_fastslow_fast_link():

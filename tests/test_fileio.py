@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -97,6 +98,29 @@ def test_solution_parse_rejects_unknown_link():
     inst = make_triple_instance()
     text = "period=5 batch=5\n5 path=s>r via=zz offsets=0,0,1\n"
     with pytest.raises(ModelError):
+        solution_from_text(inst.network, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "period=5 batch=5\n5 path=s>r offsets=0,0,1 extra=1\n",
+        "period=5 batch=5\n5 path=s>r junk offsets=0,0,1\n",
+        "period=5 batch=5\n5 path=s>r via=e1 offsets\n",
+    ],
+)
+def test_solution_parse_names_bad_line(text):
+    inst = make_triple_instance()
+    line = text.splitlines()[1]
+    with pytest.raises(ModelError, match=re.escape(repr(line))):
+        solution_from_text(inst.network, text)
+
+
+@pytest.mark.parametrize("header", ["period=5 batch", "period=5 5", "batch=5"])
+def test_solution_parse_names_bad_header(header):
+    inst = make_triple_instance()
+    text = f"{header}\n5 path=s>r via=e1 offsets=0,0,1\n"
+    with pytest.raises(ModelError, match=re.escape(header)):
         solution_from_text(inst.network, text)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from aoiflow import build_expanded, build_flow_lp, link_groups, lp as lp_module
 from aoiflow.lp import (
     EQ,
     INFEASIBLE,
@@ -11,90 +12,75 @@ from aoiflow.lp import (
     TARGET_REACHED,
     UNBOUNDED,
     LinearProgram,
-    format_lp,
     solve_lp,
     solve_lp_reaching,
 )
+from conftest import make_fastslow_instance
 
 
-def test_single_bound():
+def single_bound():
     lp = LinearProgram(1, [F(1)])
     lp.add_row({0: F(1)}, F(5, 3), LE)
-    sol = solve_lp(lp)
-    assert sol.status == OPTIMAL
-    assert sol.values == [F(5, 3)]
-    assert sol.objective_value == F(5, 3)
+    return lp
 
 
-def test_equality_split():
+def equality_split():
     lp = LinearProgram(2, [F(1), F(1)])
     lp.add_row({0: F(1), 1: F(1)}, F(1), EQ)
-    sol = solve_lp(lp)
-    assert sol.status == OPTIMAL
-    assert sol.objective_value == 1
+    return lp
 
 
-def test_unbounded_detected():
-    lp = LinearProgram(1, [F(1)])
-    assert solve_lp(lp).status == UNBOUNDED
+def unbounded():
+    return LinearProgram(1, [F(1)])
 
 
-def test_infeasible_detected():
+def negative_rhs():
     lp = LinearProgram(1, [F(1)])
     lp.add_row({0: F(1)}, F(-1), LE)
-    assert solve_lp(lp).status == INFEASIBLE
+    return lp
 
 
-def test_contradicting_equalities():
+def contradicting_equalities():
     lp = LinearProgram(1, [F(0)])
     lp.add_row({0: F(1)}, F(2), EQ)
     lp.add_row({0: F(1)}, F(3), EQ)
-    assert solve_lp(lp).status == INFEASIBLE
+    return lp
 
 
-def test_upper_bounds_respected():
-    lp = LinearProgram(2, [F(3), F(2)], upper_bounds={0: F(1, 2), 1: F(2)})
+def bounded_pair():
+    lp = LinearProgram(2, [F(3), F(2)])
+    lp.add_row({0: F(1)}, F(1, 2), LE)
+    lp.add_row({1: F(1)}, F(2), LE)
     lp.add_row({0: F(1), 1: F(1)}, F(2), LE)
-    sol = solve_lp(lp)
-    assert sol.status == OPTIMAL
-    assert sol.values[0] == F(1, 2)
-    assert sol.objective_value == F(3, 2) + 2 * F(3, 2)
+    return lp
 
 
-def test_exact_rationals_no_drift():
+def tiny_coefficients():
     # tiny coefficients that would smear under floating point
     lp = LinearProgram(2, [F(1, 3), F(1, 7)])
     lp.add_row({0: F(2, 5), 1: F(3, 11)}, F(1, 13), LE)
-    sol = solve_lp(lp)
-    assert sol.status == OPTIMAL
-    assert sol.objective_value == F(1, 13) / F(2, 5) * F(1, 3)
+    return lp
 
 
-def test_degenerate_cycling_guard():
+def degenerate_square():
     # classic degenerate square; must terminate via the Bland switch
     lp = LinearProgram(4, [F(3, 4), F(-150), F(1, 50), F(-6)])
     lp.add_row({0: F(1, 4), 1: F(-60), 2: F(-1, 25), 3: F(9)}, F(0), LE)
     lp.add_row({0: F(1, 2), 1: F(-90), 2: F(-1, 50), 3: F(3)}, F(0), LE)
     lp.add_row({2: F(1)}, F(1), LE)
-    sol = solve_lp(lp)
-    assert sol.status == OPTIMAL
-    assert sol.objective_value == F(1, 20)
+    return lp
 
 
-def test_target_reached_early_exit():
+def two_boxes():
     lp = LinearProgram(2, [F(1), F(1)])
     lp.add_row({0: F(1)}, F(10), LE)
     lp.add_row({1: F(1)}, F(10), LE)
-    sol = solve_lp_reaching(lp, F(5))
-    assert sol.status in (TARGET_REACHED, OPTIMAL)
-    assert sum(sol.values) >= 5
-    full = solve_lp(lp)
-    assert full.objective_value == 20
+    return lp
 
 
-def test_solution_satisfies_rows_exactly():
-    rng = random.Random(7)
-    for _ in range(25):
+def random_programs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(2, 5)
         lp = LinearProgram(n, [F(rng.randint(-3, 5)) for _ in range(n)])
         for _ in range(rng.randint(1, 4)):
@@ -103,6 +89,70 @@ def test_solution_satisfies_rows_exactly():
                 for j in rng.sample(range(n), rng.randint(1, n))
             }
             lp.add_row(coeffs, F(rng.randint(0, 8)), LE)
+        yield lp
+
+
+def fastslow_flow_program():
+    inst = make_fastslow_instance()
+    exp = build_expanded(inst.network, 13)
+    return build_flow_lp(exp, link_groups(exp, 7), inst, 11).program
+
+
+def test_single_bound():
+    sol = solve_lp(single_bound())
+    assert sol.status == OPTIMAL
+    assert sol.values == [F(5, 3)]
+    assert sol.objective_value == F(5, 3)
+
+
+def test_equality_split():
+    sol = solve_lp(equality_split())
+    assert sol.status == OPTIMAL
+    assert sol.objective_value == 1
+
+
+def test_unbounded_detected():
+    assert solve_lp(unbounded()).status == UNBOUNDED
+
+
+def test_infeasible_detected():
+    assert solve_lp(negative_rhs()).status == INFEASIBLE
+
+
+def test_contradicting_equalities():
+    assert solve_lp(contradicting_equalities()).status == INFEASIBLE
+
+
+def test_upper_bounds_respected():
+    sol = solve_lp(bounded_pair())
+    assert sol.status == OPTIMAL
+    assert sol.values[0] == F(1, 2)
+    assert sol.objective_value == F(3, 2) + 2 * F(3, 2)
+
+
+def test_exact_rationals_no_drift():
+    sol = solve_lp(tiny_coefficients())
+    assert sol.status == OPTIMAL
+    assert sol.objective_value == F(1, 13) / F(2, 5) * F(1, 3)
+
+
+def test_degenerate_cycling_guard():
+    sol = solve_lp(degenerate_square())
+    assert sol.status == OPTIMAL
+    assert sol.objective_value == F(1, 20)
+
+
+def test_target_reached_early_exit():
+    lp = two_boxes()
+    sol = solve_lp_reaching(lp, F(5))
+    assert sol.status in (TARGET_REACHED, OPTIMAL)
+    assert sum(sol.values) >= 5
+    full = solve_lp(lp)
+    assert full.objective_value == 20
+
+
+def test_solution_satisfies_rows_exactly():
+    for lp in random_programs(7, 25):
         sol = solve_lp(lp)
         assert sol.status in (OPTIMAL, UNBOUNDED)
         if sol.status != OPTIMAL:
@@ -153,11 +203,27 @@ def test_row_validation():
         lp.add_row({0: F(1)}, F(1), "ge")
 
 
-def test_format_lp_mentions_rows_and_bounds():
-    lp = LinearProgram(2, [F(1), F(2)], upper_bounds={1: F(7, 2)}, names=["a", "b"])
-    lp.add_row({0: F(1), 1: F(-1, 3)}, F(4), LE)
-    lp.add_row({0: F(1)}, F(2), EQ)
-    text = format_lp(lp)
-    assert "Maximize" in text and "Subject To" in text
-    assert "1/3 b" in text and "<= 4" in text and "= 2" in text
-    assert "0 <= b <= 7/2" in text
+def test_fraction_fallback_matches(monkeypatch):
+    """The simplex gives identical answers on plain `Fraction` arithmetic,
+    the path taken when gmpy2 is not installed."""
+    programs = [
+        single_bound(),
+        equality_split(),
+        unbounded(),
+        negative_rhs(),
+        contradicting_equalities(),
+        bounded_pair(),
+        tiny_coefficients(),
+        degenerate_square(),
+        two_boxes(),
+        *random_programs(7, 25),
+        fastslow_flow_program(),
+    ]
+    default = [solve_lp(lp) for lp in programs]
+    monkeypatch.setattr(lp_module, "_mpq", F)
+    monkeypatch.setattr(lp_module, "_ZERO", F(0))
+    monkeypatch.setattr(lp_module, "_ONE", F(1))
+    fallback = [solve_lp(lp) for lp in programs]
+    assert fallback == default
+    # T=7, M=11: 7 residue classes of the fast link plus one push on the slow one
+    assert default[-1].status == OPTIMAL and default[-1].objective_value == 17

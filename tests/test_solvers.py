@@ -11,7 +11,6 @@ from aoiflow import (
     check_objective_relations,
     mmd1_exact,
     network,
-    solve_mmd_problem,
     solve_optimal,
     validate_solution,
 )
@@ -81,13 +80,13 @@ def test_solutions_validate_for_every_objective():
 
 
 def test_fastslow_mmd_problem():
-    outcome = solve_mmd_problem(make_fastslow_instance())
+    outcome = solve_optimal(make_fastslow_instance(), Objective.MAX_DELAY)
     assert outcome.optimal_throughputs == {F(1)}
     assert outcome.best.max_delay == 10
 
 
 def test_triple_mmd_problem():
-    outcome = solve_mmd_problem(make_triple_instance())
+    outcome = solve_optimal(make_triple_instance(), Objective.MAX_DELAY)
     assert outcome.best.max_delay == 5
     assert outcome.optimal_throughputs == {F(1)}
 
@@ -95,7 +94,7 @@ def test_triple_mmd_problem():
 def test_single_link_mmd_ties_across_periods():
     net = network(["s", "r"], [("e", "s", "r", 3, 50)])
     inst = Instance(net, "s", "r", F(12), F(2), F(4))
-    outcome = solve_mmd_problem(inst)
+    outcome = solve_optimal(inst, Objective.MAX_DELAY)
     assert outcome.best.max_delay == 3
     assert outcome.optimal_throughputs == {F(2), F(12, 5), F(3), F(4)}
     # representative solution uses the largest optimal throughput
@@ -210,7 +209,7 @@ def outcomes_for(inst):
     return (
         solve_optimal(inst, Objective.PEAK_AOI),
         solve_optimal(inst, Objective.AVG_AOI),
-        solve_mmd_problem(inst),
+        solve_optimal(inst, Objective.MAX_DELAY),
     )
 
 
