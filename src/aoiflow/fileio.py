@@ -67,7 +67,7 @@ def network_from_dict(data: dict) -> Network:
                 id=str(entry["id"]),
                 tail=str(entry["from"]),
                 head=str(entry["to"]),
-                delay=int(entry["delay"]),
+                delay=_integer_delay(entry),
                 bandwidth=parse_rational(str(entry["bandwidth"])),
             )
             for entry in data["links"]
@@ -75,6 +75,14 @@ def network_from_dict(data: dict) -> Network:
         return Network(nodes=tuple(str(v) for v in data["nodes"]), links=links)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed network data: {exc}") from exc
+
+
+def _integer_delay(entry: dict) -> int:
+    """The link's delay; a bool, or a number ``int()`` would truncate, is refused."""
+    raw = entry["delay"]
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ModelError(f"non-integer-delay: {entry['id']} (delay={raw})")
+    return int(raw)
 
 
 def instance_to_dict(inst: Instance) -> dict:

@@ -1,22 +1,28 @@
 """Minimum maximum delay at a fixed period.
 
-`min_max_delay` follows the binary-search scheme: probe the midpoint bound M,
-ask whether the expanded flow program can deliver the whole batch within M
-layers, and halve the window accordingly (ceil midpoint, lower bound 0, upper
-bound the safe horizon).  Probes are answered exactly but cheaply where an
-already-verified witness or a static-rate argument settles them:
+`min_max_delay` follows the binary-search scheme: probe the midpoint bound M
+(ceil midpoint), ask whether the expanded flow program can deliver the whole
+batch within M layers, and halve the bracket accordingly.  The bracket is
+``[shortest delay, witness delay]``, and the expansion is built only as deep
+as its top:
 
 * a periodic schedule at period T induces a static flow of rate batch/T by
   averaging one period, so when the static max-flow rate is below batch/T no
-  bound is feasible;
+  bound is feasible and the search never starts;
 * conversely any static flow of that rate lifts to a schedule (spread each
-  path's rate over the period's offsets), giving an initial feasible witness;
-* the program value never decreases as the bound grows, so a witness schedule
-  with delay <= M answers the probe at M.
+  path's rate over the period's offsets), a validated witness whose delay W
+  tops the bracket;
+* no batch arrives before the shortest sender-to-receiver delay, which is
+  the bracket's bottom;
+* the program value never decreases as the bound grows, so a witness with
+  delay <= M answers the probe at M, and each engine flow that answers a
+  probe becomes the new, lower witness.
 
-Every remaining probe runs the exact engines in `flowlp`.  The companion
-`min_max_delay_oracle` ignores all of that and scans M = 0, 1, 2, ... solving
-each program with the reference simplex; tests hold the two to equal answers.
+A ``horizon`` caps the bracket's top as a search ceiling.  Every remaining
+probe runs the exact engines in `flowlp`.  The companion
+`min_max_delay_oracle` ignores all of that and scans M = 0, 1, 2, ... up to
+the safe horizon, solving each program with the reference simplex; tests
+hold the two to equal answers.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .flowlp import (
     probe_reaches,
 )
 from .lp import OPTIMAL, solve_lp
-from .maxflow import decompose_paths, max_flow
+from .maxflow import decompose_paths, max_flow, shortest_delay
 from .model import (
     Instance,
     ModelError,
@@ -54,11 +60,6 @@ class MmdResult:
     @property
     def throughput(self) -> Fraction:
         return Fraction(self.solution.total_amount, self.period)
-
-
-@lru_cache(maxsize=128)
-def _expansion(net: Network, horizon: int) -> ExpandedNetwork:
-    return build_expanded(net, horizon)
 
 
 def lift_path_flow(
@@ -218,70 +219,6 @@ def _collapse(exp: ExpandedNetwork, path: list[int], amount: Fraction) -> Schedu
     return ScheduleEntry(tuple(h for h, _ in hops), offsets, amount)
 
 
-class _PeriodSolver:
-    """Probe state for one (instance, period) pair."""
-
-    def __init__(self, inst: Instance, period: int, horizon: int):
-        self.inst = inst
-        self.period = period
-        self.horizon = horizon
-        self.exp = _expansion(inst.network, horizon)
-        self.rate = Fraction(inst.batch, period)
-        self.static_rate = max_flow(inst.network, inst.sender, inst.receiver)[1]
-        self.witness_delay: int | None = None
-        self._witness_schedule: PeriodicSolution | None = None
-        self._witness_flow: tuple[dict[int, Fraction], int] | None = None
-        if self.static_rate >= self.rate:
-            paths = steady_rate_paths(
-                inst.network, inst.sender, inst.receiver, self.rate
-            )
-            lifted = lift_path_flow(inst.network, paths, period)
-            self._set_schedule_witness(lifted)
-
-    def _set_schedule_witness(self, schedule: PeriodicSolution) -> None:
-        schedule = normalize_holding(self.inst.network, schedule)
-        ok, delay, violations = validate_solution(self.inst, schedule)
-        if not ok:  # witnesses decide probes, so an invalid one is a bug
-            raise AssertionError(f"witness schedule invalid: {violations}")
-        if self.witness_delay is None or delay < self.witness_delay:
-            self.witness_delay = delay
-            self._witness_schedule = schedule
-            self._witness_flow = None
-
-    def _set_flow_witness(self, flow: dict[int, Fraction], bound: int) -> None:
-        delay = 0
-        receiver = self.inst.receiver
-        for idx, v in flow.items():
-            el = self.exp.links[idx]
-            if v > 0 and el.link_id is not None:
-                head, layer = self.exp.node_of(el.head)
-                if head == receiver:
-                    delay = max(delay, layer)
-        if self.witness_delay is None or delay < self.witness_delay:
-            self.witness_delay = delay
-            self._witness_flow = (flow, bound)
-            self._witness_schedule = None
-
-    def probe(self, bound: int) -> bool:
-        if self.static_rate < self.rate:
-            return False
-        if self.witness_delay is not None and self.witness_delay <= bound:
-            return True
-        answer = probe_reaches(
-            self.exp, self.inst, self.period, bound, self.inst.batch
-        )
-        if answer.feasible:
-            self._set_flow_witness(answer.flow, bound)
-        return answer.feasible
-
-    def materialize(self) -> PeriodicSolution:
-        if self._witness_schedule is not None:
-            return self._witness_schedule
-        flow, bound = self._witness_flow
-        raw = decompose(self.exp, flow, self.inst, self.period, bound)
-        return normalize_holding(self.inst.network, raw)
-
-
 def min_max_delay(
     inst: Instance, period: int, horizon: int | None = None
 ) -> MmdResult | None:
@@ -289,10 +226,12 @@ def min_max_delay(
 
     Returns the result with a decomposed, normalized schedule achieving M and
     the (bound, feasible) probe trail; None when the period's throughput is
-    not supportable at all.
+    not supportable at all, or needs a delay above ``horizon``.
     """
     if period not in range(inst.min_period, inst.max_period + 1):
         raise ModelError(f"period {period} outside the instance window")
+    if horizon is not None and horizon < 1:
+        raise ModelError("horizon must be at least 1")
     mu = horizon_upper_bound(inst) if horizon is None else horizon
     return _min_max_delay_cached(inst, period, mu)
 
@@ -301,13 +240,33 @@ def min_max_delay(
 def _min_max_delay_cached(
     inst: Instance, period: int, horizon: int
 ) -> MmdResult | None:
-    solver = _PeriodSolver(inst, period, horizon)
-    low, high = 0, horizon
+    net = inst.network
+    paths = steady_rate_paths(
+        net, inst.sender, inst.receiver, Fraction(inst.batch, period)
+    )
+    if paths is None:
+        return None
+    witness = normalize_holding(net, lift_path_flow(net, paths, period))
+    ok, witness_delay, violations = validate_solution(inst, witness)
+    if not ok:  # the witness decides probes, so an invalid one is a bug
+        raise AssertionError(f"witness schedule invalid: {violations}")
+
+    low = shortest_delay(net, inst.sender)[inst.receiver]
+    high = min(witness_delay, horizon)
+    exp = build_expanded(net, high) if low <= high else None
     best: int | None = None
+    best_flow: tuple[dict[int, Fraction], int] | None = None
     probes: list[tuple[int, bool]] = []
     while low <= high:
         mid = (low + high + 1) // 2
-        feasible = solver.probe(mid)
+        if witness_delay <= mid:
+            feasible = True
+        else:
+            answer = probe_reaches(exp, inst, period, mid, inst.batch)
+            feasible = answer.feasible
+            if feasible:
+                witness_delay = _arrival_delay(exp, answer.flow, inst.receiver)
+                best_flow = (answer.flow, mid)
         probes.append((mid, feasible))
         if feasible:
             best = mid
@@ -316,15 +275,31 @@ def _min_max_delay_cached(
             low = mid + 1
     if best is None:
         return None
-    solution = solver.materialize()
-    ok, max_delay, violations = validate_solution(inst, solution)
+    if best_flow is not None:
+        flow, bound = best_flow
+        witness = normalize_holding(net, decompose(exp, flow, inst, period, bound))
+    ok, max_delay, violations = validate_solution(inst, witness)
     if not ok:
         raise AssertionError(f"decomposed schedule invalid: {violations}")
     if max_delay != best:
         raise AssertionError(
             f"schedule delay {max_delay} disagrees with probed minimum {best}"
         )
-    return MmdResult(period, best, solution, tuple(probes))
+    return MmdResult(period, best, witness, tuple(probes))
+
+
+def _arrival_delay(
+    exp: ExpandedNetwork, flow: dict[int, Fraction], receiver: str
+) -> int:
+    """Latest layer at which the flow delivers to the receiver."""
+    delay = 0
+    for idx, v in flow.items():
+        el = exp.links[idx]
+        if v > 0 and el.link_id is not None:
+            head, layer = exp.node_of(el.head)
+            if head == receiver:
+                delay = max(delay, layer)
+    return delay
 
 
 def min_max_delay_oracle(
@@ -341,7 +316,7 @@ def min_max_delay_oracle(
     rate = Fraction(inst.batch, period)
     if max_flow(inst.network, inst.sender, inst.receiver)[1] < rate:
         return None
-    exp = _expansion(inst.network, mu)
+    exp = build_expanded(inst.network, mu)
     groups = link_groups(exp, period)
     probes: list[tuple[int, bool]] = []
     for bound in range(0, mu + 1):

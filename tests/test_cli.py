@@ -69,6 +69,8 @@ def test_bad_input_exits_1(tmp_path, capsys):
         (0, "delay", 0, "nonpositive-delay"),
         (0, "delay", -1, "nonpositive-delay"),
         (1, "to", "x", "unknown-endpoint"),
+        (0, "delay", 2.9, "non-integer-delay"),
+        (0, "delay", True, "non-integer-delay"),
     ],
 )
 def test_ill_formed_network_exits_1(pos, field, value, code, tmp_path, capsys):
@@ -106,6 +108,13 @@ def test_mmd_at_period(fastslow_path, capsys):
 def test_mu_override(fastslow_path, capsys):
     assert main(["mmd-at-period", fastslow_path, "7", "--mu-override", "12"]) == 0
     assert "M=11" in capsys.readouterr().out
+    assert main(["mmd-at-period", fastslow_path, "7", "--mu-override", "11"]) == 0
+    assert "M=11" in capsys.readouterr().out
+    assert main(["mmd-at-period", fastslow_path, "7", "--mu-override", "10"]) == 2
+    assert "infeasible" in capsys.readouterr().out
+    for ceiling in ("0", "-3"):
+        assert main(["mmd-at-period", fastslow_path, "7", "--mu-override", ceiling]) == 1
+        assert "horizon must be at least 1" in capsys.readouterr().err
 
 
 def test_gen_deterministic_bytes(tmp_path, capsys):

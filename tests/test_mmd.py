@@ -9,6 +9,7 @@ from aoiflow import (
     build_flow_lp,
     decompose,
     extract_edge_flow,
+    feasible_periods,
     link_groups,
     min_max_delay,
     min_max_delay_oracle,
@@ -17,9 +18,11 @@ from aoiflow import (
     solve_lp,
     validate_solution,
 )
+from aoiflow import mmd as mmd_module
 from aoiflow.expander import TRANSIT
-from aoiflow.mmd import lift_path_flow, steady_rate_paths
-from conftest import make_fastslow_instance, make_triple_instance
+from aoiflow.maxflow import max_flow, shortest_delay
+from aoiflow.mmd import _min_max_delay_cached, lift_path_flow, steady_rate_paths
+from conftest import corpus_instance, make_fastslow_instance, make_triple_instance
 
 
 def test_fastslow_delays_per_period():
@@ -63,6 +66,39 @@ def test_period_outside_window_rejected():
     inst = make_fastslow_instance()
     with pytest.raises(ModelError):
         min_max_delay(inst, 6)
+
+
+def test_expansion_sized_to_the_bracket(monkeypatch):
+    # a window up to T=20000 must not size the expansion asked at T=1
+    net = network(["s", "r"], [("e", "s", "r", 1, 1)])
+    inst = Instance(net, "s", "r", F(1), F(1, 20000), F(1))
+    horizons = []
+
+    def recording_build(net, horizon):
+        horizons.append(horizon)
+        return build_expanded(net, horizon)
+
+    monkeypatch.setattr(mmd_module, "build_expanded", recording_build)
+    _min_max_delay_cached.cache_clear()
+    assert min_max_delay(inst, 1).max_delay == 1
+    assert max(horizons, default=0) <= 2
+
+
+def test_bracket_premises_on_corpus():
+    # the search runs on [shortest delay, witness delay]; this holds it to
+    # the premises that bracket relies on
+    for seed in range(200):
+        inst = corpus_instance(seed)
+        static = max_flow(inst.network, inst.sender, inst.receiver)[1]
+        shortest = shortest_delay(inst.network, inst.sender).get(inst.receiver)
+        for period in feasible_periods(inst):
+            result = min_max_delay(inst, period)
+            assert (result is None) == (static < F(inst.batch, period)), (seed, period)
+            if result is None:
+                continue
+            assert all(m >= shortest for m, _ in result.probes), (seed, period)
+            if result.max_delay != shortest:
+                assert (result.max_delay - 1, False) in result.probes, (seed, period)
 
 
 def test_oracle_examples():
