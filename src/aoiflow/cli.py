@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad input, 2 infeasible instance.
+Exit codes: 0 success, 1 bad input (a usage error included), 2 infeasible
+instance.
 """
 
 from __future__ import annotations
@@ -24,8 +25,16 @@ def _fr(value) -> str:
     return fileio.format_rational(value)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aoiflow",
         description="Periodic multi-path schedules minimizing age-of-information",
     )

@@ -1,12 +1,18 @@
-"""Layered time expansion of a network.
+"""Layered time expansion of a network, pruned to the routes of one bound.
 
-Every node is copied once per slot 0..horizon.  Each physical link of delay
-``d`` becomes transit copies (v, i) -> (w, i + d) for every push slot i, and
-each node gets unit holding links (v, i) -> (v, i + 1).  Transit copies of a
-link whose push slots agree mod the period share that link's bandwidth; those
-residue classes are the capacity groups the flow program constrains.
+`build_expanded(inst, bound)` serves one question: can the batch travel from
+(sender, 0) to (receiver, bound)?  So it keeps only the copies lying on such
+a route.  A physical link u -> v of delay ``d`` becomes transit copies
+(u, i) -> (v, i + d) for the push slots ``dist_s[u] <= i <= bound - d -
+dist_r[v]``, and a node v gets unit holding links (v, i) -> (v, i + 1) for
+``dist_s[v] <= i < bound - dist_r[v]``, where ``dist_s`` is the shortest
+delay from the sender and ``dist_r`` the shortest delay to the receiver.
+Every other copy carries zero in any conserving flow, so dropping it leaves
+the flow program's feasible flows unchanged.  Transit copies of a link whose
+push slots agree mod the period share that link's bandwidth; those residue
+classes are the capacity groups the flow program constrains.
 
-Node ids are dense ints, ``node_index * (horizon + 1) + layer``, so identical
+Node ids are dense ints, ``node_index * (bound + 1) + layer``, so identical
 inputs always yield identical link orderings.
 """
 
@@ -14,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Instance, Network
+from .maxflow import shortest_delay
+from .model import Instance, Link, Network
 
 TRANSIT = "transit"
 HOLDING = "holding"
@@ -32,22 +39,18 @@ class ExpandedLink:
 @dataclass(frozen=True)
 class ExpandedNetwork:
     net: Network
-    horizon: int
+    bound: int
     links: tuple[ExpandedLink, ...]
 
-    @property
-    def node_count(self) -> int:
-        return len(self.net.nodes) * (self.horizon + 1)
-
     def node_id(self, node: str, layer: int) -> int:
-        return self.net.nodes.index(node) * (self.horizon + 1) + layer
+        return self.net.nodes.index(node) * (self.bound + 1) + layer
 
     def node_of(self, dense: int) -> tuple[str, int]:
-        idx, layer = divmod(dense, self.horizon + 1)
+        idx, layer = divmod(dense, self.bound + 1)
         return self.net.nodes[idx], layer
 
     def layer_of(self, dense: int) -> int:
-        return dense % (self.horizon + 1)
+        return dense % (self.bound + 1)
 
 
 @dataclass(frozen=True)
@@ -70,36 +73,40 @@ def horizon_upper_bound(inst: Instance) -> int:
     return len(inst.network.nodes) * (d_max + inst.max_period)
 
 
-def build_expanded(net: Network, horizon: int) -> ExpandedNetwork:
-    """Expand the network over layers 0..horizon (deterministic ordering)."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+def build_expanded(inst: Instance, bound: int) -> ExpandedNetwork:
+    """Expand the copies on some (sender, 0) -> (receiver, bound) route.
+
+    Links come in a deterministic order: transit copies link by link, then
+    holding links node by node, each by ascending slot.  The expansion has
+    no links exactly when the receiver is farther than ``bound``.
+    """
+    if bound < 0:
+        raise ValueError("bound must not be negative")
+    net = inst.network
+    dist_s = shortest_delay(net, inst.sender)
+    reversed_net = Network(
+        nodes=net.nodes,
+        links=tuple(Link(l.id, l.head, l.tail, l.delay, l.bandwidth) for l in net.links),
+    )
+    dist_r = shortest_delay(reversed_net, inst.receiver)
     links: list[ExpandedLink] = []
-    width = horizon + 1
+    width = bound + 1
     node_pos = {v: i for i, v in enumerate(net.nodes)}
     for link in net.links:
-        for i in range(0, horizon - link.delay + 1):
-            links.append(
-                ExpandedLink(
-                    tail=node_pos[link.tail] * width + i,
-                    head=node_pos[link.head] * width + i + link.delay,
-                    kind=TRANSIT,
-                    link_id=link.id,
-                    push=i,
-                )
-            )
+        if link.tail not in dist_s or link.head not in dist_r:
+            continue
+        tail = node_pos[link.tail] * width
+        head = node_pos[link.head] * width + link.delay
+        last = bound - link.delay - dist_r[link.head]
+        for i in range(dist_s[link.tail], last + 1):
+            links.append(ExpandedLink(tail + i, head + i, TRANSIT, link.id, i))
     for v in net.nodes:
-        for i in range(horizon):
-            links.append(
-                ExpandedLink(
-                    tail=node_pos[v] * width + i,
-                    head=node_pos[v] * width + i + 1,
-                    kind=HOLDING,
-                    link_id=None,
-                    push=i,
-                )
-            )
-    return ExpandedNetwork(net=net, horizon=horizon, links=tuple(links))
+        if v not in dist_s or v not in dist_r:
+            continue
+        base = node_pos[v] * width
+        for i in range(dist_s[v], bound - dist_r[v]):
+            links.append(ExpandedLink(base + i, base + i + 1, HOLDING, None, i))
+    return ExpandedNetwork(net=net, bound=bound, links=tuple(links))
 
 
 def link_groups(exp: ExpandedNetwork, period: int) -> list[LinkGroup]:

@@ -176,6 +176,10 @@ def scaled_instance(
     net: Network, sender: str, receiver: str, scale: int, n_periods: int = 10
 ) -> Instance:
     """Batch = scale * capacity with n_periods candidate periods from scale up."""
+    if scale < 1:
+        raise ModelError(f"scale must be at least 1, got {scale}")
+    if n_periods < 1:
+        raise ModelError(f"n_periods must be at least 1, got {n_periods}")
     cap = batch_capacity(net, sender, receiver)
     if cap <= 0:
         raise ModelError("sender cannot reach receiver")

@@ -1,8 +1,10 @@
 """The expanded-network flow program and fast feasibility probes.
 
 The core question answered here: can at least ``target`` units travel from
-(sender, 0) to (receiver, M) in the layered expansion while every capacity
-group (one physical link, one push-residue class) stays within its bandwidth?
+(sender, 0) to (receiver, M) in the expansion built for bound M while every
+capacity group (one physical link, one push-residue class) stays within its
+bandwidth?  That expansion already holds only the copies on such a route, so
+the program has one variable per expanded link.
 
 Three engines cooperate, all certifying their answers with exact arithmetic:
 
@@ -30,60 +32,37 @@ from .lp import (
     LpSolution,
     solve_lp_reaching,
 )
-from .maxflow import shortest_delay
-from .model import Instance, Link, ModelError, Network
+from .model import Instance
 
 
 @dataclass
 class FlowLp:
-    """A built flow program plus the variable -> expanded-link map."""
+    """A built flow program; variable j is the flow on ``exp.links[j]``."""
 
     program: LinearProgram
-    var_links: list[int]  # var j corresponds to exp.links[var_links[j]]
     exp: ExpandedNetwork
-    bound: int
     source: int
     sink: int
 
 
 def build_flow_lp(
-    exp: ExpandedNetwork,
-    groups: list[LinkGroup],
-    inst: Instance,
-    bound: int,
-    restrict: set[int] | None = None,
+    exp: ExpandedNetwork, groups: list[LinkGroup], inst: Instance
 ) -> FlowLp:
-    """Max-throughput program over layers 0..bound.
+    """Max-throughput program over layers 0..exp.bound.
 
-    One variable per expanded link whose layers fall inside the bound (and
-    inside ``restrict`` when given); the objective is total outflow of the
+    One variable per expanded link; the objective is total outflow of the
     sender's layer-0 copy; sender outflow equals receiver layer-``bound``
     inflow; flow conserves everywhere else; each capacity group is limited by
     its link bandwidth.  Holding links are uncapacitated.
     """
-    if bound > exp.horizon:
-        raise ModelError("bound exceeds expansion horizon")
-    if inst.sender not in exp.net.nodes or inst.receiver not in exp.net.nodes:
-        raise ModelError("instance endpoints missing from expanded network")
     source = exp.node_id(inst.sender, 0)
-    sink = exp.node_id(inst.receiver, bound)
+    sink = exp.node_id(inst.receiver, exp.bound)
 
-    var_links: list[int] = []
-    var_of: dict[int, int] = {}
-    for idx, el in enumerate(exp.links):
-        if exp.layer_of(el.head) > bound:
-            continue
-        if restrict is not None and idx not in restrict:
-            continue
-        var_of[idx] = len(var_links)
-        var_links.append(idx)
-
-    n = len(var_links)
+    n = len(exp.links)
     objective = [Fraction(0)] * n
     out_at: dict[int, list[int]] = defaultdict(list)
     in_at: dict[int, list[int]] = defaultdict(list)
-    for j, idx in enumerate(var_links):
-        el = exp.links[idx]
+    for j, el in enumerate(exp.links):
         out_at[el.tail].append(j)
         in_at[el.head].append(j)
     for j in out_at.get(source, []):
@@ -110,65 +89,18 @@ def build_flow_lp(
 
     bandwidth = inst.network.link_index
     for group in groups:
-        members = [var_of[m] for m in group.members if m in var_of]
-        if not members:
-            continue
         lp.add_row(
-            {j: Fraction(1) for j in members},
+            {j: Fraction(1) for j in group.members},
             bandwidth[group.link_id].bandwidth,
             LE,
         )
 
-    return FlowLp(
-        program=lp,
-        var_links=var_links,
-        exp=exp,
-        bound=bound,
-        source=source,
-        sink=sink,
-    )
+    return FlowLp(program=lp, exp=exp, source=source, sink=sink)
 
 
 def extract_edge_flow(flow_lp: FlowLp, sol: LpSolution) -> dict[int, Fraction]:
     """Map a solved program back onto expanded links (nonzero flow only)."""
-    return {
-        flow_lp.var_links[j]: v
-        for j, v in enumerate(sol.values)
-        if v > 0
-    }
-
-
-def useful_links(exp: ExpandedNetwork, inst: Instance, bound: int) -> set[int] | None:
-    """Expanded links lying on some (sender,0) -> (receiver,bound) route.
-
-    Dropping the rest never changes the program's feasible flows: links off
-    every route carry zero in any conserving solution.  Returns None when the
-    receiver copy is unreachable at this bound (program value is zero).
-    """
-    net = exp.net
-    dist_s = shortest_delay(net, inst.sender)
-    reversed_net = Network(
-        nodes=net.nodes,
-        links=tuple(
-            Link(l.id, l.head, l.tail, l.delay, l.bandwidth) for l in net.links
-        ),
-    )
-    dist_r = shortest_delay(reversed_net, inst.receiver)
-    if dist_s.get(inst.receiver, bound + 1) > bound:
-        return None
-    keep: set[int] = set()
-    for idx, el in enumerate(exp.links):
-        tail_v, tail_layer = exp.node_of(el.tail)
-        head_v, head_layer = exp.node_of(el.head)
-        if head_layer > bound:
-            continue
-        ds = dist_s.get(tail_v)
-        dr = dist_r.get(head_v)
-        if ds is None or dr is None:
-            continue
-        if tail_layer >= ds and head_layer + dr <= bound:
-            keep.add(idx)
-    return keep
+    return {j: v for j, v in enumerate(sol.values) if v > 0}
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +111,7 @@ def group_augment(
     exp: ExpandedNetwork,
     inst: Instance,
     period: int,
-    bound: int,
     target: Fraction,
-    allowed: set[int],
 ) -> dict[int, Fraction] | None:
     """Push exactly ``target`` units with augmenting paths; None if stalled.
 
@@ -191,28 +121,24 @@ def group_augment(
     mean a stall does not prove infeasibility; callers must escalate.
     """
     source = exp.node_id(inst.sender, 0)
-    sink = exp.node_id(inst.receiver, bound)
+    sink = exp.node_id(inst.receiver, exp.bound)
     bandwidth = inst.network.link_index
 
     out_adj: dict[int, list[int]] = defaultdict(list)
     in_adj: dict[int, list[int]] = defaultdict(list)
     group_of: dict[int, tuple[str, int]] = {}
     group_resid: dict[tuple[str, int], Fraction] = {}
-    for idx in allowed:
-        el = exp.links[idx]
+    for idx, el in enumerate(exp.links):
         out_adj[el.tail].append(idx)
         in_adj[el.head].append(idx)
         if el.kind == TRANSIT:
             g = (el.link_id, el.push % period)
             group_of[idx] = g
             group_resid.setdefault(g, bandwidth[el.link_id].bandwidth)
-    for adj in (out_adj, in_adj):
-        for links in adj.values():
-            links.sort()
 
     flow: dict[int, Fraction] = defaultdict(Fraction)
     value = Fraction(0)
-    max_rounds = 3 * len(allowed) + 64
+    max_rounds = 3 * len(exp.links) + 64
     for _ in range(max_rounds):
         if value >= target:
             return dict(flow)
@@ -403,20 +329,21 @@ def probe_reaches(
     exp: ExpandedNetwork,
     inst: Instance,
     period: int,
-    bound: int,
     target: Fraction,
 ) -> ProbeAnswer:
-    """Exact answer to "does the flow program at this bound reach target?"."""
-    allowed = useful_links(exp, inst, bound)
-    if allowed is None:
+    """Exact answer to "does the flow program at exp.bound reach target?".
+
+    An expansion without links means the receiver is farther than the
+    bound: the program's value is zero, and no engine runs.
+    """
+    if not exp.links:
         return ProbeAnswer(False, None, "unreachable")
 
-    flow = group_augment(exp, inst, period, bound, target, allowed)
+    flow = group_augment(exp, inst, period, target)
     if flow is not None:
         return ProbeAnswer(True, flow, "augment")
 
-    groups = link_groups(exp, period)
-    flow_lp = build_flow_lp(exp, groups, inst, bound, restrict=allowed)
+    flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
 
     # a stalled pusher usually means the probe is infeasible; a float solve
     # plus an exactly verified dual certificate settles that without ever

@@ -3,8 +3,8 @@
 `min_max_delay` follows the binary-search scheme: probe the midpoint bound M
 (ceil midpoint), ask whether the expanded flow program can deliver the whole
 batch within M layers, and halve the bracket accordingly.  The bracket is
-``[shortest delay, witness delay]``, and the expansion is built only as deep
-as its top:
+``[shortest delay, witness delay]``, and each probe builds the expansion of
+its own bound, pruned to the routes that reach the receiver by then:
 
 * a periodic schedule at period T induces a static flow of rate batch/T by
   averaging one period, so when the static max-flow rate is below batch/T no
@@ -21,8 +21,8 @@ as its top:
 A ``horizon`` caps the bracket's top as a search ceiling.  Every remaining
 probe runs the exact engines in `flowlp`.  The companion
 `min_max_delay_oracle` ignores all of that and scans M = 0, 1, 2, ... up to
-the safe horizon, solving each program with the reference simplex; tests
-hold the two to equal answers.
+the safe horizon, solving each bound's program with the reference simplex;
+tests hold the two to equal answers.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ def decompose(
     edge_flow: dict[int, Fraction],
     inst: Instance,
     period: int,
-    bound: int,
 ) -> PeriodicSolution:
     """Peel an expanded flow into schedule entries (min-flow link first).
 
@@ -130,7 +129,7 @@ def decompose(
     batch.
     """
     source = exp.node_id(inst.sender, 0)
-    sink = exp.node_id(inst.receiver, bound)
+    sink = exp.node_id(inst.receiver, exp.bound)
     work = {idx: v for idx, v in edge_flow.items() if v > 0}
 
     imbalance: dict[int, Fraction] = {}
@@ -253,20 +252,20 @@ def _min_max_delay_cached(
 
     low = shortest_delay(net, inst.sender)[inst.receiver]
     high = min(witness_delay, horizon)
-    exp = build_expanded(net, high) if low <= high else None
     best: int | None = None
-    best_flow: tuple[dict[int, Fraction], int] | None = None
+    best_flow: tuple[ExpandedNetwork, dict[int, Fraction]] | None = None
     probes: list[tuple[int, bool]] = []
     while low <= high:
         mid = (low + high + 1) // 2
         if witness_delay <= mid:
             feasible = True
         else:
-            answer = probe_reaches(exp, inst, period, mid, inst.batch)
+            exp = build_expanded(inst, mid)
+            answer = probe_reaches(exp, inst, period, inst.batch)
             feasible = answer.feasible
             if feasible:
                 witness_delay = _arrival_delay(exp, answer.flow, inst.receiver)
-                best_flow = (answer.flow, mid)
+                best_flow = (exp, answer.flow)
         probes.append((mid, feasible))
         if feasible:
             best = mid
@@ -276,8 +275,8 @@ def _min_max_delay_cached(
     if best is None:
         return None
     if best_flow is not None:
-        flow, bound = best_flow
-        witness = normalize_holding(net, decompose(exp, flow, inst, period, bound))
+        exp, flow = best_flow
+        witness = normalize_holding(net, decompose(exp, flow, inst, period))
     ok, max_delay, violations = validate_solution(inst, witness)
     if not ok:
         raise AssertionError(f"decomposed schedule invalid: {violations}")
@@ -316,17 +315,16 @@ def min_max_delay_oracle(
     rate = Fraction(inst.batch, period)
     if max_flow(inst.network, inst.sender, inst.receiver)[1] < rate:
         return None
-    exp = build_expanded(inst.network, mu)
-    groups = link_groups(exp, period)
     probes: list[tuple[int, bool]] = []
     for bound in range(0, mu + 1):
-        flow_lp = build_flow_lp(exp, groups, inst, bound)
+        exp = build_expanded(inst, bound)
+        flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
         sol = solve_lp(flow_lp.program)
         feasible = sol.status == OPTIMAL and sol.objective_value >= inst.batch
         probes.append((bound, feasible))
         if feasible:
             flow = extract_edge_flow(flow_lp, sol)
-            raw = decompose(exp, flow, inst, period, bound)
+            raw = decompose(exp, flow, inst, period)
             solution = normalize_holding(inst.network, raw)
             ok, max_delay, violations = validate_solution(inst, solution)
             if not ok:

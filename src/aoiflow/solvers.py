@@ -180,10 +180,13 @@ def approx_solve(
     Solves the steady-rate problem at the minimum required throughput, lifts
     the per-slot path flow to a periodic schedule at the largest period, and
     reports the certified ratio alpha + c (c = 2*Ru/Rl for peak age,
-    3*Ru/Rl for average age).
+    3*Ru/Rl for average age), where alpha >= 1 is the backend's declared
+    guarantee.
     """
     if objective is Objective.MAX_DELAY:
         raise ModelError("the approximation framework targets age objectives")
+    if alpha < 1:
+        raise ModelError(f"alpha must be at least 1, got {alpha}")
     flow = backend(inst.network, inst.sender, inst.receiver, inst.r_min)
     if flow is None:
         raise AllInfeasibleError("steady-rate subproblem infeasible at r_min")

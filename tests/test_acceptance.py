@@ -27,7 +27,6 @@ from aoiflow import (
     solve_optimal,
     validate_solution,
 )
-from aoiflow.expander import horizon_upper_bound
 from aoiflow.experiments import (
     complete_graph,
     erdos_renyi,
@@ -170,9 +169,8 @@ def test_criterion_5_feasibility_equivalence():
     # reverse side: a validated schedule's (period, delay) makes the
     # reference program carry the batch
     for inst, period, result in pairs[:: max(1, len(pairs) // 50)]:
-        exp = build_expanded(inst.network, horizon_upper_bound(inst))
-        groups = link_groups(exp, period)
-        flow_lp = build_flow_lp(exp, groups, inst, result.max_delay)
+        exp = build_expanded(inst, result.max_delay)
+        flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
         sol = solve_lp(flow_lp.program)
         assert sol.status == OPTIMAL and sol.objective_value >= inst.batch
         checked_reverse += 1

@@ -98,6 +98,13 @@ def test_approx_fastslow(fastslow_path, capsys):
     assert "peak=19" in out and "ratio_bound=27/7" in out
 
 
+def test_approx_alpha_below_one_exits_1(fastslow_path, capsys):
+    assert main(["approx", "mpa", fastslow_path, "--alpha", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "ratio_bound" not in captured.out
+    assert "alpha must be at least 1" in captured.err
+
+
 def test_mmd_at_period(fastslow_path, capsys):
     assert main(["mmd-at-period", fastslow_path, "7"]) == 0
     assert "M=11" in capsys.readouterr().out
@@ -157,6 +164,43 @@ def test_batch_summary(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("instance_id,periods")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "options,name",
+    [(["--scale", "0"], "scale"), (["--scale", "1", "--periods", "0"], "n_periods")],
+)
+def test_batch_bad_scale_or_periods_exits_1(options, name, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    argv = ["batch", "grid", "2", "2", "--count", "1", *options, "--csv", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {name} must be at least 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mmd-at-period", "inst.json", "abc"],
+        ["solve", "mpa", "inst.json", "--mu-override", "x"],
+        ["solve"],
+    ],
+)
+def test_usage_error_exits_1(argv, capsys):
+    # 2 means "infeasible", so a mistyped command line must not exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: aoiflow") and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: aoiflow" in capsys.readouterr().out
 
 
 def test_quiet_suppresses_output(fastslow_path, capsys):

@@ -10,7 +10,7 @@ from aoiflow import (
     network,
 )
 from aoiflow.expander import HOLDING, TRANSIT
-from conftest import make_fastslow_instance, make_fastslow_network, make_triple_instance
+from conftest import make_fastslow_instance, make_triple_instance
 
 
 def test_horizon_fastslow():
@@ -28,43 +28,60 @@ def test_horizon_single_link():
 
 
 def test_two_hop_expansion_counts():
+    # s is 0 from the sender and 3 from the receiver, a is 2 and 1, r is 3 and 0
     net = network(["s", "a", "r"], [("sa", "s", "a", 2, 1), ("ar", "a", "r", 1, 1)])
-    exp = build_expanded(net, 5)
-    assert exp.node_count == 18
-    transit = [el for el in exp.links if el.kind == TRANSIT]
-    holding = [el for el in exp.links if el.kind == HOLDING]
-    assert sum(1 for el in transit if el.link_id == "sa") == 4
-    assert sum(1 for el in transit if el.link_id == "ar") == 5
-    assert len(holding) == 15
+    inst = Instance(net, "s", "r", F(1), F(1), F(1))
+    exp = build_expanded(inst, 5)
+
+    def pushes(link_id):
+        return [el.push for el in exp.links if el.link_id == link_id]
+
+    assert pushes("sa") == [0, 1, 2]  # 0 <= i <= 5 - 2 - 1
+    assert pushes("ar") == [2, 3, 4]  # 2 <= i <= 5 - 1 - 0
+    holding = [exp.node_of(el.tail) for el in exp.links if el.kind == HOLDING]
+    assert holding == [("s", 0), ("s", 1), ("a", 2), ("a", 3), ("r", 3), ("r", 4)]
+    assert exp.node_id("a", 2) == 1 * 6 + 2
 
 
-def test_horizon_below_delays_gives_holding_only():
+def test_bound_below_shortest_delay_gives_no_links():
     net = network(["s", "r"], [("e", "s", "r", 7, 1)])
-    exp = build_expanded(net, 3)
-    assert all(el.kind == HOLDING for el in exp.links)
-    assert len(exp.links) == 2 * 3
+    inst = Instance(net, "s", "r", F(1), F(1), F(1))
+    assert build_expanded(inst, 6).links == ()
+    assert len(build_expanded(inst, 7).links) == 1
+
+
+def test_off_route_copies_dropped():
+    # b is a dead end and c is unreachable: neither gets a single copy
+    net = network(
+        ["s", "b", "c", "r"],
+        [("sr", "s", "r", 1, 1), ("sb", "s", "b", 1, 1), ("cr", "c", "r", 1, 1)],
+    )
+    inst = Instance(net, "s", "r", F(1), F(1), F(1))
+    exp = build_expanded(inst, 4)
+    assert {el.link_id for el in exp.links if el.kind == TRANSIT} == {"sr"}
+    assert {exp.node_of(el.tail)[0] for el in exp.links} == {"s", "r"}
 
 
 def test_slow_link_single_copy_at_tight_horizon():
-    exp = build_expanded(make_fastslow_network(), 11)
+    exp = build_expanded(make_fastslow_instance(), 11)
     e2 = [el for el in exp.links if el.link_id == "e2"]
     assert len(e2) == 1 and e2[0].push == 0
 
 
 def test_layers_strictly_increase():
-    exp = build_expanded(make_fastslow_network(), 13)
+    exp = build_expanded(make_fastslow_instance(), 13)
     for el in exp.links:
         assert exp.layer_of(el.head) > exp.layer_of(el.tail)
 
 
 def test_expansion_deterministic():
-    a = build_expanded(make_fastslow_network(), 13)
-    b = build_expanded(make_fastslow_network(), 13)
+    a = build_expanded(make_fastslow_instance(), 13)
+    b = build_expanded(make_fastslow_instance(), 13)
     assert a.links == b.links
 
 
 def test_groups_fastslow_fast_link():
-    exp = build_expanded(make_fastslow_network(), 11)
+    exp = build_expanded(make_fastslow_instance(), 11)
     groups = {
         (g.link_id, g.residue): len(g.members) for g in link_groups(exp, 7)
     }
@@ -76,7 +93,7 @@ def test_groups_fastslow_fast_link():
 
 
 def test_groups_period_one_collects_everything():
-    exp = build_expanded(make_fastslow_network(), 11)
+    exp = build_expanded(make_fastslow_instance(), 11)
     groups = link_groups(exp, 1)
     by_link = {g.link_id: g for g in groups}
     assert len(by_link["e1"].members) == 11
@@ -84,14 +101,15 @@ def test_groups_period_one_collects_everything():
 
 
 def test_groups_large_period_singletons():
-    exp = build_expanded(make_fastslow_network(), 11)
+    exp = build_expanded(make_fastslow_instance(), 11)
     for g in link_groups(exp, 50):
         assert len(g.members) <= 1
 
 
 def test_group_partition_recovers_all_transits():
-    net = make_triple_instance().network
-    exp = build_expanded(net, 24)
+    inst = make_triple_instance()
+    net = inst.network
+    exp = build_expanded(inst, 24)
     for period in (1, 2, 3, 5, 7):
         groups = link_groups(exp, period)
         for link in net.links:
@@ -104,7 +122,7 @@ def test_group_partition_recovers_all_transits():
 
 def test_bad_arguments_rejected():
     with pytest.raises(ValueError):
-        build_expanded(make_fastslow_network(), 0)
-    exp = build_expanded(make_fastslow_network(), 5)
+        build_expanded(make_fastslow_instance(), -1)
+    exp = build_expanded(make_fastslow_instance(), 5)
     with pytest.raises(ValueError):
         link_groups(exp, 0)

@@ -11,63 +11,53 @@ from aoiflow import (
     network,
     solve_lp,
 )
+from aoiflow.expander import HOLDING, TRANSIT
 from aoiflow.flowlp import (
     _scipy_solve,
     certify_value_below,
     group_augment,
     probe_reaches,
-    useful_links,
 )
 from aoiflow.lp import OPTIMAL
 from conftest import corpus_instance, make_fastslow_instance
 
 
-def fastslow_setup(horizon=42):
-    inst = make_fastslow_instance()
-    exp = build_expanded(inst.network, horizon)
-    return inst, exp
-
-
-def optimum(inst, exp, period, bound, restrict=None):
-    groups = link_groups(exp, period)
-    flow_lp = build_flow_lp(exp, groups, inst, bound, restrict=restrict)
+def optimum(inst, period, bound):
+    exp = build_expanded(inst, bound)
+    flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
     sol = solve_lp(flow_lp.program)
     assert sol.status == OPTIMAL
     return flow_lp, sol
 
 
 def test_fastslow_t7_m11_carries_batch():
-    inst, exp = fastslow_setup()
-    _, sol = optimum(inst, exp, 7, 11)
+    _, sol = optimum(make_fastslow_instance(), 7, 11)
     assert sol.objective_value >= 10
 
 
 def test_fastslow_t7_m10_caps_at_seven():
-    inst, exp = fastslow_setup()
-    _, sol = optimum(inst, exp, 7, 10)
+    _, sol = optimum(make_fastslow_instance(), 7, 10)
     assert sol.objective_value == 7
 
 
 def test_zero_bandwidth_gives_zero():
     net = network(["s", "r"], [("e", "s", "r", 1, 0)])
     inst = Instance(net, "s", "r", F(1), F(1), F(1))
-    exp = build_expanded(net, 4)
-    _, sol = optimum(inst, exp, 1, 4)
+    _, sol = optimum(inst, 1, 4)
     assert sol.objective_value == 0
 
 
 def test_extract_zero_flow_empty():
     net = network(["s", "r"], [("e", "s", "r", 1, 0)])
     inst = Instance(net, "s", "r", F(1), F(1), F(1))
-    exp = build_expanded(net, 4)
-    flow_lp, sol = optimum(inst, exp, 1, 4)
+    flow_lp, sol = optimum(inst, 1, 4)
     assert extract_edge_flow(flow_lp, sol) == {}
 
 
 def test_extract_flow_conserves_and_totals():
-    inst, exp = fastslow_setup()
-    flow_lp, sol = optimum(inst, exp, 10, 10)
+    flow_lp, sol = optimum(make_fastslow_instance(), 10, 10)
     assert sol.objective_value >= 10
+    exp = flow_lp.exp
     flow = extract_edge_flow(flow_lp, sol)
     balance = {}
     for idx, v in flow.items():
@@ -86,10 +76,10 @@ def test_extract_flow_conserves_and_totals():
 
 
 def test_group_loads_within_bandwidth():
-    inst, exp = fastslow_setup()
-    flow_lp, sol = optimum(inst, exp, 7, 11)
+    inst = make_fastslow_instance()
+    flow_lp, sol = optimum(inst, 7, 11)
     flow = extract_edge_flow(flow_lp, sol)
-    groups = link_groups(exp, 7)
+    groups = link_groups(flow_lp.exp, 7)
     caps = inst.network.link_index
     for g in groups:
         load = sum((flow.get(m, F(0)) for m in g.members), F(0))
@@ -97,34 +87,54 @@ def test_group_loads_within_bandwidth():
 
 
 def test_value_monotone_in_bound():
-    inst, exp = fastslow_setup()
+    inst = make_fastslow_instance()
     values = []
     for bound in range(1, 16):
-        _, sol = optimum(inst, exp, 7, bound)
+        _, sol = optimum(inst, 7, bound)
         values.append(sol.objective_value)
     assert values == sorted(values)
 
 
-def test_pruning_preserves_optimum():
-    for seed in range(8):
+def _route_copies(inst, bound):
+    """Every copy over layers 0..bound that some (sender, 0) -> (receiver,
+    bound) route uses, found by propagating forward and backward."""
+    net = inst.network
+    copies = [
+        ((TRANSIT, link.id, i), (link.tail, i), (link.head, i + link.delay))
+        for link in net.links
+        for i in range(bound - link.delay + 1)
+    ] + [
+        ((HOLDING, v, i), (v, i), (v, i + 1)) for v in net.nodes for i in range(bound)
+    ]
+    ahead = {(inst.sender, 0)}
+    for _, tail, head in sorted(copies, key=lambda c: c[1][1]):
+        if tail in ahead:
+            ahead.add(head)
+    behind = {(inst.receiver, bound)}
+    for _, tail, head in sorted(copies, key=lambda c: -c[2][1]):
+        if head in behind:
+            behind.add(tail)
+    return {copy for copy in copies if copy[1] in ahead and copy[2] in behind}
+
+
+def test_expansion_keeps_exactly_the_route_copies():
+    for seed in range(40):
         inst = corpus_instance(seed)
-        exp = build_expanded(inst.network, 14)
-        period = inst.min_period
-        for bound in (6, 10, 14):
-            allowed = useful_links(exp, inst, bound)
-            _, full = optimum(inst, exp, period, bound)
-            if allowed is None:
-                assert full.objective_value == 0
-                continue
-            _, pruned = optimum(inst, exp, period, bound, restrict=allowed)
-            assert pruned.objective_value == full.objective_value
+        for bound in (0, 3, 6, 10, 14):
+            exp = build_expanded(inst, bound)
+            kept = []
+            for el in exp.links:
+                tail, head = exp.node_of(el.tail), exp.node_of(el.head)
+                kept.append(((el.kind, el.link_id or tail[0], el.push), tail, head))
+            assert len(kept) == len(set(kept))
+            assert set(kept) == _route_copies(inst, bound), (seed, bound)
 
 
 def test_group_augment_agrees_with_lp_when_it_succeeds():
-    inst, exp = fastslow_setup()
+    inst = make_fastslow_instance()
     for period, bound in [(7, 11), (10, 10), (8, 12)]:
-        allowed = useful_links(exp, inst, bound)
-        flow = group_augment(exp, inst, period, bound, inst.batch, allowed)
+        exp = build_expanded(inst, bound)
+        flow = group_augment(exp, inst, period, inst.batch)
         assert flow is not None
         groups = link_groups(exp, period)
         caps = inst.network.link_index
@@ -138,15 +148,14 @@ def test_group_augment_agrees_with_lp_when_it_succeeds():
 
 def test_dual_certificate_only_fires_below_target():
     pytest.importorskip("scipy")
-    inst, exp = fastslow_setup()
-    groups = link_groups(exp, 7)
+    inst = make_fastslow_instance()
     # M=10 caps at 7 < 10: certificate should prove it
-    low = build_flow_lp(exp, groups, inst, 10, restrict=useful_links(exp, inst, 10))
+    low, _ = optimum(inst, 7, 10)
     fr = _scipy_solve(low)
     assert certify_value_below(low, F(10), fr)
     assert not certify_value_below(low, F(7), fr)  # optimum == 7, not < 7
     # M=11 reaches 10: no certificate below 10 may exist
-    high = build_flow_lp(exp, groups, inst, 11, restrict=useful_links(exp, inst, 11))
+    high, _ = optimum(inst, 7, 11)
     fr = _scipy_solve(high)
     assert not certify_value_below(high, F(10), fr)
 
@@ -154,18 +163,9 @@ def test_dual_certificate_only_fires_below_target():
 def test_probe_matches_reference_lp_on_corpus():
     for seed in range(6):
         inst = corpus_instance(seed)
-        exp = build_expanded(inst.network, 12)
         period = inst.max_period
-        groups = link_groups(exp, period)
         for bound in range(1, 13, 3):
-            probe = probe_reaches(exp, inst, period, bound, inst.batch)
-            flow_lp = build_flow_lp(exp, groups, inst, bound)
-            sol = solve_lp(flow_lp.program)
+            exp = build_expanded(inst, bound)
+            probe = probe_reaches(exp, inst, period, inst.batch)
+            flow_lp, sol = optimum(inst, period, bound)
             assert probe.feasible == (sol.objective_value >= inst.batch)
-
-
-def test_bound_above_horizon_rejected():
-    inst, exp = fastslow_setup(horizon=11)
-    groups = link_groups(exp, 7)
-    with pytest.raises(Exception):
-        build_flow_lp(exp, groups, inst, 12)

@@ -94,8 +94,8 @@ def random_programs(seed, count):
 
 def fastslow_flow_program():
     inst = make_fastslow_instance()
-    exp = build_expanded(inst.network, 13)
-    return build_flow_lp(exp, link_groups(exp, 7), inst, 11).program
+    exp = build_expanded(inst, 11)
+    return build_flow_lp(exp, link_groups(exp, 7), inst).program
 
 
 def test_single_bound():

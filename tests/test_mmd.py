@@ -72,16 +72,16 @@ def test_expansion_sized_to_the_bracket(monkeypatch):
     # a window up to T=20000 must not size the expansion asked at T=1
     net = network(["s", "r"], [("e", "s", "r", 1, 1)])
     inst = Instance(net, "s", "r", F(1), F(1, 20000), F(1))
-    horizons = []
+    bounds = []
 
-    def recording_build(net, horizon):
-        horizons.append(horizon)
-        return build_expanded(net, horizon)
+    def recording_build(inst, bound):
+        bounds.append(bound)
+        return build_expanded(inst, bound)
 
     monkeypatch.setattr(mmd_module, "build_expanded", recording_build)
     _min_max_delay_cached.cache_clear()
     assert min_max_delay(inst, 1).max_delay == 1
-    assert max(horizons, default=0) <= 2
+    assert max(bounds, default=0) <= 2
 
 
 def test_bracket_premises_on_corpus():
@@ -117,20 +117,19 @@ def test_oracle_probe_trail_is_ascending_scan():
 
 def test_decompose_zero_flow_is_empty():
     inst = make_triple_instance()
-    exp = build_expanded(inst.network, 12)
-    sol = decompose(exp, {}, inst, 5, 12)
+    exp = build_expanded(inst, 12)
+    sol = decompose(exp, {}, inst, 5)
     assert sol.entries == ()
 
 
 def test_decompose_triple_unit_rate_flow():
     inst = make_triple_instance()
-    exp = build_expanded(inst.network, 12)
-    groups = link_groups(exp, 5)
-    flow_lp = build_flow_lp(exp, groups, inst, 5)
+    exp = build_expanded(inst, 5)
+    flow_lp = build_flow_lp(exp, link_groups(exp, 5), inst)
     lp_sol = solve_lp(flow_lp.program)
     assert lp_sol.objective_value >= 5
     flow = extract_edge_flow(flow_lp, lp_sol)
-    sol = normalize_holding(inst.network, decompose(exp, flow, inst, 5, 5))
+    sol = normalize_holding(inst.network, decompose(exp, flow, inst, 5))
     ok, max_delay, violations = validate_solution(inst, sol)
     assert ok and max_delay == 5
     assert sol.total_amount == 5
@@ -144,12 +143,11 @@ def test_decompose_triple_unit_rate_flow():
 
 def test_decompose_fastslow_t7_respects_caps():
     inst = make_fastslow_instance()
-    exp = build_expanded(inst.network, 42)
-    groups = link_groups(exp, 7)
-    flow_lp = build_flow_lp(exp, groups, inst, 11)
+    exp = build_expanded(inst, 11)
+    flow_lp = build_flow_lp(exp, link_groups(exp, 7), inst)
     lp_sol = solve_lp(flow_lp.program)
     flow = extract_edge_flow(flow_lp, lp_sol)
-    sol = normalize_holding(inst.network, decompose(exp, flow, inst, 7, 11))
+    sol = normalize_holding(inst.network, decompose(exp, flow, inst, 7))
     ok, max_delay, _ = validate_solution(inst, sol)
     assert ok and max_delay <= 11
     assert len(sol.entries) <= len(exp.links)
@@ -157,12 +155,12 @@ def test_decompose_fastslow_t7_respects_caps():
 
 def test_decompose_rejects_nonconserving_flow():
     inst = make_triple_instance()
-    exp = build_expanded(inst.network, 12)
+    exp = build_expanded(inst, 12)
     transit = next(
         i for i, el in enumerate(exp.links) if el.kind == TRANSIT and el.push == 0
     )
     with pytest.raises(ModelError):
-        decompose(exp, {transit: F(1)}, inst, 5, 12)
+        decompose(exp, {transit: F(1)}, inst, 5)
 
 
 def test_decompose_reroutes_node_revisit_through_holding():
@@ -177,7 +175,7 @@ def test_decompose_reroutes_node_revisit_through_holding():
         ],
     )
     inst = Instance(net, "s", "r", F(1), F(1, 4), F(1, 4))
-    exp = build_expanded(net, 6)
+    exp = build_expanded(inst, 4)
     by_key = {
         (el.link_id, el.push): i
         for i, el in enumerate(exp.links)
@@ -189,7 +187,7 @@ def test_decompose_reroutes_node_revisit_through_holding():
         by_key[("ba", 2)]: F(1),
         by_key[("ar", 3)]: F(1),
     }
-    sol = decompose(exp, flow, inst, 4, 4)
+    sol = decompose(exp, flow, inst, 4)
     (entry,) = sol.entries
     assert entry.links == ("sa", "ar")
     assert entry.offsets == (0, 1, 4)  # arrive a@1, hold to 3, arrive r@4

@@ -185,6 +185,14 @@ def test_approx_rejects_delay_objective():
         approx_solve(make_fastslow_instance(), Objective.MAX_DELAY)
 
 
+@pytest.mark.parametrize("alpha", [F(0), F(-1), F(1, 2)])
+def test_approx_rejects_alpha_below_one(alpha):
+    # an alpha-approximation has alpha >= 1; a smaller one would claim a
+    # ratio bound below the framework's own constant
+    with pytest.raises(ModelError, match="alpha"):
+        approx_solve(make_fastslow_instance(), Objective.PEAK_AOI, alpha=alpha)
+
+
 def test_approx_pluggable_backend_alpha():
     from aoiflow.solvers import PathFlow
 
