@@ -221,6 +221,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    if args.count < 1:
+        raise ModelError(f"count must be at least 1, got {args.count}")
     summaries = []
     for i in range(args.count):
         spec = _spec_for(args.kind, args.params, args.seed + i)

@@ -58,6 +58,11 @@ def copying_model(n: int, p: float, seed: int, **kw) -> TopologySpec:
     return TopologySpec("copying", (n, p), seed, **kw)
 
 
+def _check_probability(kind: str, p: float) -> None:
+    if not 0 <= p <= 1:  # also false for NaN
+        raise ModelError(f"{kind} probability p must lie in [0, 1], got {p}")
+
+
 def _undirected_edges(spec: TopologySpec, rng: random.Random) -> tuple[list[str], list[tuple[str, str]]]:
     kind, params = spec.kind, spec.params
     if kind == "complete":
@@ -84,11 +89,14 @@ def _undirected_edges(spec: TopologySpec, rng: random.Random) -> tuple[list[str]
         n, m = params
         nodes = [f"a{i}" for i in range(1, n + 1)]
         pairs = [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)]
+        if m < 0:
+            raise ModelError(f"erdos-renyi edge count m must be at least 0, got {m}")
         if m > len(pairs):
             raise ModelError("more edges requested than node pairs")
         return nodes, sorted(rng.sample(pairs, m))
     if kind == "watts-strogatz":
         n, k, p = params
+        _check_probability(kind, p)
         half = (k + 1) // 2  # odd ring degrees round up to the next even one
         if n < 2 * half + 1:
             raise ModelError("ring too small for the requested degree")
@@ -112,6 +120,7 @@ def _undirected_edges(spec: TopologySpec, rng: random.Random) -> tuple[list[str]
         return nodes, sorted((nodes[a], nodes[b]) for a, b in edges)
     if kind == "copying":
         n, p = params
+        _check_probability(kind, p)
         if n < 2:
             raise ModelError("copying model needs at least 2 nodes")
         nodes = [f"a{i}" for i in range(1, n + 1)]

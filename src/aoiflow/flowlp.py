@@ -124,42 +124,53 @@ def group_augment(
     sink = exp.node_id(inst.receiver, exp.bound)
     bandwidth = inst.network.link_index
 
+    # residual state by integer index: group_of[idx] is the link's capacity
+    # group (-1 for holding), open_group[g] says whether group g has room
+    links = exp.links
+    heads = [el.head for el in links]
+    tails = [el.tail for el in links]
     out_adj: dict[int, list[int]] = defaultdict(list)
     in_adj: dict[int, list[int]] = defaultdict(list)
-    group_of: dict[int, tuple[str, int]] = {}
-    group_resid: dict[tuple[str, int], Fraction] = {}
-    for idx, el in enumerate(exp.links):
+    group_index: dict[tuple[str, int], int] = {}
+    group_of: list[int] = []
+    group_resid: list[Fraction] = []
+    for idx, el in enumerate(links):
         out_adj[el.tail].append(idx)
         in_adj[el.head].append(idx)
+        g = -1
         if el.kind == TRANSIT:
-            g = (el.link_id, el.push % period)
-            group_of[idx] = g
-            group_resid.setdefault(g, bandwidth[el.link_id].bandwidth)
+            key = (el.link_id, el.push % period)
+            g = group_index.get(key, -1)
+            if g < 0:
+                g = group_index[key] = len(group_resid)
+                group_resid.append(bandwidth[el.link_id].bandwidth)
+        group_of.append(g)
+    open_group = [r > 0 for r in group_resid]
 
-    flow: dict[int, Fraction] = defaultdict(Fraction)
+    flow: dict[int, Fraction] = {}  # positive entries only
     value = Fraction(0)
-    max_rounds = 3 * len(exp.links) + 64
+    max_rounds = 3 * len(links) + 64
     for _ in range(max_rounds):
         if value >= target:
-            return dict(flow)
+            return flow
         parent: dict[int, tuple[int, bool]] = {source: (-1, True)}
         queue = deque([source])
         while queue and sink not in parent:
             node = queue.popleft()
-            for idx in out_adj.get(node, []):
-                el = exp.links[idx]
-                if el.head in parent:
+            for idx in out_adj.get(node, ()):
+                head = heads[idx]
+                if head in parent:
                     continue
-                g = group_of.get(idx)
-                if g is None or group_resid[g] > 0:
-                    parent[el.head] = (idx, True)
-                    queue.append(el.head)
-            for idx in in_adj.get(node, []):
-                el = exp.links[idx]
-                if el.tail in parent or flow[idx] <= 0:
+                g = group_of[idx]
+                if g < 0 or open_group[g]:
+                    parent[head] = (idx, True)
+                    queue.append(head)
+            for idx in in_adj.get(node, ()):
+                tail = tails[idx]
+                if tail in parent or idx not in flow:
                     continue
-                parent[el.tail] = (idx, False)
-                queue.append(el.tail)
+                parent[tail] = (idx, False)
+                queue.append(tail)
         if sink not in parent:
             return None
         # trace the path; tally per-group net usage for the bottleneck
@@ -168,15 +179,14 @@ def group_augment(
         while node != source:
             idx, forward = parent[node]
             arcs.append((idx, forward))
-            el = exp.links[idx]
-            node = el.tail if forward else el.head
-        usage: dict[tuple[str, int], int] = defaultdict(int)
+            node = tails[idx] if forward else heads[idx]
+        usage: dict[int, int] = defaultdict(int)
         bottleneck = target - value
         for idx, forward in arcs:
             if not forward:
                 bottleneck = min(bottleneck, flow[idx])
-            g = group_of.get(idx)
-            if g is not None:
+            g = group_of[idx]
+            if g >= 0:
                 usage[g] += 1 if forward else -1
         for g, uses in usage.items():
             if uses > 0:
@@ -184,15 +194,21 @@ def group_augment(
         if bottleneck <= 0:
             return None
         for idx, forward in arcs:
-            g = group_of.get(idx)
+            g = group_of[idx]
             if forward:
-                flow[idx] += bottleneck
-                if g is not None:
+                flow[idx] = flow.get(idx, 0) + bottleneck
+                if g >= 0:
                     group_resid[g] -= bottleneck
             else:
-                flow[idx] -= bottleneck
-                if g is not None:
+                left = flow[idx] - bottleneck
+                if left > 0:
+                    flow[idx] = left
+                else:
+                    del flow[idx]
+                if g >= 0:
                     group_resid[g] += bottleneck
+            if g >= 0:
+                open_group[g] = group_resid[g] > 0
         value += bottleneck
     return None
 

@@ -1,9 +1,11 @@
 """Exact rational linear programming.
 
-A small dense two-phase simplex over exact rationals.  gmpy2.mpq is used for
-tableau arithmetic when available (it is noticeably faster), with
-fractions.Fraction as a drop-in fallback; inputs and outputs are always
-Fraction.
+A small two-phase simplex over exact rationals.  The tableau is stored as
+dense rows, but a pivot updates only the pivot row's nonzero columns, and
+the artificial variables of phase one are basis indices with no stored
+column.  gmpy2.mpq is used for tableau arithmetic when available (it is
+noticeably faster), with fractions.Fraction as a drop-in fallback; inputs
+and outputs are always Fraction.
 
 Pivoting: largest-reduced-cost (Dantzig) during a bounded warm phase, then
 smallest-index (Bland) which guarantees termination.  An iteration budget of
@@ -118,80 +120,77 @@ def _solve(lp: LinearProgram, target: Fraction | None) -> LpSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau; rows are lists of mpq, basis tracked by index."""
+    """Simplex tableau: dense rows of mpq, basis tracked by index.
+
+    Columns are structural then slack/surplus.  A row whose start needs an
+    artificial variable gets a basis index from ``cols`` on, but no stored
+    column: nothing prices or reads an artificial column, and a pivot
+    updates only the pivot row's nonzero columns.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n = lp.n_vars
-
-        # column layout: structural | slack/surplus | artificial
         n_slack = sum(1 for _, _, sense in lp.rows if sense == LE)
         self.n_struct = n
-        self.n_slack = n_slack
-        self.cols = n + n_slack  # artificials appended later
+        self.cols = n + n_slack
         self.matrix: list[list] = []
         self.rhs: list = []
         self.basis: list[int] = []
         self.artificial_rows: list[int] = []
 
         slack_at = n
-        art_specs: list[int] = []  # row indices needing artificials
         for coeffs, rhs, sense in lp.rows:
             flip = -1 if rhs < 0 else 1
             row = [_ZERO] * self.cols
             for j, c in coeffs.items():
                 row[j] = _mpq(flip * c)
-            b = _mpq(flip * rhs)
             if sense == LE:
                 row[slack_at] = _mpq(flip)
-                if flip > 0:
-                    self.basis.append(slack_at)
-                else:
-                    art_specs.append(len(self.matrix))
-                    self.basis.append(-1)  # placeholder for artificial
                 slack_at += 1
+            if sense == LE and flip > 0:
+                self.basis.append(slack_at - 1)
             else:
-                art_specs.append(len(self.matrix))
-                self.basis.append(-1)
+                self.basis.append(self.cols + len(self.artificial_rows))
+                self.artificial_rows.append(len(self.matrix))
             self.matrix.append(row)
-            self.rhs.append(b)
+            self.rhs.append(_mpq(flip * rhs))
 
-        for r in art_specs:
-            col = self.cols
-            self.cols += 1
-            for row in self.matrix:
-                row.append(_ZERO)
-            self.matrix[r][col] = _ONE
-            self.basis[r] = col
-            self.artificial_rows.append(r)
-        self.first_artificial = n + n_slack
         self.n_rows = len(self.matrix)
-        self.budget = BUDGET_FACTOR * (self.n_rows + self.cols) ** 2 + 1000
+        n_cols = self.cols + len(self.artificial_rows)
+        self.budget = BUDGET_FACTOR * (self.n_rows + n_cols) ** 2 + 1000
         self.pivots = 0
 
     # -- pivoting core ------------------------------------------------------
 
     def _pivot(self, r: int, c: int) -> None:
+        # only the pivot row's nonzero columns change in any other row
         matrix, rhs = self.matrix, self.rhs
         prow = matrix[r]
         inv = _ONE / prow[c]
+        nonzero = [j for j, a in enumerate(prow) if a != 0]
         if inv != 1:
-            matrix[r] = prow = [a * inv for a in prow]
+            for j in nonzero:
+                prow[j] *= inv
             rhs[r] *= inv
-        obj = self.objrow
+        pairs = [(j, prow[j]) for j in nonzero]
+        b = rhs[r]
         for i in range(self.n_rows):
             if i == r:
                 continue
-            f = matrix[i][c]
+            row = matrix[i]
+            f = row[c]
             if f == 0:
                 continue
-            row = matrix[i]
-            matrix[i] = [a - f * b for a, b in zip(row, prow)]
-            rhs[i] -= f * rhs[r]
+            for j, a in pairs:
+                row[j] -= f * a
+            rhs[i] -= f * b
+        obj = self.objrow
         f = obj[c]
         if f != 0:
-            self.objrow = [a - f * b for a, b in zip(obj, prow)]
-            self.objval -= f * rhs[r]
+            for j, a in pairs:
+                obj[j] -= f * a
+            self.objval -= f * b
         self.basis[r] = c
         self.pivots += 1
         if self.pivots > self.budget:
@@ -216,7 +215,7 @@ class _Tableau:
                     best_r = i
         return best_r
 
-    def _run(self, allowed_cols: int, target) -> str:
+    def _run(self, target) -> str:
         """Maximize the current objrow; returns OPTIMAL/UNBOUNDED/TARGET_REACHED."""
         stall = 0
         bland = False
@@ -227,7 +226,7 @@ class _Tableau:
             enter = -1
             if not bland:
                 best = _ZERO
-                for j in range(allowed_cols):
+                for j in range(self.cols):
                     v = obj[j]
                     if v < best:
                         best = v
@@ -236,7 +235,7 @@ class _Tableau:
                     bland = True
             if bland:
                 enter = -1
-                for j in range(allowed_cols):
+                for j in range(self.cols):
                     if obj[j] < 0:
                         enter = j
                         break
@@ -259,13 +258,12 @@ class _Tableau:
         objrow = [_ZERO] * self.cols
         self.objval = _ZERO
         for r in self.artificial_rows:
-            row = self.matrix[r]
-            objrow = [a - b for a, b in zip(objrow, row)]
+            for j, a in enumerate(self.matrix[r]):
+                if a != 0:
+                    objrow[j] -= a
             self.objval -= self.rhs[r]
-        for r in self.artificial_rows:
-            objrow[self.basis[r]] = _ZERO
         self.objrow = objrow
-        self._run(self.first_artificial, target=None)
+        self._run(target=None)
         if self.objval != 0:
             return False
         self._drive_out_artificials()
@@ -274,10 +272,10 @@ class _Tableau:
 
     def _drive_out_artificials(self) -> None:
         for r in range(self.n_rows):
-            if self.basis[r] < self.first_artificial:
+            if self.basis[r] < self.cols:
                 continue
             row = self.matrix[r]
-            for j in range(self.first_artificial):
+            for j in range(self.cols):
                 if row[j] != 0:
                     self._pivot(r, j)
                     break
@@ -290,21 +288,24 @@ class _Tableau:
         )
         obj = [-v for v in c]
         val = _ZERO
-        for r in range(self.n_rows):
-            cb = c[self.basis[r]]
+        # an inert row whose basic variable is still artificial costs 0
+        real = [(r, b) for r, b in enumerate(self.basis) if b < self.cols]
+        for r, b in real:
+            cb = c[b]
             if cb == 0:
                 continue
-            row = self.matrix[r]
-            obj = [a + cb * b for a, b in zip(obj, row)]
+            for j, a in enumerate(self.matrix[r]):
+                if a != 0:
+                    obj[j] += cb * a
             val += cb * self.rhs[r]
         # objrow stores reduced costs z_j - c_j; basic columns read exactly 0
-        for r in range(self.n_rows):
-            obj[self.basis[r]] = _ZERO
+        for _, b in real:
+            obj[b] = _ZERO
         self.objrow = obj
         self.objval = val
 
     def phase_two(self, target) -> str:
-        return self._run(self.first_artificial, target)
+        return self._run(target)
 
     def structural_values(self) -> list[Fraction]:
         values = [Fraction(0)] * self.n_struct

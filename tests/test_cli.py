@@ -179,6 +179,38 @@ def test_batch_bad_scale_or_periods_exits_1(options, name, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_batch_bad_count_exits_1(count, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(["batch", "complete", "4", "--count", count, "--csv", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: count must be at least 1, got {count}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "batch"])
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        (["watts-strogatz", "5", "2", "1.5"], "p must lie in [0, 1], got 1.5"),
+        (["copying", "5", "nan"], "p must lie in [0, 1], got nan"),
+        (["erdos-renyi", "5", "-1"], "edge count m must be at least 0, got -1"),
+    ],
+)
+def test_bad_generator_parameter_exits_1(command, params, message, tmp_path, capsys):
+    out = tmp_path / "o.out"
+    if command == "gen":
+        target = ["--out", str(out)]
+    else:
+        target = ["--count", "1", "--csv", str(out)]
+    assert main([command, *params, *target]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {params[0]} " in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

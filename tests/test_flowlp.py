@@ -1,3 +1,4 @@
+from collections import defaultdict, deque
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from aoiflow import (
     solve_lp,
 )
 from aoiflow.expander import HOLDING, TRANSIT
+from aoiflow.experiments import complete_graph, generate, scaled_instance
 from aoiflow.flowlp import (
     _scipy_solve,
     certify_value_below,
@@ -19,6 +21,9 @@ from aoiflow.flowlp import (
     probe_reaches,
 )
 from aoiflow.lp import OPTIMAL
+from aoiflow.maxflow import shortest_delay
+from aoiflow.mmd import lift_path_flow, steady_rate_paths
+from aoiflow.model import feasible_periods, normalize_holding, validate_solution
 from conftest import corpus_instance, make_fastslow_instance
 
 
@@ -169,3 +174,111 @@ def test_probe_matches_reference_lp_on_corpus():
             probe = probe_reaches(exp, inst, period, inst.batch)
             flow_lp, sol = optimum(inst, period, bound)
             assert probe.feasible == (sol.objective_value >= inst.batch)
+
+
+def reference_group_augment(exp, inst, period, target):
+    """The pusher with residual state keyed by link id and ``Fraction``
+    comparisons in its search, kept as a reference for `group_augment`."""
+    source = exp.node_id(inst.sender, 0)
+    sink = exp.node_id(inst.receiver, exp.bound)
+    bandwidth = inst.network.link_index
+
+    out_adj = defaultdict(list)
+    in_adj = defaultdict(list)
+    group_of = {}
+    group_resid = {}
+    for idx, el in enumerate(exp.links):
+        out_adj[el.tail].append(idx)
+        in_adj[el.head].append(idx)
+        if el.kind == TRANSIT:
+            g = (el.link_id, el.push % period)
+            group_of[idx] = g
+            group_resid.setdefault(g, bandwidth[el.link_id].bandwidth)
+
+    flow = defaultdict(F)
+    value = F(0)
+    for _ in range(3 * len(exp.links) + 64):
+        if value >= target:
+            return dict(flow)
+        parent = {source: (-1, True)}
+        queue = deque([source])
+        while queue and sink not in parent:
+            node = queue.popleft()
+            for idx in out_adj.get(node, []):
+                el = exp.links[idx]
+                if el.head in parent:
+                    continue
+                g = group_of.get(idx)
+                if g is None or group_resid[g] > 0:
+                    parent[el.head] = (idx, True)
+                    queue.append(el.head)
+            for idx in in_adj.get(node, []):
+                el = exp.links[idx]
+                if el.tail in parent or flow[idx] <= 0:
+                    continue
+                parent[el.tail] = (idx, False)
+                queue.append(el.tail)
+        if sink not in parent:
+            return None
+        arcs = []
+        node = sink
+        while node != source:
+            idx, forward = parent[node]
+            arcs.append((idx, forward))
+            el = exp.links[idx]
+            node = el.tail if forward else el.head
+        usage = defaultdict(int)
+        bottleneck = target - value
+        for idx, forward in arcs:
+            if not forward:
+                bottleneck = min(bottleneck, flow[idx])
+            g = group_of.get(idx)
+            if g is not None:
+                usage[g] += 1 if forward else -1
+        for g, uses in usage.items():
+            if uses > 0:
+                bottleneck = min(bottleneck, group_resid[g] / uses)
+        if bottleneck <= 0:
+            return None
+        for idx, forward in arcs:
+            g = group_of.get(idx)
+            if forward:
+                flow[idx] += bottleneck
+                if g is not None:
+                    group_resid[g] -= bottleneck
+            else:
+                flow[idx] -= bottleneck
+                if g is not None:
+                    group_resid[g] += bottleneck
+        value += bottleneck
+    return None
+
+
+def test_group_augment_matches_reference():
+    """Same verdict and same positive flow at every period and at every bound
+    the delay search can probe, on the corpus and on scaled complete-4
+    instances, whose augmenting paths cancel flow on backward arcs."""
+    instances = [corpus_instance(seed) for seed in range(40)] + [
+        scaled_instance(generate(complete_graph(4, seed)), "a1", "a4", 5)
+        for seed in range(3)
+    ]
+    outcomes = set()
+    for inst in instances:
+        net = inst.network
+        low = shortest_delay(net, inst.sender)[inst.receiver]
+        for period in feasible_periods(inst):
+            rate = F(inst.batch, period)
+            paths = steady_rate_paths(net, inst.sender, inst.receiver, rate)
+            if paths is None:
+                continue
+            witness = normalize_holding(net, lift_path_flow(net, paths, period))
+            _, witness_delay, _ = validate_solution(inst, witness)
+            for bound in range(low, witness_delay + 1):
+                exp = build_expanded(inst, bound)
+                got = group_augment(exp, inst, period, inst.batch)
+                want = reference_group_augment(exp, inst, period, inst.batch)
+                if want is not None:
+                    want = {idx: v for idx, v in want.items() if v > 0}
+                assert got == want, (inst.network.nodes, period, bound)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}

@@ -15,7 +15,7 @@ from aoiflow.lp import (
     solve_lp,
     solve_lp_reaching,
 )
-from conftest import make_fastslow_instance
+from conftest import corpus_instance, make_fastslow_instance
 
 
 def single_bound():
@@ -203,10 +203,8 @@ def test_row_validation():
         lp.add_row({0: F(1)}, F(1), "ge")
 
 
-def test_fraction_fallback_matches(monkeypatch):
-    """The simplex gives identical answers on plain `Fraction` arithmetic,
-    the path taken when gmpy2 is not installed."""
-    programs = [
+def small_programs():
+    return [
         single_bound(),
         equality_split(),
         unbounded(),
@@ -219,11 +217,90 @@ def test_fraction_fallback_matches(monkeypatch):
         *random_programs(7, 25),
         fastslow_flow_program(),
     ]
-    default = [solve_lp(lp) for lp in programs]
+
+
+def use_fraction_backend(monkeypatch):
     monkeypatch.setattr(lp_module, "_mpq", F)
     monkeypatch.setattr(lp_module, "_ZERO", F(0))
     monkeypatch.setattr(lp_module, "_ONE", F(1))
+
+
+def test_fraction_fallback_matches(monkeypatch):
+    """The simplex gives identical answers on plain `Fraction` arithmetic,
+    the path taken when gmpy2 is not installed."""
+    programs = small_programs()
+    default = [solve_lp(lp) for lp in programs]
+    use_fraction_backend(monkeypatch)
     fallback = [solve_lp(lp) for lp in programs]
     assert fallback == default
     # T=7, M=11: 7 residue classes of the fast link plus one push on the slow one
     assert default[-1].status == OPTIMAL and default[-1].objective_value == 17
+
+
+def dense_pivot(self, r, c):
+    """Reference pivot: rewrites every column of every touched row."""
+    matrix, rhs = self.matrix, self.rhs
+    prow = matrix[r]
+    inv = lp_module._ONE / prow[c]
+    if inv != 1:
+        matrix[r] = prow = [a * inv for a in prow]
+        rhs[r] *= inv
+    obj = self.objrow
+    for i in range(self.n_rows):
+        if i == r:
+            continue
+        f = matrix[i][c]
+        if f == 0:
+            continue
+        row = matrix[i]
+        matrix[i] = [a - f * b for a, b in zip(row, prow)]
+        rhs[i] -= f * rhs[r]
+    f = obj[c]
+    if f != 0:
+        self.objrow = [a - f * b for a, b in zip(obj, prow)]
+        self.objval -= f * rhs[r]
+    self.basis[r] = c
+    self.pivots += 1
+
+
+def corpus_flow_calls():
+    """solve_lp and solve_lp_reaching on corpus flow programs at a few bounds."""
+    calls = []
+    for seed in range(40):
+        inst = corpus_instance(seed)
+        for bound in (4, 8, 12):
+            exp = build_expanded(inst, bound)
+            groups = link_groups(exp, inst.max_period)
+            program = build_flow_lp(exp, groups, inst).program
+            calls.append(lambda p=program: solve_lp(p))
+            calls.append(lambda p=program, t=inst.batch: solve_lp_reaching(p, t))
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["default", "fraction"])
+def test_sparse_pivot_matches_dense_reference(backend, monkeypatch):
+    """Updating only the pivot row's nonzero columns takes the same pivots
+    to the same answers as the dense update."""
+    if backend == "fraction":
+        use_fraction_backend(monkeypatch)
+    calls = [lambda p=p: solve_lp(p) for p in small_programs()] + corpus_flow_calls()
+
+    def outcomes(pivot):
+        count = [0]
+
+        def counted(self, r, c):
+            count[0] += 1
+            pivot(self, r, c)
+
+        monkeypatch.setattr(lp_module._Tableau, "_pivot", counted)
+        results = []
+        for call in calls:
+            count[0] = 0
+            sol = call()
+            results.append((sol.status, sol.values, sol.objective_value, count[0]))
+        return results
+
+    sparse = outcomes(lp_module._Tableau._pivot)
+    dense = outcomes(dense_pivot)
+    assert sparse == dense
+    assert sum(pivots for *_, pivots in sparse) > 1000
