@@ -7,6 +7,7 @@ instance.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import experiments, fileio
@@ -33,6 +34,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="aoiflow",

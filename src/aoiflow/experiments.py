@@ -87,6 +87,8 @@ def _undirected_edges(spec: TopologySpec, rng: random.Random) -> tuple[list[str]
         return nodes, edges
     if kind == "erdos-renyi":
         n, m = params
+        if n < 2:
+            raise ModelError(f"erdos-renyi node count n must be at least 2, got {n}")
         nodes = [f"a{i}" for i in range(1, n + 1)]
         pairs = [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)]
         if m < 0:
@@ -97,6 +99,8 @@ def _undirected_edges(spec: TopologySpec, rng: random.Random) -> tuple[list[str]
     if kind == "watts-strogatz":
         n, k, p = params
         _check_probability(kind, p)
+        if k < 1:
+            raise ModelError(f"watts-strogatz ring degree k must be at least 1, got {k}")
         half = (k + 1) // 2  # odd ring degrees round up to the next even one
         if n < 2 * half + 1:
             raise ModelError("ring too small for the requested degree")

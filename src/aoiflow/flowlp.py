@@ -6,10 +6,15 @@ capacity group (one physical link, one push-residue class) stays within its
 bandwidth?  That expansion already holds only the copies on such a route, so
 the program has one variable per expanded link.
 
-Three engines cooperate, all certifying their answers with exact arithmetic:
+Probes whose maximum flow over time already falls short never get here:
+`mmd` answers them first.  The rest are settled in this order, every answer
+certified with exact arithmetic:
 
 * an augmenting-path pusher on the group-capacitated residual graph (fast
   "yes" answers with an exact witness flow),
+* the residual cut of a stalled pusher: every link copy leaving the node set
+  its last search reached belongs to a full capacity group, so the
+  bandwidths of those groups bound the program's value ("no" answers),
 * a float LP solve (scipy/HiGHS) whose dual, snapped to small rationals and
   re-verified exactly, certifies "no" answers,
 * the exact rational simplex from `lp`, which is the reference semantics and
@@ -21,6 +26,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .expander import ExpandedNetwork, LinkGroup, TRANSIT, link_groups
 from .lp import (
@@ -104,7 +110,14 @@ def extract_edge_flow(flow_lp: FlowLp, sol: LpSolution) -> dict[int, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# engine 1: exact augmentation with shared group capacities
+# engine 1: exact augmentation with shared group capacities, and its cut
+
+
+class Push(NamedTuple):
+    """What `group_augment` ended with."""
+
+    flow: dict[int, Fraction] | None  # pushes exactly the target; None if stalled
+    reached: set[int] | None  # nodes the last search reached, when it missed the sink
 
 
 def group_augment(
@@ -112,13 +125,14 @@ def group_augment(
     inst: Instance,
     period: int,
     target: Fraction,
-) -> dict[int, Fraction] | None:
-    """Push exactly ``target`` units with augmenting paths; None if stalled.
+) -> Push:
+    """Push exactly ``target`` units with augmenting paths.
 
     Residual capacity of a transit copy is its whole group's remaining
     bandwidth, so a path using several copies of one group is throttled by
     the group's residual divided by the number of uses.  Shared capacities
-    mean a stall does not prove infeasibility; callers must escalate.
+    mean a stall does not prove infeasibility; when the stall is a search
+    that missed the sink, the nodes it reached feed `residual_cut`.
     """
     source = exp.node_id(inst.sender, 0)
     sink = exp.node_id(inst.receiver, exp.bound)
@@ -152,7 +166,7 @@ def group_augment(
     max_rounds = 3 * len(links) + 64
     for _ in range(max_rounds):
         if value >= target:
-            return flow
+            return Push(flow, None)
         parent: dict[int, tuple[int, bool]] = {source: (-1, True)}
         queue = deque([source])
         while queue and sink not in parent:
@@ -172,7 +186,7 @@ def group_augment(
                 parent[tail] = (idx, False)
                 queue.append(tail)
         if sink not in parent:
-            return None
+            return Push(None, set(parent))
         # trace the path; tally per-group net usage for the bottleneck
         arcs: list[tuple[int, bool]] = []
         node = sink
@@ -192,7 +206,7 @@ def group_augment(
             if uses > 0:
                 bottleneck = min(bottleneck, group_resid[g] / uses)
         if bottleneck <= 0:
-            return None
+            return Push(None, None)
         for idx, forward in arcs:
             g = group_of[idx]
             if forward:
@@ -210,7 +224,27 @@ def group_augment(
             if g >= 0:
                 open_group[g] = group_resid[g] > 0
         value += bottleneck
-    return None
+    return Push(None, None)
+
+
+def residual_cut(
+    exp: ExpandedNetwork, inst: Instance, period: int, reached: set[int]
+) -> Fraction | None:
+    """Upper bound on the program's value from a source-side node set.
+
+    ``reached`` holds the source and not the sink, so every feasible flow's
+    value is its net flow out of ``reached``, at most the flow on the copies
+    leaving it, at most the bandwidths of the groups those copies belong to.
+    None when an uncapacitated holding link leaves the set.
+    """
+    groups: set[tuple[str, int]] = set()
+    for el in exp.links:
+        if el.tail in reached and el.head not in reached:
+            if el.kind != TRANSIT:
+                return None
+            groups.add((el.link_id, el.push % period))
+    bandwidth = inst.network.link_index
+    return sum((bandwidth[lid].bandwidth for lid, _ in groups), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +389,19 @@ def probe_reaches(
     if not exp.links:
         return ProbeAnswer(False, None, "unreachable")
 
-    flow = group_augment(exp, inst, period, target)
-    if flow is not None:
-        return ProbeAnswer(True, flow, "augment")
+    push = group_augment(exp, inst, period, target)
+    if push.flow is not None:
+        return ProbeAnswer(True, push.flow, "augment")
+    if push.reached is not None:
+        cut = residual_cut(exp, inst, period, push.reached)
+        if cut is not None and cut < target:
+            return ProbeAnswer(False, None, "residual-cut")
 
     flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
 
-    # a stalled pusher usually means the probe is infeasible; a float solve
-    # plus an exactly verified dual certificate settles that without ever
-    # paying for an exact optimality proof
+    # a stalled pusher without a short cut usually still means the probe is
+    # infeasible; a float solve plus an exactly verified dual certificate
+    # settles that without ever paying for an exact optimality proof
     float_result = _scipy_solve(flow_lp)
     if (
         float_result is not None

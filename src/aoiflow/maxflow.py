@@ -1,8 +1,9 @@
 """Exact static flow utilities on the physical network.
 
 Used for per-slot sustainable-rate computations (the steady-rate capacity of
-a sender/receiver pair), feasibility screening, and decomposing conserving
-flows into simple paths.  Everything is Fraction-exact.
+a sender/receiver pair), feasibility screening, the value of the maximum
+flow over time, and decomposing conserving flows into simple paths.
+Everything is Fraction-exact.
 """
 
 from __future__ import annotations
@@ -65,6 +66,74 @@ def max_flow(
                 flow[link.id] -= bottleneck
                 v = link.head
         value += bottleneck
+
+
+def flow_over_time(
+    net: Network, source: str, sink: str
+) -> tuple[tuple[int, Fraction], ...]:
+    """The (length, amount) profile of successive shortest augmenting paths.
+
+    A min-cost flow with delays as costs, augmented along one shortest
+    residual path at a time (queue-based Bellman-Ford, since backward arcs
+    cost minus the delay; augmenting along shortest paths keeps the residual
+    graph free of negative cycles).  Lengths come out nondecreasing, equal
+    lengths merged.  By Ford and Fulkerson the maximum flow over time from
+    (source, 0) to (sink, M), each link copy carrying at most the link's
+    bandwidth, is ``over_time_value(profile, M)`` for every M.
+    """
+    flow: dict[str, Fraction] = {link.id: Fraction(0) for link in net.links}
+    outgoing: dict[str, list[Link]] = {v: [] for v in net.nodes}
+    incoming: dict[str, list[Link]] = {v: [] for v in net.nodes}
+    for link in net.links:
+        outgoing[link.tail].append(link)
+        incoming[link.head].append(link)
+
+    profile: list[tuple[int, Fraction]] = []
+    while True:
+        dist = {source: 0}
+        parent: dict[str, tuple[Link, bool]] = {}
+        queue = deque([source])
+        queued = {source}
+        while queue:
+            v = queue.popleft()
+            queued.discard(v)
+            arcs = [(link, True) for link in outgoing[v] if flow[link.id] < link.bandwidth]
+            arcs += [(link, False) for link in incoming[v] if flow[link.id] > 0]
+            for link, forward in arcs:
+                w = link.head if forward else link.tail
+                nd = dist[v] + (link.delay if forward else -link.delay)
+                if w not in dist or nd < dist[w]:
+                    dist[w] = nd
+                    parent[w] = (link, forward)
+                    if w not in queued:
+                        queued.add(w)
+                        queue.append(w)
+        if sink not in dist:
+            return tuple(profile)
+        path = []
+        v = sink
+        while v != source:
+            link, forward = parent[v]
+            path.append((link, forward))
+            v = link.tail if forward else link.head
+        amount = min(
+            link.bandwidth - flow[link.id] if forward else flow[link.id]
+            for link, forward in path
+        )
+        for link, forward in path:
+            flow[link.id] += amount if forward else -amount
+        if profile and profile[-1][0] == dist[sink]:
+            profile[-1] = (dist[sink], profile[-1][1] + amount)
+        else:
+            profile.append((dist[sink], amount))
+
+
+def over_time_value(profile: tuple[tuple[int, Fraction], ...], bound: int) -> Fraction:
+    """Maximum flow over time by ``bound``: sum of amount * (bound + 1 - length)+."""
+    return sum(
+        (amount * (bound + 1 - length) for length, amount in profile if length <= bound),
+        Fraction(0),
+    )
 
 
 def decompose_paths(

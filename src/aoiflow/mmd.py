@@ -16,10 +16,19 @@ its own bound, pruned to the routes that reach the receiver by then:
   the bracket's bottom;
 * the program value never decreases as the bound grows, so a witness with
   delay <= M answers the probe at M, and each engine flow that answers a
-  probe becomes the new, lower witness.
+  probe becomes the new, lower witness;
+* giving each link copy its own bandwidth, instead of sharing it across the
+  copies of one push-residue class, only loosens the program, and what is
+  left is the maximum flow over time V(M) (Ford and Fulkerson): one
+  min-cost flow on the physical network per call gives V at every bound,
+  and V(M) < batch answers the probe at M "no" before any expansion is
+  built.
 
 A ``horizon`` caps the bracket's top as a search ceiling.  Every remaining
-probe runs the exact engines in `flowlp`.  The companion
+probe runs the exact engines in `flowlp`, in order: the augmenting pusher,
+its residual cut, the snapped float dual and the simplex.  So a "no" answer
+is tried first by the flow-over-time bound, then by the residual cut, and
+only then by the float dual.  The companion
 `min_max_delay_oracle` ignores all of that and scans M = 0, 1, 2, ... up to
 the safe horizon, solving each bound's program with the reference simplex;
 tests hold the two to equal answers.
@@ -38,7 +47,13 @@ from .flowlp import (
     probe_reaches,
 )
 from .lp import OPTIMAL, solve_lp
-from .maxflow import decompose_paths, max_flow, shortest_delay
+from .maxflow import (
+    decompose_paths,
+    flow_over_time,
+    max_flow,
+    over_time_value,
+    shortest_delay,
+)
 from .model import (
     Instance,
     ModelError,
@@ -250,6 +265,7 @@ def _min_max_delay_cached(
     if not ok:  # the witness decides probes, so an invalid one is a bug
         raise AssertionError(f"witness schedule invalid: {violations}")
 
+    profile = flow_over_time(net, inst.sender, inst.receiver)
     low = shortest_delay(net, inst.sender)[inst.receiver]
     high = min(witness_delay, horizon)
     best: int | None = None
@@ -259,6 +275,8 @@ def _min_max_delay_cached(
         mid = (low + high + 1) // 2
         if witness_delay <= mid:
             feasible = True
+        elif over_time_value(profile, mid) < inst.batch:
+            feasible = False
         else:
             exp = build_expanded(inst, mid)
             answer = probe_reaches(exp, inst, period, inst.batch)

@@ -196,6 +196,9 @@ def test_batch_bad_count_exits_1(count, tmp_path, capsys):
         (["watts-strogatz", "5", "2", "1.5"], "p must lie in [0, 1], got 1.5"),
         (["copying", "5", "nan"], "p must lie in [0, 1], got nan"),
         (["erdos-renyi", "5", "-1"], "edge count m must be at least 0, got -1"),
+        (["erdos-renyi", "0", "0"], "node count n must be at least 2, got 0"),
+        (["watts-strogatz", "5", "-3", "0.5"], "ring degree k must be at least 1, got -3"),
+        (["watts-strogatz", "5", "0", "0.5"], "ring degree k must be at least 1, got 0"),
     ],
 )
 def test_bad_generator_parameter_exits_1(command, params, message, tmp_path, capsys):

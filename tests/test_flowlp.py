@@ -21,8 +21,8 @@ from aoiflow.flowlp import (
     probe_reaches,
 )
 from aoiflow.lp import OPTIMAL
-from aoiflow.maxflow import shortest_delay
-from aoiflow.mmd import lift_path_flow, steady_rate_paths
+from aoiflow.maxflow import flow_over_time, over_time_value, shortest_delay
+from aoiflow.mmd import lift_path_flow, min_max_delay, steady_rate_paths
 from aoiflow.model import feasible_periods, normalize_holding, validate_solution
 from conftest import corpus_instance, make_fastslow_instance
 
@@ -100,6 +100,54 @@ def test_value_monotone_in_bound():
     assert values == sorted(values)
 
 
+def test_flow_over_time_profile_by_hand():
+    # fastslow: one unit per slot along d=1, ten along d=11
+    inst = make_fastslow_instance()
+    profile = flow_over_time(inst.network, "s", "r")
+    assert profile == ((1, F(1)), (11, F(10)))
+    assert [over_time_value(profile, m) for m in (0, 1, 10, 11, 12)] == [0, 1, 10, 21, 32]
+    # the second shortest path runs s-b, back over a-b, then a-r: 3 - 1 + 3
+    net = network(
+        ["s", "a", "b", "r"],
+        [
+            ("sa", "s", "a", 1, 1),
+            ("ab", "a", "b", 1, 1),
+            ("br", "b", "r", 1, 1),
+            ("sb", "s", "b", 3, 1),
+            ("ar", "a", "r", 3, 1),
+        ],
+    )
+    profile = flow_over_time(net, "s", "r")
+    assert profile == ((3, F(1)), (5, F(1)))
+    inst = Instance(net, "s", "r", F(1), F(1, 8), F(1))
+    for bound in range(3, 9):
+        _, sol = optimum(inst, 8, bound)  # 8 >= bound - 3 + 1: no sharing
+        assert sol.objective_value == over_time_value(profile, bound)
+
+
+def test_over_time_value_bounds_the_program():
+    """The flow over time bounds each probe's exact value, and is that value
+    once the period is at least the number of slots a copy can take."""
+    checks = equal = 0
+    for seed in range(40):
+        inst = corpus_instance(seed)
+        profile = flow_over_time(inst.network, inst.sender, inst.receiver)
+        shortest = shortest_delay(inst.network, inst.sender)[inst.receiver]
+        for period in feasible_periods(inst):
+            result = min_max_delay(inst, period)
+            if result is None:
+                continue
+            for bound in range(shortest, result.max_delay + 3):
+                _, sol = optimum(inst, period, bound)
+                value = over_time_value(profile, bound)
+                assert sol.objective_value <= value, (seed, period, bound)
+                if period >= bound - shortest + 1:
+                    assert sol.objective_value == value, (seed, period, bound)
+                    equal += 1
+                checks += 1
+    assert checks > 200 and equal > 150  # 222 and 163 when written
+
+
 def _route_copies(inst, bound):
     """Every copy over layers 0..bound that some (sender, 0) -> (receiver,
     bound) route uses, found by propagating forward and backward."""
@@ -139,7 +187,7 @@ def test_group_augment_agrees_with_lp_when_it_succeeds():
     inst = make_fastslow_instance()
     for period, bound in [(7, 11), (10, 10), (8, 12)]:
         exp = build_expanded(inst, bound)
-        flow = group_augment(exp, inst, period, inst.batch)
+        flow = group_augment(exp, inst, period, inst.batch).flow
         assert flow is not None
         groups = link_groups(exp, period)
         caps = inst.network.link_index
@@ -275,7 +323,7 @@ def test_group_augment_matches_reference():
             _, witness_delay, _ = validate_solution(inst, witness)
             for bound in range(low, witness_delay + 1):
                 exp = build_expanded(inst, bound)
-                got = group_augment(exp, inst, period, inst.batch)
+                got = group_augment(exp, inst, period, inst.batch).flow
                 want = reference_group_augment(exp, inst, period, inst.batch)
                 if want is not None:
                     want = {idx: v for idx, v in want.items() if v > 0}

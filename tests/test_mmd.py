@@ -22,6 +22,7 @@ from aoiflow import mmd as mmd_module
 from aoiflow.expander import TRANSIT
 from aoiflow.maxflow import max_flow, shortest_delay
 from aoiflow.mmd import _min_max_delay_cached, lift_path_flow, steady_rate_paths
+from aoiflow.solvers import mmd1_exact
 from conftest import corpus_instance, make_fastslow_instance, make_triple_instance
 
 
@@ -99,6 +100,23 @@ def test_bracket_premises_on_corpus():
             assert all(m >= shortest for m, _ in result.probes), (seed, period)
             if result.max_delay != shortest:
                 assert (result.max_delay - 1, False) in result.probes, (seed, period)
+
+
+def test_delay_matches_unit_period_delay_within_a_period():
+    # the paper's delay/AoI equivalence: at period T the minimum maximum
+    # delay lies within T - 1 slots of the steady-rate minimum at rate D/T
+    for seed in range(40):
+        inst = corpus_instance(seed)
+        for period in feasible_periods(inst):
+            result = min_max_delay(inst, period)
+            steady = mmd1_exact(
+                inst.network, inst.sender, inst.receiver, F(inst.batch, period)
+            )
+            assert (result is None) == (steady is None), (seed, period)
+            if result is None:
+                continue
+            low = steady.max_delay
+            assert low <= result.max_delay <= low + period - 1, (seed, period)
 
 
 def test_oracle_examples():
