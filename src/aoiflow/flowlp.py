@@ -6,9 +6,9 @@ capacity group (one physical link, one push-residue class) stays within its
 bandwidth?  That expansion already holds only the copies on such a route, so
 the program has one variable per expanded link.
 
-Probes whose maximum flow over time already falls short never get here:
-`mmd` answers them first.  The rest are settled in this order, every answer
-certified with exact arithmetic:
+`mmd` never probes below the batch's quickest flow time, the bound at
+which even the program without shared groups falls short.  Probes are
+settled in this order, every answer certified with exact arithmetic:
 
 * an augmenting-path pusher on the group-capacitated residual graph (fast
   "yes" answers with an exact witness flow),

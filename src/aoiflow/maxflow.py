@@ -1,8 +1,8 @@
 """Exact static flow utilities on the physical network.
 
 Used for per-slot sustainable-rate computations (the steady-rate capacity of
-a sender/receiver pair), feasibility screening, the value of the maximum
-flow over time, and decomposing conserving flows into simple paths.
+a sender/receiver pair), feasibility screening, the quickest flow time of a
+batch, and decomposing conserving flows into simple paths.
 Everything is Fraction-exact.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 import heapq
+import math
 
 from .model import Link, Network
 
@@ -68,18 +69,18 @@ def max_flow(
         value += bottleneck
 
 
-def flow_over_time(
-    net: Network, source: str, sink: str
-) -> tuple[tuple[int, Fraction], ...]:
-    """The (length, amount) profile of successive shortest augmenting paths.
+def quickest_bound(net: Network, source: str, sink: str, amount: Fraction) -> int | None:
+    """Least bound M by which ``amount`` can travel from (source, 0) to (sink, M).
 
-    A min-cost flow with delays as costs, augmented along one shortest
-    residual path at a time (queue-based Bellman-Ford, since backward arcs
-    cost minus the delay; augmenting along shortest paths keeps the residual
-    graph free of negative cycles).  Lengths come out nondecreasing, equal
-    lengths merged.  By Ford and Fulkerson the maximum flow over time from
-    (source, 0) to (sink, M), each link copy carrying at most the link's
-    bandwidth, is ``over_time_value(profile, M)`` for every M.
+    Each link copy may carry the link's bandwidth, so this is the quickest
+    flow time of the batch.  A min-cost flow with delays as costs is
+    augmented along one shortest residual path at a time (queue-based
+    Bellman-Ford, since backward arcs cost minus the delay; augmenting along
+    shortest paths keeps the residual graph free of negative cycles).  By
+    Ford and Fulkerson, the first k paths with total rate R and total cost C
+    carry R*(M + 1) - C by bound M, and path lengths never decrease, so once
+    the next path is no shorter than the bound met so far no later path can
+    lower it.  None when the sink is unreachable.
     """
     flow: dict[str, Fraction] = {link.id: Fraction(0) for link in net.links}
     outgoing: dict[str, list[Link]] = {v: [] for v in net.nodes}
@@ -88,7 +89,8 @@ def flow_over_time(
         outgoing[link.tail].append(link)
         incoming[link.head].append(link)
 
-    profile: list[tuple[int, Fraction]] = []
+    rate = cost = Fraction(0)
+    bound: int | None = None
     while True:
         dist = {source: 0}
         parent: dict[str, tuple[Link, bool]] = {}
@@ -108,32 +110,24 @@ def flow_over_time(
                     if w not in queued:
                         queued.add(w)
                         queue.append(w)
-        if sink not in dist:
-            return tuple(profile)
+        length = dist.get(sink)
+        if length is None or (bound is not None and length >= bound):
+            return bound
         path = []
         v = sink
         while v != source:
             link, forward = parent[v]
             path.append((link, forward))
             v = link.tail if forward else link.head
-        amount = min(
+        delta = min(
             link.bandwidth - flow[link.id] if forward else flow[link.id]
             for link, forward in path
         )
         for link, forward in path:
-            flow[link.id] += amount if forward else -amount
-        if profile and profile[-1][0] == dist[sink]:
-            profile[-1] = (dist[sink], profile[-1][1] + amount)
-        else:
-            profile.append((dist[sink], amount))
-
-
-def over_time_value(profile: tuple[tuple[int, Fraction], ...], bound: int) -> Fraction:
-    """Maximum flow over time by ``bound``: sum of amount * (bound + 1 - length)+."""
-    return sum(
-        (amount * (bound + 1 - length) for length, amount in profile if length <= bound),
-        Fraction(0),
-    )
+            flow[link.id] += delta if forward else -delta
+        rate += delta
+        cost += delta * length
+        bound = max(length, math.ceil((amount + cost) / rate) - 1)
 
 
 def decompose_paths(

@@ -1,10 +1,11 @@
 """Minimum maximum delay at a fixed period.
 
-`min_max_delay` follows the binary-search scheme: probe the midpoint bound M
-(ceil midpoint), ask whether the expanded flow program can deliver the whole
-batch within M layers, and halve the bracket accordingly.  The bracket is
-``[shortest delay, witness delay]``, and each probe builds the expansion of
-its own bound, pruned to the routes that reach the receiver by then:
+`min_max_delay` follows the binary-search scheme: probe a bound M, ask
+whether the expanded flow program can deliver the whole batch within M
+layers, and halve the bracket accordingly.  The bracket is ``[quickest
+bound, witness delay]``; its bottom is probed first and every later probe
+at the ceil midpoint.  Each probe builds the expansion of its own bound,
+pruned to the routes that reach the receiver by then:
 
 * a periodic schedule at period T induces a static flow of rate batch/T by
   averaging one period, so when the static max-flow rate is below batch/T no
@@ -12,23 +13,19 @@ its own bound, pruned to the routes that reach the receiver by then:
 * conversely any static flow of that rate lifts to a schedule (spread each
   path's rate over the period's offsets), a validated witness whose delay W
   tops the bracket;
-* no batch arrives before the shortest sender-to-receiver delay, which is
-  the bracket's bottom;
-* the program value never decreases as the bound grows, so a witness with
-  delay <= M answers the probe at M, and each engine flow that answers a
-  probe becomes the new, lower witness;
 * giving each link copy its own bandwidth, instead of sharing it across the
   copies of one push-residue class, only loosens the program, and what is
-  left is the maximum flow over time V(M) (Ford and Fulkerson): one
-  min-cost flow on the physical network per call gives V at every bound,
-  and V(M) < batch answers the probe at M "no" before any expansion is
-  built.
+  left is the maximum flow over time (Ford and Fulkerson).  No bound below
+  the quickest flow time of the batch is feasible at any period, so that
+  time, from one min-cost flow on the physical network, is the bracket's
+  bottom; it is often the answer itself;
+* the program value never decreases as the bound grows, so a witness with
+  delay <= M answers the probe at M, and each engine flow that answers a
+  probe becomes the new, lower witness.
 
 A ``horizon`` caps the bracket's top as a search ceiling.  Every remaining
 probe runs the exact engines in `flowlp`, in order: the augmenting pusher,
-its residual cut, the snapped float dual and the simplex.  So a "no" answer
-is tried first by the flow-over-time bound, then by the residual cut, and
-only then by the float dual.  The companion
+its residual cut, the snapped float dual and the simplex.  The companion
 `min_max_delay_oracle` ignores all of that and scans M = 0, 1, 2, ... up to
 the safe horizon, solving each bound's program with the reference simplex;
 tests hold the two to equal answers.
@@ -47,13 +44,7 @@ from .flowlp import (
     probe_reaches,
 )
 from .lp import OPTIMAL, solve_lp
-from .maxflow import (
-    decompose_paths,
-    flow_over_time,
-    max_flow,
-    over_time_value,
-    shortest_delay,
-)
+from .maxflow import decompose_paths, max_flow, quickest_bound
 from .model import (
     Instance,
     ModelError,
@@ -242,12 +233,16 @@ def min_max_delay(
     the (bound, feasible) probe trail; None when the period's throughput is
     not supportable at all, or needs a delay above ``horizon``.
     """
+    return _min_max_delay_cached(inst, period, _search_ceiling(inst, period, horizon))
+
+
+def _search_ceiling(inst: Instance, period: int, horizon: int | None) -> int:
+    """Check a search's arguments; the highest bound it may probe."""
     if period not in range(inst.min_period, inst.max_period + 1):
         raise ModelError(f"period {period} outside the instance window")
     if horizon is not None and horizon < 1:
         raise ModelError("horizon must be at least 1")
-    mu = horizon_upper_bound(inst) if horizon is None else horizon
-    return _min_max_delay_cached(inst, period, mu)
+    return horizon_upper_bound(inst) if horizon is None else horizon
 
 
 @lru_cache(maxsize=4096)
@@ -265,18 +260,15 @@ def _min_max_delay_cached(
     if not ok:  # the witness decides probes, so an invalid one is a bug
         raise AssertionError(f"witness schedule invalid: {violations}")
 
-    profile = flow_over_time(net, inst.sender, inst.receiver)
-    low = shortest_delay(net, inst.sender)[inst.receiver]
+    low = quickest_bound(net, inst.sender, inst.receiver, inst.batch)
     high = min(witness_delay, horizon)
     best: int | None = None
     best_flow: tuple[ExpandedNetwork, dict[int, Fraction]] | None = None
     probes: list[tuple[int, bool]] = []
+    mid = low  # the bottom is often the answer, so it is probed first
     while low <= high:
-        mid = (low + high + 1) // 2
         if witness_delay <= mid:
             feasible = True
-        elif over_time_value(profile, mid) < inst.batch:
-            feasible = False
         else:
             exp = build_expanded(inst, mid)
             answer = probe_reaches(exp, inst, period, inst.batch)
@@ -290,6 +282,7 @@ def _min_max_delay_cached(
             high = mid - 1
         else:
             low = mid + 1
+        mid = (low + high + 1) // 2
     if best is None:
         return None
     if best_flow is not None:
@@ -327,9 +320,7 @@ def min_max_delay_oracle(
     Slow but structurally independent of the binary search and its probe
     shortcuts; used for verification.
     """
-    if period not in range(inst.min_period, inst.max_period + 1):
-        raise ModelError(f"period {period} outside the instance window")
-    mu = horizon_upper_bound(inst) if horizon is None else horizon
+    mu = _search_ceiling(inst, period, horizon)
     rate = Fraction(inst.batch, period)
     if max_flow(inst.network, inst.sender, inst.receiver)[1] < rate:
         return None

@@ -21,7 +21,7 @@ from aoiflow.flowlp import (
     probe_reaches,
 )
 from aoiflow.lp import OPTIMAL
-from aoiflow.maxflow import flow_over_time, over_time_value, shortest_delay
+from aoiflow.maxflow import quickest_bound, shortest_delay
 from aoiflow.mmd import lift_path_flow, min_max_delay, steady_rate_paths
 from aoiflow.model import feasible_periods, normalize_holding, validate_solution
 from conftest import corpus_instance, make_fastslow_instance
@@ -100,12 +100,11 @@ def test_value_monotone_in_bound():
     assert values == sorted(values)
 
 
-def test_flow_over_time_profile_by_hand():
+def test_quickest_bound_by_hand():
     # fastslow: one unit per slot along d=1, ten along d=11
-    inst = make_fastslow_instance()
-    profile = flow_over_time(inst.network, "s", "r")
-    assert profile == ((1, F(1)), (11, F(10)))
-    assert [over_time_value(profile, m) for m in (0, 1, 10, 11, 12)] == [0, 1, 10, 21, 32]
+    net = make_fastslow_instance().network
+    amounts = (1, 10, 11, 21, 22, 33)
+    assert [quickest_bound(net, "s", "r", F(a)) for a in amounts] == [1, 10, 11, 11, 12, 13]
     # the second shortest path runs s-b, back over a-b, then a-r: 3 - 1 + 3
     net = network(
         ["s", "a", "b", "r"],
@@ -117,35 +116,55 @@ def test_flow_over_time_profile_by_hand():
             ("ar", "a", "r", 3, 1),
         ],
     )
-    profile = flow_over_time(net, "s", "r")
-    assert profile == ((3, F(1)), (5, F(1)))
-    inst = Instance(net, "s", "r", F(1), F(1, 8), F(1))
-    for bound in range(3, 9):
-        _, sol = optimum(inst, 8, bound)  # 8 >= bound - 3 + 1: no sharing
-        assert sol.objective_value == over_time_value(profile, bound)
+    assert [quickest_bound(net, "s", "r", F(a)) for a in range(1, 6)] == [3, 4, 5, 5, 6]
+    assert quickest_bound(net, "r", "s", F(1)) is None
 
 
-def test_over_time_value_bounds_the_program():
-    """The flow over time bounds each probe's exact value, and is that value
-    once the period is at least the number of slots a copy can take."""
-    checks = equal = 0
+def test_quickest_bound_is_least_bound_without_sharing():
+    """With a period past the last push every capacity group holds one copy,
+    and that program first reaches the amount at the quickest bound.  The
+    exact simplex decides the batch and a third of it.  Seven batches need
+    bounds up to about 100, where the simplex takes about ten seconds a
+    program, so the reference pusher decides those: on one-copy groups it
+    is plain augmenting paths."""
+
+    def lp_reaches(inst, bound, amount):
+        exp = build_expanded(inst, bound)
+        sol = solve_lp(build_flow_lp(exp, link_groups(exp, bound + 1), inst).program)
+        assert sol.status == OPTIMAL
+        return sol.objective_value >= amount
+
+    def pusher_reaches(inst, bound, amount):
+        exp = build_expanded(inst, bound)
+        return reference_group_augment(exp, inst, bound + 1, amount) is not None
+
     for seed in range(40):
         inst = corpus_instance(seed)
-        profile = flow_over_time(inst.network, inst.sender, inst.receiver)
-        shortest = shortest_delay(inst.network, inst.sender)[inst.receiver]
+        batch = inst.batch
+        for amount, reaches in [
+            (batch, lp_reaches),
+            (batch / 3, lp_reaches),
+            (7 * batch, pusher_reaches),
+        ]:
+            bound = quickest_bound(inst.network, inst.sender, inst.receiver, amount)
+            assert reaches(inst, bound, amount), (seed, amount)
+            assert not reaches(inst, bound - 1, amount), (seed, amount)
+
+
+def test_quickest_bound_is_never_feasible_below():
+    checks = 0
+    for seed in range(200):
+        inst = corpus_instance(seed)
+        bound = quickest_bound(inst.network, inst.sender, inst.receiver, inst.batch)
         for period in feasible_periods(inst):
             result = min_max_delay(inst, period)
             if result is None:
                 continue
-            for bound in range(shortest, result.max_delay + 3):
-                _, sol = optimum(inst, period, bound)
-                value = over_time_value(profile, bound)
-                assert sol.objective_value <= value, (seed, period, bound)
-                if period >= bound - shortest + 1:
-                    assert sol.objective_value == value, (seed, period, bound)
-                    equal += 1
-                checks += 1
-    assert checks > 200 and equal > 150  # 222 and 163 when written
+            assert bound <= result.max_delay, (seed, period)
+            _, sol = optimum(inst, period, bound - 1)
+            assert sol.objective_value < inst.batch, (seed, period)
+            checks += 1
+    assert checks == 251  # every feasible period of the corpus
 
 
 def _route_copies(inst, bound):

@@ -20,7 +20,7 @@ from aoiflow import (
 )
 from aoiflow import mmd as mmd_module
 from aoiflow.expander import TRANSIT
-from aoiflow.maxflow import max_flow, shortest_delay
+from aoiflow.maxflow import max_flow, quickest_bound
 from aoiflow.mmd import _min_max_delay_cached, lift_path_flow, steady_rate_paths
 from aoiflow.solvers import mmd1_exact
 from conftest import corpus_instance, make_fastslow_instance, make_triple_instance
@@ -69,6 +69,13 @@ def test_period_outside_window_rejected():
         min_max_delay(inst, 6)
 
 
+@pytest.mark.parametrize("search", [min_max_delay, min_max_delay_oracle])
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_horizon_below_one_rejected(search, horizon):
+    with pytest.raises(ModelError, match="horizon must be at least 1"):
+        search(make_fastslow_instance(), 7, horizon)
+
+
 def test_expansion_sized_to_the_bracket(monkeypatch):
     # a window up to T=20000 must not size the expansion asked at T=1
     net = network(["s", "r"], [("e", "s", "r", 1, 1)])
@@ -86,19 +93,20 @@ def test_expansion_sized_to_the_bracket(monkeypatch):
 
 
 def test_bracket_premises_on_corpus():
-    # the search runs on [shortest delay, witness delay]; this holds it to
-    # the premises that bracket relies on
+    # the search runs on [quickest bound, witness delay], bottom first; this
+    # holds it to the premises that bracket relies on
     for seed in range(200):
         inst = corpus_instance(seed)
         static = max_flow(inst.network, inst.sender, inst.receiver)[1]
-        shortest = shortest_delay(inst.network, inst.sender).get(inst.receiver)
+        bottom = quickest_bound(inst.network, inst.sender, inst.receiver, inst.batch)
         for period in feasible_periods(inst):
             result = min_max_delay(inst, period)
             assert (result is None) == (static < F(inst.batch, period)), (seed, period)
             if result is None:
                 continue
-            assert all(m >= shortest for m, _ in result.probes), (seed, period)
-            if result.max_delay != shortest:
+            assert result.probes[0][0] == bottom <= result.max_delay, (seed, period)
+            assert all(m >= bottom for m, _ in result.probes), (seed, period)
+            if result.max_delay != bottom:
                 assert (result.max_delay - 1, False) in result.probes, (seed, period)
 
 
