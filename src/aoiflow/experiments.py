@@ -1,10 +1,10 @@
 """Topology generators and the sweep/batch measurement harness.
 
 Generated graphs are undirected; every undirected edge becomes two directed
-links operating independently, each drawing its own delay and bandwidth from
-the configured choice sets.  All draws come from one seeded PRNG in a fixed
-order (edges first, then attributes in sorted edge order), so a spec + seed
-pins the network byte for byte.
+links operating independently, each drawing its own delay from
+`DEFAULT_DELAYS` and bandwidth from `DEFAULT_BANDWIDTHS`.  All draws come
+from one seeded PRNG in a fixed order (edges first, then attributes in
+sorted edge order), so a spec + seed pins the network byte for byte.
 """
 
 from __future__ import annotations
@@ -34,28 +34,26 @@ class TopologySpec:
     kind: str  # complete | grid | erdos-renyi | watts-strogatz | copying
     params: tuple
     seed: int
-    delay_choices: tuple[int, ...] = DEFAULT_DELAYS
-    bandwidth_choices: tuple[Fraction, ...] = DEFAULT_BANDWIDTHS
 
 
-def complete_graph(n: int, seed: int, **kw) -> TopologySpec:
-    return TopologySpec("complete", (n,), seed, **kw)
+def complete_graph(n: int, seed: int) -> TopologySpec:
+    return TopologySpec("complete", (n,), seed)
 
 
-def grid_graph(rows: int, cols: int, seed: int, **kw) -> TopologySpec:
-    return TopologySpec("grid", (rows, cols), seed, **kw)
+def grid_graph(rows: int, cols: int, seed: int) -> TopologySpec:
+    return TopologySpec("grid", (rows, cols), seed)
 
 
-def erdos_renyi(n: int, m: int, seed: int, **kw) -> TopologySpec:
-    return TopologySpec("erdos-renyi", (n, m), seed, **kw)
+def erdos_renyi(n: int, m: int, seed: int) -> TopologySpec:
+    return TopologySpec("erdos-renyi", (n, m), seed)
 
 
-def watts_strogatz(n: int, k: int, p: float, seed: int, **kw) -> TopologySpec:
-    return TopologySpec("watts-strogatz", (n, k, p), seed, **kw)
+def watts_strogatz(n: int, k: int, p: float, seed: int) -> TopologySpec:
+    return TopologySpec("watts-strogatz", (n, k, p), seed)
 
 
-def copying_model(n: int, p: float, seed: int, **kw) -> TopologySpec:
-    return TopologySpec("copying", (n, p), seed, **kw)
+def copying_model(n: int, p: float, seed: int) -> TopologySpec:
+    return TopologySpec("copying", (n, p), seed)
 
 
 def _check_probability(kind: str, p: float) -> None:
@@ -162,8 +160,8 @@ def generate(spec: TopologySpec) -> Network:
                     id=f"{tail}>{head}",
                     tail=tail,
                     head=head,
-                    delay=rng.choice(spec.delay_choices),
-                    bandwidth=Fraction(rng.choice(spec.bandwidth_choices)),
+                    delay=rng.choice(DEFAULT_DELAYS),
+                    bandwidth=rng.choice(DEFAULT_BANDWIDTHS),
                 )
             )
     return Network(nodes=tuple(nodes), links=tuple(links))

@@ -297,6 +297,7 @@ def certify_value_below(flow_lp: FlowLp, target: Fraction, float_result) -> bool
 
     For max c.x with A_eq x = b_eq, A_ub x <= b_ub, x >= 0: any y (free),
     z >= 0 with A_eq'y + A_ub'z >= c bounds the optimum by y.b_eq + z.b_ub.
+    `_scipy_solve` minimizes -c.x, so y and z are the negated marginals.
     """
     if float_result is None:
         return False
@@ -304,24 +305,20 @@ def certify_value_below(flow_lp: FlowLp, target: Fraction, float_result) -> bool
     eq_rows = [(c, r) for c, r, s in lp.rows if s == EQ]
     le_rows = [(c, r) for c, r, s in lp.rows if s == LE]
 
-    for sign in (-1, 1):
-        for denom in _SNAP_DENOMINATORS:
-            try:
-                y = [
-                    Fraction(sign * m).limit_denominator(denom)
-                    for m in float_result["eq_marginals"]
-                ]
-                z = [
-                    max(
-                        Fraction(0),
-                        Fraction(sign * m).limit_denominator(denom),
-                    )
-                    for m in float_result["le_marginals"]
-                ]
-            except (ValueError, OverflowError):  # non-finite marginals
-                return False
-            if _dual_certifies(lp, eq_rows, le_rows, y, z, target):
-                return True
+    for denom in _SNAP_DENOMINATORS:
+        try:
+            y = [
+                Fraction(-m).limit_denominator(denom)
+                for m in float_result["eq_marginals"]
+            ]
+            z = [
+                max(Fraction(0), Fraction(-m).limit_denominator(denom))
+                for m in float_result["le_marginals"]
+            ]
+        except (ValueError, OverflowError):  # non-finite marginals
+            return False
+        if _dual_certifies(lp, eq_rows, le_rows, y, z, target):
+            return True
     return False
 
 
@@ -337,28 +334,8 @@ def _dual_certifies(lp, eq_rows, le_rows, y, z, target) -> bool:
             continue
         for j, c in coeffs.items():
             lhs[j] += zk * c
-
-    # one repair round: lift group duals to cover their own columns
-    bump: dict[int, Fraction] = {}
-    for k, (coeffs, _) in enumerate(le_rows):
-        worst = Fraction(0)
-        for j, c in coeffs.items():
-            if c > 0:
-                gap = (lp.objective[j] - lhs[j]) / c
-                if gap > worst:
-                    worst = gap
-        if worst > 0:
-            bump[k] = worst
-    if bump:
-        z = list(z)
-        for k, extra in bump.items():
-            z[k] += extra
-            for j, c in le_rows[k][0].items():
-                lhs[j] += extra * c
-
-    for j in range(lp.n_vars):
-        if lhs[j] < lp.objective[j]:
-            return False
+    if any(l < c for l, c in zip(lhs, lp.objective)):
+        return False
     bound = sum((yi * r for (_, r), yi in zip(eq_rows, y)), Fraction(0))
     bound += sum((zk * r for (_, r), zk in zip(le_rows, z)), Fraction(0))
     return bound < target

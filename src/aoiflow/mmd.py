@@ -1,34 +1,31 @@
 """Minimum maximum delay at a fixed period.
 
-`min_max_delay` follows the binary-search scheme: probe a bound M, ask
-whether the expanded flow program can deliver the whole batch within M
-layers, and halve the bracket accordingly.  The bracket is ``[quickest
-bound, witness delay]``; its bottom is probed first and every later probe
-at the ceil midpoint.  Each probe builds the expansion of its own bound,
-pruned to the routes that reach the receiver by then:
+`min_max_delay` scans the delay bound M upward: probe a bound, ask whether
+the expanded flow program can deliver the whole batch within M layers, and
+stop at the first bound that can.  The scan runs from the quickest bound to
+the witness delay.  Each probe builds the expansion of its own bound, pruned
+to the routes that reach the receiver by then:
 
 * a periodic schedule at period T induces a static flow of rate batch/T by
   averaging one period, so when the static max-flow rate is below batch/T no
-  bound is feasible and the search never starts;
+  bound is feasible and the scan never starts;
 * conversely any static flow of that rate lifts to a schedule (spread each
   path's rate over the period's offsets), a validated witness whose delay W
-  tops the bracket;
+  ends the scan: reached there, it is returned without a probe;
 * giving each link copy its own bandwidth, instead of sharing it across the
   copies of one push-residue class, only loosens the program, and what is
   left is the maximum flow over time (Ford and Fulkerson).  No bound below
   the quickest flow time of the batch is feasible at any period, so that
-  time, from one min-cost flow on the physical network, is the bracket's
-  bottom; it is often the answer itself;
-* the program value never decreases as the bound grows, so a witness with
-  delay <= M answers the probe at M, and each engine flow that answers a
-  probe becomes the new, lower witness.
+  time, from one min-cost flow on the physical network, is where the scan
+  starts; it is usually the answer itself, and the answer is rarely more
+  than a few bounds above it.
 
-A ``horizon`` caps the bracket's top as a search ceiling.  Every remaining
-probe runs the exact engines in `flowlp`, in order: the augmenting pusher,
-its residual cut, the snapped float dual and the simplex.  The companion
-`min_max_delay_oracle` ignores all of that and scans M = 0, 1, 2, ... up to
-the safe horizon, solving each bound's program with the reference simplex;
-tests hold the two to equal answers.
+A ``horizon`` caps the scan as a search ceiling.  Every bound below the
+witness delay runs the exact engines in `flowlp`, in order: the augmenting
+pusher, its residual cut, the snapped float dual and the simplex.  The
+companion `min_max_delay_oracle` ignores all of that and scans M = 0, 1, 2,
+... up to the safe horizon, solving each bound's program with the reference
+simplex; tests hold the two to equal answers.
 """
 
 from __future__ import annotations
@@ -257,59 +254,30 @@ def _min_max_delay_cached(
         return None
     witness = normalize_holding(net, lift_path_flow(net, paths, period))
     ok, witness_delay, violations = validate_solution(inst, witness)
-    if not ok:  # the witness decides probes, so an invalid one is a bug
+    if not ok:  # the witness may be the answer, so an invalid one is a bug
         raise AssertionError(f"witness schedule invalid: {violations}")
 
-    low = quickest_bound(net, inst.sender, inst.receiver, inst.batch)
-    high = min(witness_delay, horizon)
-    best: int | None = None
-    best_flow: tuple[ExpandedNetwork, dict[int, Fraction]] | None = None
     probes: list[tuple[int, bool]] = []
-    mid = low  # the bottom is often the answer, so it is probed first
-    while low <= high:
-        if witness_delay <= mid:
-            feasible = True
-        else:
-            exp = build_expanded(inst, mid)
-            answer = probe_reaches(exp, inst, period, inst.batch)
-            feasible = answer.feasible
-            if feasible:
-                witness_delay = _arrival_delay(exp, answer.flow, inst.receiver)
-                best_flow = (exp, answer.flow)
-        probes.append((mid, feasible))
-        if feasible:
-            best = mid
-            high = mid - 1
-        else:
-            low = mid + 1
-        mid = (low + high + 1) // 2
-    if best is None:
-        return None
-    if best_flow is not None:
-        exp, flow = best_flow
-        witness = normalize_holding(net, decompose(exp, flow, inst, period))
-    ok, max_delay, violations = validate_solution(inst, witness)
-    if not ok:
-        raise AssertionError(f"decomposed schedule invalid: {violations}")
-    if max_delay != best:
-        raise AssertionError(
-            f"schedule delay {max_delay} disagrees with probed minimum {best}"
-        )
-    return MmdResult(period, best, witness, tuple(probes))
-
-
-def _arrival_delay(
-    exp: ExpandedNetwork, flow: dict[int, Fraction], receiver: str
-) -> int:
-    """Latest layer at which the flow delivers to the receiver."""
-    delay = 0
-    for idx, v in flow.items():
-        el = exp.links[idx]
-        if v > 0 and el.link_id is not None:
-            head, layer = exp.node_of(el.head)
-            if head == receiver:
-                delay = max(delay, layer)
-    return delay
+    bottom = quickest_bound(net, inst.sender, inst.receiver, inst.batch)
+    for bound in range(bottom, min(witness_delay, horizon) + 1):
+        if bound == witness_delay:  # every lower bound failed its probe
+            probes.append((bound, True))
+            return MmdResult(period, bound, witness, tuple(probes))
+        exp = build_expanded(inst, bound)
+        answer = probe_reaches(exp, inst, period, inst.batch)
+        probes.append((bound, answer.feasible))
+        if answer.feasible:
+            raw = decompose(exp, answer.flow, inst, period)
+            solution = normalize_holding(net, raw)
+            ok, max_delay, violations = validate_solution(inst, solution)
+            if not ok:
+                raise AssertionError(f"decomposed schedule invalid: {violations}")
+            if max_delay != bound:
+                raise AssertionError(
+                    f"schedule delay {max_delay} disagrees with probed minimum {bound}"
+                )
+            return MmdResult(period, bound, solution, tuple(probes))
+    return None
 
 
 def min_max_delay_oracle(
@@ -317,7 +285,7 @@ def min_max_delay_oracle(
 ) -> MmdResult | None:
     """Ascending scan M = 0, 1, 2, ... with plain reference LP solves.
 
-    Slow but structurally independent of the binary search and its probe
+    Slow but structurally independent of the fast scan and its probe
     shortcuts; used for verification.
     """
     mu = _search_ceiling(inst, period, horizon)

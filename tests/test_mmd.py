@@ -20,6 +20,7 @@ from aoiflow import (
 )
 from aoiflow import mmd as mmd_module
 from aoiflow.expander import TRANSIT
+from aoiflow.experiments import generate, grid_graph, scaled_instance
 from aoiflow.maxflow import max_flow, quickest_bound
 from aoiflow.mmd import _min_max_delay_cached, lift_path_flow, steady_rate_paths
 from aoiflow.solvers import mmd1_exact
@@ -92,9 +93,9 @@ def test_expansion_sized_to_the_bracket(monkeypatch):
     assert max(bounds, default=0) <= 2
 
 
-def test_bracket_premises_on_corpus():
-    # the search runs on [quickest bound, witness delay], bottom first; this
-    # holds it to the premises that bracket relies on
+def test_probe_trail_is_scan_from_quickest_bound():
+    # the search probes every bound from the quickest bound up to the answer,
+    # each one once, and the answer alone is feasible
     for seed in range(200):
         inst = corpus_instance(seed)
         static = max_flow(inst.network, inst.sender, inst.receiver)[1]
@@ -104,10 +105,28 @@ def test_bracket_premises_on_corpus():
             assert (result is None) == (static < F(inst.batch, period)), (seed, period)
             if result is None:
                 continue
-            assert result.probes[0][0] == bottom <= result.max_delay, (seed, period)
-            assert all(m >= bottom for m, _ in result.probes), (seed, period)
-            if result.max_delay != bottom:
-                assert (result.max_delay - 1, False) in result.probes, (seed, period)
+            m = result.max_delay
+            expected = tuple((b, b == m) for b in range(bottom, m + 1))
+            assert result.probes == expected, (seed, period)
+
+
+def test_witness_ends_scan_without_a_probe(monkeypatch):
+    # at a large period the pusher's probe at the witness delay would be its
+    # slowest; the witness settles that bound, so only the bound below runs
+    inst = scaled_instance(generate(grid_graph(2, 2, seed=0)), "a1_1", "a2_2", 100, 1)
+    calls = []
+    probe = mmd_module.probe_reaches
+
+    def counting_probe(*args):
+        calls.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(mmd_module, "probe_reaches", counting_probe)
+    _min_max_delay_cached.cache_clear()
+    result = min_max_delay(inst, 100)
+    assert result.max_delay == 109
+    assert result.probes == ((108, False), (109, True))
+    assert len(calls) == 1
 
 
 def test_delay_matches_unit_period_delay_within_a_period():

@@ -4,8 +4,8 @@ Each "no" certificate ahead of the simplex (the stalled pusher's residual
 cut and the float solve with an exact dual certificate) is switched off by
 patching one module-level name, one at a time and all together, and the
 answers and probe trails are held equal to the normal stack's on a corpus
-slice.  So is the bracket's bottom, the quickest bound in `mmd`: lowered to
-the shortest delay, it changes the probe trails but not the delays or the
+slice.  So is where the scan starts, the quickest bound in `mmd`: lowered
+to the shortest delay, it changes the probe trails but not the delays or the
 schedules.  With the pusher off as well, every probe the witness does not
 answer falls to the exact simplex.
 """
@@ -34,7 +34,7 @@ from conftest import corpus_instance
 SLICE = range(20, 32)
 
 # name -> (module, attribute, replacement that never certifies, or for the
-# bracket's bottom, the shortest delay)
+# scan's start, the shortest delay)
 SWITCHES = {
     "quickest-bound": (
         mmd_module,
