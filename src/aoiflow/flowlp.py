@@ -15,8 +15,9 @@ settled in this order, every answer certified with exact arithmetic:
 * the residual cut of a stalled pusher: every link copy leaving the node set
   its last search reached belongs to a full capacity group, so the
   bandwidths of those groups bound the program's value ("no" answers),
-* a float LP solve (scipy/HiGHS) whose dual, snapped to small rationals and
-  re-verified exactly, certifies "no" answers,
+* one float LP solve (scipy/HiGHS), snapped to small rationals and
+  re-verified exactly: its dual certifies "no" answers, and its primal,
+  when every row and the target hold exactly, is a "yes" witness flow,
 * the exact rational simplex from `lp`, which is the reference semantics and
   the fallback whenever the quick engines cannot certify.
 """
@@ -37,6 +38,7 @@ from .lp import (
     LinearProgram,
     LpSolution,
     solve_lp_reaching,
+    violated_row,
 )
 from .model import Instance
 
@@ -248,7 +250,7 @@ def residual_cut(
 
 
 # ---------------------------------------------------------------------------
-# engine 2: float solve with exact dual certification
+# engine 2: float solve with exact dual and primal certification
 
 _SNAP_DENOMINATORS = (1, 2, 4, 8, 24, 120, 5040, 1 << 20)
 
@@ -287,6 +289,7 @@ def _scipy_solve(flow_lp: FlowLp):
         return None
     return {
         "value": -res.fun,
+        "x": list(res.x),
         "eq_marginals": list(res.eqlin.marginals) if eq_rows else [],
         "le_marginals": list(res.ineqlin.marginals) if le_rows else [],
     }
@@ -341,6 +344,29 @@ def _dual_certifies(lp, eq_rows, le_rows, y, z, target) -> bool:
     return bound < target
 
 
+def snap_primal(
+    flow_lp: FlowLp, target: Fraction, float_result
+) -> dict[int, Fraction] | None:
+    """A flow worth at least target from the snapped float primal, or None.
+
+    Negative entries clamp to zero; the first denominator whose snap passes
+    every row of the program exactly and reaches target wins.
+    """
+    lp = flow_lp.program
+    for denom in _SNAP_DENOMINATORS:
+        try:
+            x = [
+                max(Fraction(0), Fraction(v).limit_denominator(denom))
+                for v in float_result["x"]
+            ]
+        except (ValueError, OverflowError):  # non-finite entries
+            return None
+        value = sum((x[j] * c for j, c in enumerate(lp.objective) if c), Fraction(0))
+        if value >= target and violated_row(lp, x) is None:
+            return {j: v for j, v in enumerate(x) if v > 0}
+    return None
+
+
 # ---------------------------------------------------------------------------
 # combined probe
 
@@ -376,16 +402,17 @@ def probe_reaches(
 
     flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
 
-    # a stalled pusher without a short cut usually still means the probe is
-    # infeasible; a float solve plus an exactly verified dual certificate
-    # settles that without ever paying for an exact optimality proof
+    # one float solve settles most stalls either way, once its snapped dual
+    # or primal passes an exact check, without an exact optimality proof
     float_result = _scipy_solve(flow_lp)
-    if (
-        float_result is not None
-        and float_result["value"] < float(target) - 1e-6
-        and certify_value_below(flow_lp, target, float_result)
-    ):
-        return ProbeAnswer(False, None, "dual-certificate")
+    if float_result is not None:
+        if float_result["value"] < float(target) - 1e-6:
+            if certify_value_below(flow_lp, target, float_result):
+                return ProbeAnswer(False, None, "dual-certificate")
+        else:
+            flow = snap_primal(flow_lp, target, float_result)
+            if flow is not None:
+                return ProbeAnswer(True, flow, "primal-snap")
 
     sol = solve_lp_reaching(flow_lp.program, target)
     if sol.status == TARGET_REACHED or (

@@ -95,13 +95,21 @@ def solve_lp_reaching(lp: LinearProgram, target: Fraction) -> LpSolution:
     return sol
 
 
-def _assert_satisfies(lp: LinearProgram, values: list[Fraction]) -> None:
+def violated_row(lp: LinearProgram, values: list[Fraction]) -> str | None:
+    """The first row the values break, described; None when all rows hold."""
     for coeffs, rhs, sense in lp.rows:
         lhs = sum((values[j] * c for j, c in coeffs.items()), Fraction(0))
         if sense == EQ and lhs != rhs:
-            raise AssertionError(f"equality row violated: {lhs} != {rhs}")
+            return f"equality row violated: {lhs} != {rhs}"
         if sense == LE and lhs > rhs:
-            raise AssertionError(f"inequality row violated: {lhs} > {rhs}")
+            return f"inequality row violated: {lhs} > {rhs}"
+    return None
+
+
+def _assert_satisfies(lp: LinearProgram, values: list[Fraction]) -> None:
+    violation = violated_row(lp, values)
+    if violation is not None:
+        raise AssertionError(violation)
     for j, v in enumerate(values):
         if v < 0:
             raise AssertionError(f"negative value on x{j}")

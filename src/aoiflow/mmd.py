@@ -22,10 +22,10 @@ to the routes that reach the receiver by then:
 
 A ``horizon`` caps the scan as a search ceiling.  Every bound below the
 witness delay runs the exact engines in `flowlp`, in order: the augmenting
-pusher, its residual cut, the snapped float dual and the simplex.  The
-companion `min_max_delay_oracle` ignores all of that and scans M = 0, 1, 2,
-... up to the safe horizon, solving each bound's program with the reference
-simplex; tests hold the two to equal answers.
+pusher, its residual cut, the float solve's snapped dual or primal and the
+simplex.  The companion `min_max_delay_oracle` ignores all of that and scans
+M = 0, 1, 2, ... up to the safe horizon, solving each bound's program with
+the reference simplex; tests hold the two to equal answers.
 """
 
 from __future__ import annotations

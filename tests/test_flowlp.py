@@ -15,12 +15,14 @@ from aoiflow import (
 from aoiflow.expander import HOLDING, TRANSIT
 from aoiflow.experiments import complete_graph, generate, scaled_instance
 from aoiflow.flowlp import (
+    FlowLp,
     _scipy_solve,
     certify_value_below,
     group_augment,
     probe_reaches,
+    snap_primal,
 )
-from aoiflow.lp import OPTIMAL
+from aoiflow.lp import EQ, LE, OPTIMAL, LinearProgram
 from aoiflow.maxflow import quickest_bound, shortest_delay
 from aoiflow.mmd import lift_path_flow, min_max_delay, steady_rate_paths
 from aoiflow.model import feasible_periods, normalize_holding, validate_solution
@@ -230,6 +232,23 @@ def test_dual_certificate_only_fires_below_target():
     high, _ = optimum(inst, 7, 11)
     fr = _scipy_solve(high)
     assert not certify_value_below(high, F(10), fr)
+
+
+def test_primal_snap_refuses_what_breaks_a_row_or_falls_short():
+    # maximize x0 subject to x0 + x1 + x2 = 2 and x0 <= 1; the optimum is 1
+    program = LinearProgram(n_vars=3, objective=[F(1), F(0), F(0)])
+    program.add_row({0: F(1), 1: F(1), 2: F(1)}, 2, EQ)
+    program.add_row({0: F(1)}, 1, LE)
+    flow_lp = FlowLp(program, exp=None, source=0, sink=0)
+
+    def snap(*x):
+        return snap_primal(flow_lp, F(1), {"x": list(x)})
+
+    assert snap(1.0, 1.0 + 1e-9, -1e-9) == {0: 1, 1: 1}
+    assert snap(2.0, 0.0, 0.0) is None  # over the cap
+    assert snap(1.0, 2.0, -1.0) is None  # rows hold only with x2 negative
+    assert snap(0.3, 1.7, 0.0) is None  # short of the target
+    assert snap(float("nan"), 2.0, 0.0) is None
 
 
 def test_probe_matches_reference_lp_on_corpus():

@@ -7,10 +7,14 @@ answers and probe trails are held equal to the normal stack's on a corpus
 slice.  So is where the scan starts, the quickest bound in `mmd`: lowered
 to the shortest delay, it changes the probe trails but not the delays or the
 schedules.  With the pusher off as well, every probe the witness does not
-answer falls to the exact simplex.
+answer falls to the exact simplex.  The corpus never reaches the float
+solve, so its snapped primal, the one "yes" certificate ahead of the
+simplex, is switched off on the complete-6 sweep that needs it.
 """
 
 from collections import Counter
+from contextlib import contextmanager
+from fractions import Fraction as F
 
 import pytest
 
@@ -18,15 +22,34 @@ from aoiflow import (
     Objective,
     build_expanded,
     build_flow_lp,
+    decompose,
     feasible_periods,
     link_groups,
+    normalize_holding,
     solve_lp,
     solve_optimal,
+    validate_solution,
 )
 from aoiflow import flowlp as flowlp_module
 from aoiflow import mmd as mmd_module
-from aoiflow.experiments import generate, grid_graph, scaled_instance
-from aoiflow.flowlp import Push, certify_value_below, group_augment, residual_cut, _scipy_solve
+from aoiflow.experiments import (
+    complete_graph,
+    generate,
+    grid_graph,
+    pick_endpoints,
+    scaled_instance,
+)
+from aoiflow.flowlp import (
+    Push,
+    _scipy_solve,
+    certify_value_below,
+    group_augment,
+    probe_reaches,
+    residual_cut,
+    snap_primal,
+)
+from aoiflow.lp import violated_row
+from aoiflow.solvers import sweep_periods
 from aoiflow.maxflow import shortest_delay
 from aoiflow.mmd import _min_max_delay_cached, min_max_delay
 from conftest import corpus_instance
@@ -46,9 +69,9 @@ SWITCHES = {
 }
 
 
-def solve_slice(monkeypatch):
-    """Delay, schedule and probe trail per (seed, period), and the engines
-    that ran."""
+@contextmanager
+def engine_tally(monkeypatch):
+    """Count the engine that settles each probe `mmd` runs, from a cold cache."""
     engines = Counter()
     probe = mmd_module.probe_reaches
 
@@ -59,12 +82,19 @@ def solve_slice(monkeypatch):
 
     monkeypatch.setattr(mmd_module, "probe_reaches", counting_probe)
     _min_max_delay_cached.cache_clear()
-    out = {}
-    for seed in SLICE:
-        inst = corpus_instance(seed)
-        for period in feasible_periods(inst):
-            out[seed, period] = min_max_delay(inst, period)
+    yield engines
     monkeypatch.setattr(mmd_module, "probe_reaches", probe)
+
+
+def solve_slice(monkeypatch):
+    """Delay, schedule and probe trail per (seed, period), and the engines
+    that ran."""
+    with engine_tally(monkeypatch) as engines:
+        out = {}
+        for seed in SLICE:
+            inst = corpus_instance(seed)
+            for period in feasible_periods(inst):
+                out[seed, period] = min_max_delay(inst, period)
     return out, engines
 
 
@@ -197,3 +227,91 @@ def test_residual_cut_never_below_exact_optimum():
             cut = residual_cut(exp, inst, period, push.reached)
             assert cut is not None and cut >= exact, (seed, bound)
     assert stalls > 0
+
+
+def complete6_seed4():
+    """The `aoiflow batch` instance of complete-6 seed 4."""
+    net = generate(complete_graph(6, 4))
+    return scaled_instance(net, *pick_endpoints(net, 4), 5, 10)
+
+
+def flow_value(flow_lp, values):
+    return sum(v * c for v, c in zip(values, flow_lp.program.objective))
+
+
+def test_primal_snap_settles_the_stall_it_exists_for():
+    # complete-6 seed 4 at period 5, bound 11: the pusher stalls short of the
+    # batch, the cut cannot refute it, and HiGHS's primal snaps to a flow
+    pytest.importorskip("scipy")
+    inst = complete6_seed4()
+    period, bound = 5, 11
+    exp = build_expanded(inst, bound)
+    push = group_augment(exp, inst, period, inst.batch)
+    assert push.flow is None and push.reached is not None
+    assert residual_cut(exp, inst, period, push.reached) == 660 >= inst.batch == 650
+    flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
+    flow = snap_primal(flow_lp, inst.batch, _scipy_solve(flow_lp))
+    assert flow is not None
+    values = [flow.get(j, F(0)) for j in range(flow_lp.program.n_vars)]
+    assert violated_row(flow_lp.program, values) is None
+    assert flow_value(flow_lp, values) >= inst.batch
+
+    answer = probe_reaches(exp, inst, period, inst.batch)
+    assert answer.engine == "primal-snap"
+    raw = decompose(exp, answer.flow, inst, period)
+    solution = normalize_holding(inst.network, raw)
+    ok, max_delay, violations = validate_solution(inst, solution)
+    assert ok, violations
+    assert max_delay == bound
+
+
+def refuse_simplex(*args):
+    raise AssertionError("exact simplex reached")
+
+
+def test_simplex_never_called_on_grid_seed0(monkeypatch, fresh_cache):
+    # two probes at period 10, bound 29 stall the pusher; the exact simplex
+    # took over 20 s on them, the snapped primal settles both
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(flowlp_module, "solve_lp_reaching", refuse_simplex)
+    inst = scaled_instance(generate(grid_graph(4, 4, seed=0)), "a1_1", "a4_4", 10)
+    for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
+        best = solve_optimal(inst, objective).best
+        assert (best.period, best.max_delay) == (10, 29)
+        assert (best.peak_aoi, best.avg_aoi) == (38, F(67, 2))
+
+
+def test_primal_snap_never_exceeds_exact_optimum():
+    pytest.importorskip("scipy")
+    snaps = 0
+    for seed in range(10, 16):
+        inst = corpus_instance(seed)
+        period = inst.max_period
+        for bound in (3, 6, 9, 12):
+            exp = build_expanded(inst, bound)
+            if not exp.links:  # probe_reaches answers "unreachable" first
+                continue
+            flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
+            exact = solve_lp(flow_lp.program).objective_value
+            fr = _scipy_solve(flow_lp)
+            flow = snap_primal(flow_lp, exact, fr)
+            if flow is not None:
+                snaps += 1
+                values = [flow.get(j, F(0)) for j in range(flow_lp.program.n_vars)]
+                assert violated_row(flow_lp.program, values) is None, (seed, bound)
+                assert flow_value(flow_lp, values) == exact, (seed, bound)
+            assert snap_primal(flow_lp, exact + F(1, 1000), fr) is None, (seed, bound)
+    assert snaps > 0
+
+
+def test_primal_snap_switched_off_keeps_reports(monkeypatch, fresh_cache):
+    pytest.importorskip("scipy")
+    inst = complete6_seed4()
+    with engine_tally(monkeypatch) as engines:
+        baseline = [row.report for row, _ in sweep_periods(inst)]
+    assert (engines["primal-snap"], engines["simplex"]) == (1, 0)
+    monkeypatch.setattr(flowlp_module, "snap_primal", lambda *args: None)
+    with engine_tally(monkeypatch) as engines:
+        forced = [row.report for row, _ in sweep_periods(inst)]
+    assert (engines["primal-snap"], engines["simplex"]) == (0, 1)
+    assert forced == baseline
