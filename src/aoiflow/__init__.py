@@ -25,13 +25,7 @@ from .model import (
     validate_network,
     validate_solution,
 )
-from .expander import (
-    ExpandedNetwork,
-    LinkGroup,
-    build_expanded,
-    horizon_upper_bound,
-    link_groups,
-)
+from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound
 from .lp import LinearProgram, LpSolution, solve_lp
 from .flowlp import build_flow_lp, extract_edge_flow
 from .mmd import MmdResult, decompose, lift_path_flow, min_max_delay, min_max_delay_oracle
@@ -75,10 +69,8 @@ __all__ = [
     "validate_solution",
     # expander
     "ExpandedNetwork",
-    "LinkGroup",
     "build_expanded",
     "horizon_upper_bound",
-    "link_groups",
     # lp, flowlp
     "LinearProgram",
     "LpSolution",

@@ -8,9 +8,14 @@ dist_r[v]``, and a node v gets unit holding links (v, i) -> (v, i + 1) for
 ``dist_s[v] <= i < bound - dist_r[v]``, where ``dist_s`` is the shortest
 delay from the sender and ``dist_r`` the shortest delay to the receiver.
 Every other copy carries zero in any conserving flow, so dropping it leaves
-the flow program's feasible flows unchanged.  Transit copies of a link whose
-push slots agree mod the period share that link's bandwidth; those residue
-classes are the capacity groups the flow program constrains.
+the flow program's feasible flows unchanged.
+
+The expansion owns the facts every probe engine reads: its source (sender,
+0) and sink (receiver, bound), each node's outgoing and incoming links, and
+`ExpandedNetwork.capacity_groups`.  Transit copies of a link whose push
+slots agree mod the period share that link's bandwidth; those residue
+classes are the capacity groups.  The solver derives them only here; the
+validator (`model.residue_loads`) keeps its own copy to stay independent.
 
 Node ids are dense ints, ``node_index * (bound + 1) + layer``, so identical
 inputs always yield identical link orderings.
@@ -19,6 +24,8 @@ inputs always yield identical link orderings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 from .maxflow import shortest_delay
 from .model import Instance, Link, Network
@@ -41,6 +48,47 @@ class ExpandedNetwork:
     net: Network
     bound: int
     links: tuple[ExpandedLink, ...]
+    source: int  # (sender, 0)
+    sink: int  # (receiver, bound)
+
+    @cached_property
+    def out_links(self) -> dict[int, list[int]]:
+        """Node -> indices of the links leaving it, ascending; read only."""
+        return self._adjacency("tail")
+
+    @cached_property
+    def in_links(self) -> dict[int, list[int]]:
+        """Node -> indices of the links entering it, ascending; read only."""
+        return self._adjacency("head")
+
+    def _adjacency(self, end: str) -> dict[int, list[int]]:
+        adj: dict[int, list[int]] = {}
+        for idx, el in enumerate(self.links):
+            adj.setdefault(getattr(el, end), []).append(idx)
+        return adj
+
+    def capacity_groups(self, period: int) -> tuple[list[int], list[Fraction]]:
+        """Each link's capacity group (-1 for holding) and each group's bandwidth.
+
+        Transit copies of one physical link whose push slots agree mod
+        ``period`` form a group.  Groups are numbered link by link, residues
+        ascending, which is the order of the flow program's capacity rows.
+        Both lists are new on every call.
+        """
+        if period < 1:
+            raise ValueError("period must be a positive integer")
+        classes: dict[tuple[str, int], list[int]] = {}
+        for idx, el in enumerate(self.links):
+            if el.kind == TRANSIT:
+                classes.setdefault((el.link_id, el.push % period), []).append(idx)
+        order = {link.id: i for i, link in enumerate(self.net.links)}
+        group_of = [-1] * len(self.links)
+        bandwidths: list[Fraction] = []
+        for key in sorted(classes, key=lambda k: (order[k[0]], k[1])):
+            for idx in classes[key]:
+                group_of[idx] = len(bandwidths)
+            bandwidths.append(self.net.link_index[key[0]].bandwidth)
+        return group_of, bandwidths
 
     def node_id(self, node: str, layer: int) -> int:
         return self.net.nodes.index(node) * (self.bound + 1) + layer
@@ -51,15 +99,6 @@ class ExpandedNetwork:
 
     def layer_of(self, dense: int) -> int:
         return dense % (self.bound + 1)
-
-
-@dataclass(frozen=True)
-class LinkGroup:
-    """Transit copies of one physical link sharing a push residue class."""
-
-    link_id: str
-    residue: int
-    members: tuple[int, ...]  # indices into ExpandedNetwork.links
 
 
 def horizon_upper_bound(inst: Instance) -> int:
@@ -106,22 +145,10 @@ def build_expanded(inst: Instance, bound: int) -> ExpandedNetwork:
         base = node_pos[v] * width
         for i in range(dist_s[v], bound - dist_r[v]):
             links.append(ExpandedLink(base + i, base + i + 1, HOLDING, None, i))
-    return ExpandedNetwork(net=net, bound=bound, links=tuple(links))
-
-
-def link_groups(exp: ExpandedNetwork, period: int) -> list[LinkGroup]:
-    """Partition each link's transit copies by push slot mod period."""
-    if period < 1:
-        raise ValueError("period must be a positive integer")
-    buckets: dict[tuple[str, int], list[int]] = {}
-    for idx, el in enumerate(exp.links):
-        if el.kind != TRANSIT:
-            continue
-        buckets.setdefault((el.link_id, el.push % period), []).append(idx)
-    order = {link.id: i for i, link in enumerate(exp.net.links)}
-    return [
-        LinkGroup(link_id=lid, residue=res, members=tuple(members))
-        for (lid, res), members in sorted(
-            buckets.items(), key=lambda kv: (order[kv[0][0]], kv[0][1])
-        )
-    ]
+    return ExpandedNetwork(
+        net=net,
+        bound=bound,
+        links=tuple(links),
+        source=node_pos[inst.sender] * width,
+        sink=node_pos[inst.receiver] * width + bound,
+    )

@@ -174,18 +174,18 @@ def solution_from_text(net: Network, text: str) -> tuple[PeriodicSolution, Fract
     if not lines:
         raise ModelError("empty schedule file")
     header = _named_fields(lines[0].split(), lines[0], ("period", "batch"))
-    period = int(header["period"])
-    batch = parse_rational(header["batch"])
+    period = _parsed(int, header["period"], lines[0])
+    batch = _parsed(parse_rational, header["batch"], lines[0])
     index = net.link_index
     entries = []
     for line in lines[1:]:
         fields = line.split()
         if len(fields) != 4:
             raise ModelError(f"malformed schedule line: {line!r}")
-        amount = parse_rational(fields[0])
+        amount = _parsed(parse_rational, fields[0], line)
         parts = _named_fields(fields[1:], line, ("path", "via", "offsets"))
         link_ids = tuple(parts["via"].split(","))
-        file_offsets = [int(u) for u in parts["offsets"].split(",")]
+        file_offsets = [_parsed(int, u, line) for u in parts["offsets"].split(",")]
         if len(file_offsets) != len(link_ids) + 2:
             raise ModelError(f"offset vector has wrong length: {line!r}")
         if file_offsets[0] != 0:
@@ -212,3 +212,11 @@ def solution_from_text(net: Network, text: str) -> tuple[PeriodicSolution, Fract
 def load_solution(net: Network, path: str) -> tuple[PeriodicSolution, Fraction]:
     with open(path) as fh:
         return solution_from_text(net, fh.read())
+
+
+def _parsed(parse, text: str, line: str):
+    """``parse(text)``; ModelError naming the line if text does not parse."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ModelError(f"bad value {text!r}: {line!r}") from exc

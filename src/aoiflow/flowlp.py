@@ -4,7 +4,10 @@ The core question answered here: can at least ``target`` units travel from
 (sender, 0) to (receiver, M) in the expansion built for bound M while every
 capacity group (one physical link, one push-residue class) stays within its
 bandwidth?  That expansion already holds only the copies on such a route, so
-the program has one variable per expanded link.
+the program has one variable per expanded link.  The expansion also owns the
+source, the sink, the adjacency and the capacity groups
+(`ExpandedNetwork.capacity_groups`); the program, the pusher and its cut
+all read them from there.
 
 `mmd` never probes below the batch's quickest flow time, the bound at
 which even the program without shared groups falls short.  Probes are
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .expander import ExpandedNetwork, LinkGroup, TRANSIT, link_groups
+from .expander import ExpandedNetwork
 from .lp import (
     EQ,
     LE,
@@ -40,7 +43,6 @@ from .lp import (
     solve_lp_reaching,
     violated_row,
 )
-from .model import Instance
 
 
 @dataclass
@@ -49,64 +51,51 @@ class FlowLp:
 
     program: LinearProgram
     exp: ExpandedNetwork
-    source: int
-    sink: int
 
 
-def build_flow_lp(
-    exp: ExpandedNetwork, groups: list[LinkGroup], inst: Instance
-) -> FlowLp:
+def build_flow_lp(exp: ExpandedNetwork, period: int) -> FlowLp:
     """Max-throughput program over layers 0..exp.bound.
 
     One variable per expanded link; the objective is total outflow of the
-    sender's layer-0 copy; sender outflow equals receiver layer-``bound``
-    inflow; flow conserves everywhere else; each capacity group is limited by
-    its link bandwidth.  Holding links are uncapacitated.
+    source; source outflow equals sink inflow; flow conserves everywhere
+    else; each capacity group, in `capacity_groups` order, is limited by its
+    link bandwidth.  Holding links are uncapacitated.
     """
-    source = exp.node_id(inst.sender, 0)
-    sink = exp.node_id(inst.receiver, exp.bound)
-
+    out_at, in_at = exp.out_links, exp.in_links
     n = len(exp.links)
     objective = [Fraction(0)] * n
-    out_at: dict[int, list[int]] = defaultdict(list)
-    in_at: dict[int, list[int]] = defaultdict(list)
-    for j, el in enumerate(exp.links):
-        out_at[el.tail].append(j)
-        in_at[el.head].append(j)
-    for j in out_at.get(source, []):
+    for j in out_at.get(exp.source, []):
         objective[j] = Fraction(1)
 
     lp = LinearProgram(n_vars=n, objective=objective)
 
-    balance = {j: Fraction(1) for j in out_at.get(source, [])}
-    for j in in_at.get(sink, []):
+    balance = {j: Fraction(1) for j in out_at.get(exp.source, [])}
+    for j in in_at.get(exp.sink, []):
         balance[j] = balance.get(j, Fraction(0)) - 1
     lp.add_row(balance, Fraction(0), EQ)
 
-    touched = sorted(set(out_at) | set(in_at))
-    for node in touched:
-        if node == source or node == sink:
+    for node in sorted(set(out_at) | set(in_at)):
+        if node == exp.source or node == exp.sink:
             continue
         coeffs: dict[int, Fraction] = {}
         for j in out_at.get(node, []):
             coeffs[j] = coeffs.get(j, Fraction(0)) + 1
         for j in in_at.get(node, []):
             coeffs[j] = coeffs.get(j, Fraction(0)) - 1
-        if coeffs:
-            lp.add_row(coeffs, Fraction(0), EQ)
+        lp.add_row(coeffs, Fraction(0), EQ)
 
-    bandwidth = inst.network.link_index
-    for group in groups:
-        lp.add_row(
-            {j: Fraction(1) for j in group.members},
-            bandwidth[group.link_id].bandwidth,
-            LE,
-        )
+    group_of, bandwidths = exp.capacity_groups(period)
+    members: list[dict[int, Fraction]] = [{} for _ in bandwidths]
+    for j, g in enumerate(group_of):
+        if g >= 0:
+            members[g][j] = Fraction(1)
+    for coeffs, cap in zip(members, bandwidths):
+        lp.add_row(coeffs, cap, LE)
 
-    return FlowLp(program=lp, exp=exp, source=source, sink=sink)
+    return FlowLp(program=lp, exp=exp)
 
 
-def extract_edge_flow(flow_lp: FlowLp, sol: LpSolution) -> dict[int, Fraction]:
+def extract_edge_flow(sol: LpSolution) -> dict[int, Fraction]:
     """Map a solved program back onto expanded links (nonzero flow only)."""
     return {j: v for j, v in enumerate(sol.values) if v > 0}
 
@@ -122,12 +111,7 @@ class Push(NamedTuple):
     reached: set[int] | None  # nodes the last search reached, when it missed the sink
 
 
-def group_augment(
-    exp: ExpandedNetwork,
-    inst: Instance,
-    period: int,
-    target: Fraction,
-) -> Push:
+def group_augment(exp: ExpandedNetwork, period: int, target: Fraction) -> Push:
     """Push exactly ``target`` units with augmenting paths.
 
     Residual capacity of a transit copy is its whole group's remaining
@@ -136,31 +120,15 @@ def group_augment(
     mean a stall does not prove infeasibility; when the stall is a search
     that missed the sink, the nodes it reached feed `residual_cut`.
     """
-    source = exp.node_id(inst.sender, 0)
-    sink = exp.node_id(inst.receiver, exp.bound)
-    bandwidth = inst.network.link_index
+    source, sink = exp.source, exp.sink
+    out_adj, in_adj = exp.out_links, exp.in_links
 
     # residual state by integer index: group_of[idx] is the link's capacity
     # group (-1 for holding), open_group[g] says whether group g has room
     links = exp.links
     heads = [el.head for el in links]
     tails = [el.tail for el in links]
-    out_adj: dict[int, list[int]] = defaultdict(list)
-    in_adj: dict[int, list[int]] = defaultdict(list)
-    group_index: dict[tuple[str, int], int] = {}
-    group_of: list[int] = []
-    group_resid: list[Fraction] = []
-    for idx, el in enumerate(links):
-        out_adj[el.tail].append(idx)
-        in_adj[el.head].append(idx)
-        g = -1
-        if el.kind == TRANSIT:
-            key = (el.link_id, el.push % period)
-            g = group_index.get(key, -1)
-            if g < 0:
-                g = group_index[key] = len(group_resid)
-                group_resid.append(bandwidth[el.link_id].bandwidth)
-        group_of.append(g)
+    group_of, group_resid = exp.capacity_groups(period)
     open_group = [r > 0 for r in group_resid]
 
     flow: dict[int, Fraction] = {}  # positive entries only
@@ -229,9 +197,7 @@ def group_augment(
     return Push(None, None)
 
 
-def residual_cut(
-    exp: ExpandedNetwork, inst: Instance, period: int, reached: set[int]
-) -> Fraction | None:
+def residual_cut(exp: ExpandedNetwork, period: int, reached: set[int]) -> Fraction | None:
     """Upper bound on the program's value from a source-side node set.
 
     ``reached`` holds the source and not the sink, so every feasible flow's
@@ -239,14 +205,14 @@ def residual_cut(
     leaving it, at most the bandwidths of the groups those copies belong to.
     None when an uncapacitated holding link leaves the set.
     """
-    groups: set[tuple[str, int]] = set()
-    for el in exp.links:
+    group_of, bandwidths = exp.capacity_groups(period)
+    full: set[int] = set()
+    for idx, el in enumerate(exp.links):
         if el.tail in reached and el.head not in reached:
-            if el.kind != TRANSIT:
+            if group_of[idx] < 0:
                 return None
-            groups.add((el.link_id, el.push % period))
-    bandwidth = inst.network.link_index
-    return sum((bandwidth[lid].bandwidth for lid, _ in groups), Fraction(0))
+            full.add(group_of[idx])
+    return sum((bandwidths[g] for g in full), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +221,20 @@ def residual_cut(
 _SNAP_DENOMINATORS = (1, 2, 4, 8, 24, 120, 5040, 1 << 20)
 
 
+def _snaps(values, clamped):
+    """``values`` snapped to each of `_SNAP_DENOMINATORS` in turn, entries
+    whose ``clamped`` flag is set raised to at least 0; none once an entry
+    is not finite."""
+    for denom in _SNAP_DENOMINATORS:
+        try:
+            snapped = [Fraction(v).limit_denominator(denom) for v in values]
+        except (ValueError, OverflowError):
+            return
+        yield [max(Fraction(0), v) if c else v for v, c in zip(snapped, clamped)]
+
+
 def _scipy_solve(flow_lp: FlowLp):
+    """HiGHS's value, primal and duals (in ``program.rows`` order), or None."""
     try:
         import numpy as np
         from scipy.optimize import linprog
@@ -263,36 +242,33 @@ def _scipy_solve(flow_lp: FlowLp):
     except ImportError:  # pragma: no cover - scipy is a declared dependency
         return None
     lp = flow_lp.program
-    eq_rows = [(c, r) for c, r, s in lp.rows if s == EQ]
-    le_rows = [(c, r) for c, r, s in lp.rows if s == LE]
 
-    def sparse(rows):
+    def arrays(sense):
+        rows = [(coeffs, rhs) for coeffs, rhs, s in lp.rows if s == sense]
+        if not rows:
+            return None, None
         data, ri, ci = [], [], []
         for i, (coeffs, _) in enumerate(rows):
             for j, c in coeffs.items():
                 ri.append(i)
                 ci.append(j)
                 data.append(float(c))
-        return csr_matrix((data, (ri, ci)), shape=(len(rows), lp.n_vars))
+        matrix = csr_matrix((data, (ri, ci)), shape=(len(rows), lp.n_vars))
+        return matrix, np.array([float(rhs) for _, rhs in rows])
 
+    a_eq, b_eq = arrays(EQ)
+    a_ub, b_ub = arrays(LE)
     c = np.array([-float(v) for v in lp.objective])
     res = linprog(
-        c,
-        A_ub=sparse(le_rows) if le_rows else None,
-        b_ub=np.array([float(r) for _, r in le_rows]) if le_rows else None,
-        A_eq=sparse(eq_rows) if eq_rows else None,
-        b_eq=np.array([float(r) for _, r in eq_rows]) if eq_rows else None,
-        bounds=(0, None),
-        method="highs",
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
     )
     if res.status != 0:
         return None
-    return {
-        "value": -res.fun,
-        "x": list(res.x),
-        "eq_marginals": list(res.eqlin.marginals) if eq_rows else [],
-        "le_marginals": list(res.ineqlin.marginals) if le_rows else [],
-    }
+    # HiGHS minimizes -c.x, so the max program's duals are its negated
+    # marginals, put back in row order
+    marginals = {EQ: iter(res.eqlin.marginals), LE: iter(res.ineqlin.marginals)}
+    duals = [-next(marginals[sense]) for _, _, sense in lp.rows]
+    return {"value": -res.fun, "x": list(res.x), "duals": duals}
 
 
 def certify_value_below(flow_lp: FlowLp, target: Fraction, float_result) -> bool:
@@ -300,48 +276,22 @@ def certify_value_below(flow_lp: FlowLp, target: Fraction, float_result) -> bool
 
     For max c.x with A_eq x = b_eq, A_ub x <= b_ub, x >= 0: any y (free),
     z >= 0 with A_eq'y + A_ub'z >= c bounds the optimum by y.b_eq + z.b_ub.
-    `_scipy_solve` minimizes -c.x, so y and z are the negated marginals.
     """
     if float_result is None:
         return False
     lp = flow_lp.program
-    eq_rows = [(c, r) for c, r, s in lp.rows if s == EQ]
-    le_rows = [(c, r) for c, r, s in lp.rows if s == LE]
-
-    for denom in _SNAP_DENOMINATORS:
-        try:
-            y = [
-                Fraction(-m).limit_denominator(denom)
-                for m in float_result["eq_marginals"]
-            ]
-            z = [
-                max(Fraction(0), Fraction(-m).limit_denominator(denom))
-                for m in float_result["le_marginals"]
-            ]
-        except (ValueError, OverflowError):  # non-finite marginals
-            return False
-        if _dual_certifies(lp, eq_rows, le_rows, y, z, target):
+    clamped = [sense == LE for _, _, sense in lp.rows]
+    for duals in _snaps(float_result["duals"], clamped):
+        lhs = [Fraction(0)] * lp.n_vars
+        bound = Fraction(0)
+        for (coeffs, rhs, _), y in zip(lp.rows, duals):
+            if y:
+                bound += y * rhs
+                for j, c in coeffs.items():
+                    lhs[j] += y * c
+        if bound < target and all(l >= c for l, c in zip(lhs, lp.objective)):
             return True
     return False
-
-
-def _dual_certifies(lp, eq_rows, le_rows, y, z, target) -> bool:
-    lhs = [Fraction(0)] * lp.n_vars
-    for (coeffs, _), yi in zip(eq_rows, y):
-        if yi == 0:
-            continue
-        for j, c in coeffs.items():
-            lhs[j] += yi * c
-    for (coeffs, _), zk in zip(le_rows, z):
-        if zk == 0:
-            continue
-        for j, c in coeffs.items():
-            lhs[j] += zk * c
-    if any(l < c for l, c in zip(lhs, lp.objective)):
-        return False
-    bound = sum((yi * r for (_, r), yi in zip(eq_rows, y)), Fraction(0))
-    bound += sum((zk * r for (_, r), zk in zip(le_rows, z)), Fraction(0))
-    return bound < target
 
 
 def snap_primal(
@@ -353,14 +303,7 @@ def snap_primal(
     every row of the program exactly and reaches target wins.
     """
     lp = flow_lp.program
-    for denom in _SNAP_DENOMINATORS:
-        try:
-            x = [
-                max(Fraction(0), Fraction(v).limit_denominator(denom))
-                for v in float_result["x"]
-            ]
-        except (ValueError, OverflowError):  # non-finite entries
-            return None
+    for x in _snaps(float_result["x"], [True] * lp.n_vars):
         value = sum((x[j] * c for j, c in enumerate(lp.objective) if c), Fraction(0))
         if value >= target and violated_row(lp, x) is None:
             return {j: v for j, v in enumerate(x) if v > 0}
@@ -378,12 +321,7 @@ class ProbeAnswer:
     engine: str
 
 
-def probe_reaches(
-    exp: ExpandedNetwork,
-    inst: Instance,
-    period: int,
-    target: Fraction,
-) -> ProbeAnswer:
+def probe_reaches(exp: ExpandedNetwork, period: int, target: Fraction) -> ProbeAnswer:
     """Exact answer to "does the flow program at exp.bound reach target?".
 
     An expansion without links means the receiver is farther than the
@@ -392,15 +330,15 @@ def probe_reaches(
     if not exp.links:
         return ProbeAnswer(False, None, "unreachable")
 
-    push = group_augment(exp, inst, period, target)
+    push = group_augment(exp, period, target)
     if push.flow is not None:
         return ProbeAnswer(True, push.flow, "augment")
     if push.reached is not None:
-        cut = residual_cut(exp, inst, period, push.reached)
+        cut = residual_cut(exp, period, push.reached)
         if cut is not None and cut < target:
             return ProbeAnswer(False, None, "residual-cut")
 
-    flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
+    flow_lp = build_flow_lp(exp, period)
 
     # one float solve settles most stalls either way, once its snapped dual
     # or primal passes an exact check, without an exact optimality proof
@@ -418,7 +356,7 @@ def probe_reaches(
     if sol.status == TARGET_REACHED or (
         sol.status == OPTIMAL and sol.objective_value >= target
     ):
-        return ProbeAnswer(True, extract_edge_flow(flow_lp, sol), "simplex")
+        return ProbeAnswer(True, extract_edge_flow(sol), "simplex")
     if sol.status != OPTIMAL:  # zero flow is always feasible, caps are finite
         raise AssertionError(f"flow program reported {sol.status}")
     return ProbeAnswer(False, None, "simplex")

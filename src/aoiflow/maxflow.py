@@ -23,11 +23,7 @@ def max_flow(
     if source == sink:
         return {}, Fraction(0)
     flow: dict[str, Fraction] = {link.id: Fraction(0) for link in net.links}
-    outgoing: dict[str, list[Link]] = {v: [] for v in net.nodes}
-    incoming: dict[str, list[Link]] = {v: [] for v in net.nodes}
-    for link in net.links:
-        outgoing[link.tail].append(link)
-        incoming[link.head].append(link)
+    outgoing, incoming = net.out_links, net.in_links
 
     value = Fraction(0)
     while True:
@@ -83,11 +79,7 @@ def quickest_bound(net: Network, source: str, sink: str, amount: Fraction) -> in
     lower it.  None when the sink is unreachable.
     """
     flow: dict[str, Fraction] = {link.id: Fraction(0) for link in net.links}
-    outgoing: dict[str, list[Link]] = {v: [] for v in net.nodes}
-    incoming: dict[str, list[Link]] = {v: [] for v in net.nodes}
-    for link in net.links:
-        outgoing[link.tail].append(link)
-        incoming[link.head].append(link)
+    outgoing, incoming = net.out_links, net.in_links
 
     rate = cost = Fraction(0)
     bound: int | None = None
@@ -140,9 +132,7 @@ def decompose_paths(
     sum to the flow value.
     """
     residual = {k: v for k, v in flow.items() if v > 0}
-    outgoing: dict[str, list[Link]] = {v: [] for v in net.nodes}
-    for link in net.links:
-        outgoing[link.tail].append(link)
+    outgoing = net.out_links
     paths: list[tuple[tuple[str, ...], Fraction]] = []
 
     def next_link(v: str) -> Link | None:
@@ -191,9 +181,7 @@ def shortest_delay(net: Network, source: str) -> dict[str, int]:
     """Dijkstra over link delays; unreachable nodes are absent."""
     dist = {source: 0}
     heap = [(0, source)]
-    outgoing: dict[str, list[Link]] = {v: [] for v in net.nodes}
-    for link in net.links:
-        outgoing[link.tail].append(link)
+    outgoing = net.out_links
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist.get(v, d):

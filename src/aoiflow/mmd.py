@@ -34,12 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound, link_groups
-from .flowlp import (
-    build_flow_lp,
-    extract_edge_flow,
-    probe_reaches,
-)
+from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound
+from .flowlp import build_flow_lp, extract_edge_flow, probe_reaches
 from .lp import OPTIMAL, solve_lp
 from .maxflow import decompose_paths, max_flow, quickest_bound
 from .model import (
@@ -131,8 +127,7 @@ def decompose(
     Peeling stops once the batch is covered; entries then total exactly the
     batch.
     """
-    source = exp.node_id(inst.sender, 0)
-    sink = exp.node_id(inst.receiver, exp.bound)
+    source, sink = exp.source, exp.sink
     work = {idx: v for idx, v in edge_flow.items() if v > 0}
 
     imbalance: dict[int, Fraction] = {}
@@ -264,7 +259,7 @@ def _min_max_delay_cached(
             probes.append((bound, True))
             return MmdResult(period, bound, witness, tuple(probes))
         exp = build_expanded(inst, bound)
-        answer = probe_reaches(exp, inst, period, inst.batch)
+        answer = probe_reaches(exp, period, inst.batch)
         probes.append((bound, answer.feasible))
         if answer.feasible:
             raw = decompose(exp, answer.flow, inst, period)
@@ -295,12 +290,12 @@ def min_max_delay_oracle(
     probes: list[tuple[int, bool]] = []
     for bound in range(0, mu + 1):
         exp = build_expanded(inst, bound)
-        flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
+        flow_lp = build_flow_lp(exp, period)
         sol = solve_lp(flow_lp.program)
         feasible = sol.status == OPTIMAL and sol.objective_value >= inst.batch
         probes.append((bound, feasible))
         if feasible:
-            flow = extract_edge_flow(flow_lp, sol)
+            flow = extract_edge_flow(sol)
             raw = decompose(exp, flow, inst, period)
             solution = normalize_holding(inst.network, raw)
             ok, max_delay, violations = validate_solution(inst, solution)

@@ -71,6 +71,22 @@ class Network:
         """Link id -> link, built on first use; callers only read it."""
         return {link.id: link for link in self.links}
 
+    @cached_property
+    def out_links(self) -> dict[str, list[Link]]:
+        """Node -> links leaving it, in link order; callers only read it."""
+        adj: dict[str, list[Link]] = {v: [] for v in self.nodes}
+        for link in self.links:
+            adj[link.tail].append(link)
+        return adj
+
+    @cached_property
+    def in_links(self) -> dict[str, list[Link]]:
+        """Node -> links entering it, in link order; callers only read it."""
+        adj: dict[str, list[Link]] = {v: [] for v in self.nodes}
+        for link in self.links:
+            adj[link.head].append(link)
+        return adj
+
 
 def network(nodes: Iterable[str], links: Iterable[tuple]) -> Network:
     """Build a Network from (id, tail, head, delay, bandwidth) tuples."""

@@ -18,7 +18,6 @@ from aoiflow import (
     build_flow_lp,
     check_objective_relations,
     feasible_periods,
-    link_groups,
     min_max_delay,
     min_max_delay_oracle,
     network,
@@ -170,7 +169,7 @@ def test_criterion_5_feasibility_equivalence():
     # reference program carry the batch
     for inst, period, result in pairs[:: max(1, len(pairs) // 50)]:
         exp = build_expanded(inst, result.max_delay)
-        flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
+        flow_lp = build_flow_lp(exp, period)
         sol = solve_lp(flow_lp.program)
         assert sol.status == OPTIMAL and sol.objective_value >= inst.batch
         checked_reverse += 1

@@ -6,11 +6,23 @@ from aoiflow import (
     Instance,
     build_expanded,
     horizon_upper_bound,
-    link_groups,
     network,
 )
 from aoiflow.expander import HOLDING, TRANSIT
 from conftest import make_fastslow_instance, make_triple_instance
+
+
+def group_members(exp, period):
+    """``(link id, residue) -> member indices`` in group number order, from
+    `capacity_groups`."""
+    group_of, bandwidths = exp.capacity_groups(period)
+    members = [[] for _ in bandwidths]
+    for idx, g in enumerate(group_of):
+        if g >= 0:
+            members[g].append(idx)
+    return {
+        (exp.links[m[0]].link_id, exp.links[m[0]].push % period): m for m in members
+    }
 
 
 def test_horizon_fastslow():
@@ -41,6 +53,12 @@ def test_two_hop_expansion_counts():
     holding = [exp.node_of(el.tail) for el in exp.links if el.kind == HOLDING]
     assert holding == [("s", 0), ("s", 1), ("a", 2), ("a", 3), ("r", 3), ("r", 4)]
     assert exp.node_id("a", 2) == 1 * 6 + 2
+    assert (exp.source, exp.sink) == (exp.node_id("s", 0), exp.node_id("r", 5))
+    for adj, end in ((exp.out_links, "tail"), (exp.in_links, "head")):
+        assert adj == {
+            node: [idx for idx, el in enumerate(exp.links) if getattr(el, end) == node]
+            for node in {getattr(el, end) for el in exp.links}
+        }
 
 
 def test_bound_below_shortest_delay_gives_no_links():
@@ -82,9 +100,7 @@ def test_expansion_deterministic():
 
 def test_groups_fastslow_fast_link():
     exp = build_expanded(make_fastslow_instance(), 11)
-    groups = {
-        (g.link_id, g.residue): len(g.members) for g in link_groups(exp, 7)
-    }
+    groups = {key: len(members) for key, members in group_members(exp, 7).items()}
     for residue in range(4):
         assert groups[("e1", residue)] == 2
     for residue in range(4, 7):
@@ -94,16 +110,16 @@ def test_groups_fastslow_fast_link():
 
 def test_groups_period_one_collects_everything():
     exp = build_expanded(make_fastslow_instance(), 11)
-    groups = link_groups(exp, 1)
-    by_link = {g.link_id: g for g in groups}
-    assert len(by_link["e1"].members) == 11
-    assert len(by_link["e2"].members) == 1
+    groups = group_members(exp, 1)
+    assert set(groups) == {("e1", 0), ("e2", 0)}
+    assert len(groups[("e1", 0)]) == 11
+    assert len(groups[("e2", 0)]) == 1
 
 
 def test_groups_large_period_singletons():
     exp = build_expanded(make_fastslow_instance(), 11)
-    for g in link_groups(exp, 50):
-        assert len(g.members) <= 1
+    for members in group_members(exp, 50).values():
+        assert len(members) <= 1
 
 
 def test_group_partition_recovers_all_transits():
@@ -111,10 +127,10 @@ def test_group_partition_recovers_all_transits():
     net = inst.network
     exp = build_expanded(inst, 24)
     for period in (1, 2, 3, 5, 7):
-        groups = link_groups(exp, period)
+        groups = group_members(exp, period)
         for link in net.links:
             members = [
-                m for g in groups if g.link_id == link.id for m in g.members
+                m for (lid, _), ms in groups.items() if lid == link.id for m in ms
             ]
             assert len(members) == 24 - link.delay + 1
             assert len(set(members)) == len(members)
@@ -125,4 +141,5 @@ def test_bad_arguments_rejected():
         build_expanded(make_fastslow_instance(), -1)
     exp = build_expanded(make_fastslow_instance(), 5)
     with pytest.raises(ValueError):
-        link_groups(exp, 0)
+        exp.capacity_groups(0)
+

@@ -107,6 +107,8 @@ def test_solution_parse_rejects_unknown_link():
         "period=5 batch=5\n5 path=s>r offsets=0,0,1 extra=1\n",
         "period=5 batch=5\n5 path=s>r junk offsets=0,0,1\n",
         "period=5 batch=5\n5 path=s>r via=e1 offsets\n",
+        "period=5 batch=5\n5 path=s>r via=e1 offsets=0,x,1\n",
+        "period=5 batch=5\nfive path=s>r via=e1 offsets=0,0,1\n",
     ],
 )
 def test_solution_parse_names_bad_line(text):
@@ -116,7 +118,16 @@ def test_solution_parse_names_bad_line(text):
         solution_from_text(inst.network, text)
 
 
-@pytest.mark.parametrize("header", ["period=5 batch", "period=5 5", "batch=5"])
+@pytest.mark.parametrize(
+    "header",
+    [
+        "period=5 batch",
+        "period=5 5",
+        "batch=5",
+        "period=abc batch=5",
+        "period=5 batch=1/x",
+    ],
+)
 def test_solution_parse_names_bad_header(header):
     inst = make_triple_instance()
     text = f"{header}\n5 path=s>r via=e1 offsets=0,0,1\n"

@@ -8,7 +8,6 @@ from aoiflow import (
     build_expanded,
     build_flow_lp,
     extract_edge_flow,
-    link_groups,
     network,
     solve_lp,
 )
@@ -31,10 +30,19 @@ from conftest import corpus_instance, make_fastslow_instance
 
 def optimum(inst, period, bound):
     exp = build_expanded(inst, bound)
-    flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
+    flow_lp = build_flow_lp(exp, period)
     sol = solve_lp(flow_lp.program)
     assert sol.status == OPTIMAL
     return flow_lp, sol
+
+
+def assert_groups_within_bandwidth(exp, period, flow):
+    group_of, bandwidths = exp.capacity_groups(period)
+    loads = [F(0)] * len(bandwidths)
+    for idx, v in flow.items():
+        if group_of[idx] >= 0:
+            loads[group_of[idx]] += v
+    assert all(load <= cap for load, cap in zip(loads, bandwidths))
 
 
 def test_fastslow_t7_m11_carries_batch():
@@ -58,14 +66,14 @@ def test_extract_zero_flow_empty():
     net = network(["s", "r"], [("e", "s", "r", 1, 0)])
     inst = Instance(net, "s", "r", F(1), F(1), F(1))
     flow_lp, sol = optimum(inst, 1, 4)
-    assert extract_edge_flow(flow_lp, sol) == {}
+    assert extract_edge_flow(sol) == {}
 
 
 def test_extract_flow_conserves_and_totals():
     flow_lp, sol = optimum(make_fastslow_instance(), 10, 10)
     assert sol.objective_value >= 10
     exp = flow_lp.exp
-    flow = extract_edge_flow(flow_lp, sol)
+    flow = extract_edge_flow(sol)
     balance = {}
     for idx, v in flow.items():
         el = exp.links[idx]
@@ -85,12 +93,46 @@ def test_extract_flow_conserves_and_totals():
 def test_group_loads_within_bandwidth():
     inst = make_fastslow_instance()
     flow_lp, sol = optimum(inst, 7, 11)
-    flow = extract_edge_flow(flow_lp, sol)
-    groups = link_groups(flow_lp.exp, 7)
-    caps = inst.network.link_index
-    for g in groups:
-        load = sum((flow.get(m, F(0)) for m in g.members), F(0))
-        assert load <= caps[g.link_id].bandwidth
+    assert_groups_within_bandwidth(flow_lp.exp, 7, extract_edge_flow(sol))
+
+
+def test_capacity_groups_pin_rule_and_row_order():
+    """`capacity_groups` partitions the transit copies exactly by (link, push
+    slot mod period) and numbers the groups link by link, residues
+    ascending; the program's capacity rows come in that order, each capped
+    by its link's bandwidth.  HiGHS's and the simplex's flows depend on that
+    row order."""
+    cases = [(make_fastslow_instance(), 11, 7)] + [
+        (inst, bound, period)
+        for inst in map(corpus_instance, range(40))
+        for bound in (3, 8, 13)
+        for period in range(1, inst.max_period + 2)
+    ]
+    for inst, bound, period in cases:
+        exp = build_expanded(inst, bound)
+        group_of, bandwidths = exp.capacity_groups(period)
+        classes = {}
+        for idx, el in enumerate(exp.links):
+            if el.kind == TRANSIT:
+                classes.setdefault((el.link_id, el.push % period), []).append(idx)
+            else:
+                assert group_of[idx] == -1
+        order = [link.id for link in inst.network.links]
+        keys = sorted(classes, key=lambda k: (order.index(k[0]), k[1]))
+        members = [[] for _ in bandwidths]
+        for idx, g in enumerate(group_of):
+            if g >= 0:
+                members[g].append(idx)
+        assert members == [classes[k] for k in keys]
+        index = inst.network.link_index
+        caps = [index[lid].bandwidth for lid, _ in keys]
+        assert bandwidths == caps
+        rows = build_flow_lp(exp, period).program.rows
+        senses = [sense for _, _, sense in rows]
+        assert senses == sorted(senses, key=lambda sense: sense == LE)
+        assert [(c, rhs) for c, rhs, sense in rows if sense == LE] == [
+            (dict.fromkeys(m, F(1)), cap) for m, cap in zip(members, caps)
+        ]
 
 
 def test_value_monotone_in_bound():
@@ -132,7 +174,7 @@ def test_quickest_bound_is_least_bound_without_sharing():
 
     def lp_reaches(inst, bound, amount):
         exp = build_expanded(inst, bound)
-        sol = solve_lp(build_flow_lp(exp, link_groups(exp, bound + 1), inst).program)
+        sol = solve_lp(build_flow_lp(exp, bound + 1).program)
         assert sol.status == OPTIMAL
         return sol.objective_value >= amount
 
@@ -208,13 +250,9 @@ def test_group_augment_agrees_with_lp_when_it_succeeds():
     inst = make_fastslow_instance()
     for period, bound in [(7, 11), (10, 10), (8, 12)]:
         exp = build_expanded(inst, bound)
-        flow = group_augment(exp, inst, period, inst.batch).flow
+        flow = group_augment(exp, period, inst.batch).flow
         assert flow is not None
-        groups = link_groups(exp, period)
-        caps = inst.network.link_index
-        for g in groups:
-            load = sum((flow.get(m, F(0)) for m in g.members), F(0))
-            assert load <= caps[g.link_id].bandwidth
+        assert_groups_within_bandwidth(exp, period, flow)
         source = exp.node_id("s", 0)
         total = sum(v for idx, v in flow.items() if exp.links[idx].tail == source)
         assert total == inst.batch
@@ -239,7 +277,7 @@ def test_primal_snap_refuses_what_breaks_a_row_or_falls_short():
     program = LinearProgram(n_vars=3, objective=[F(1), F(0), F(0)])
     program.add_row({0: F(1), 1: F(1), 2: F(1)}, 2, EQ)
     program.add_row({0: F(1)}, 1, LE)
-    flow_lp = FlowLp(program, exp=None, source=0, sink=0)
+    flow_lp = FlowLp(program, exp=None)
 
     def snap(*x):
         return snap_primal(flow_lp, F(1), {"x": list(x)})
@@ -257,7 +295,7 @@ def test_probe_matches_reference_lp_on_corpus():
         period = inst.max_period
         for bound in range(1, 13, 3):
             exp = build_expanded(inst, bound)
-            probe = probe_reaches(exp, inst, period, inst.batch)
+            probe = probe_reaches(exp, period, inst.batch)
             flow_lp, sol = optimum(inst, period, bound)
             assert probe.feasible == (sol.objective_value >= inst.batch)
 
@@ -361,7 +399,7 @@ def test_group_augment_matches_reference():
             _, witness_delay, _ = validate_solution(inst, witness)
             for bound in range(low, witness_delay + 1):
                 exp = build_expanded(inst, bound)
-                got = group_augment(exp, inst, period, inst.batch).flow
+                got = group_augment(exp, period, inst.batch).flow
                 want = reference_group_augment(exp, inst, period, inst.batch)
                 if want is not None:
                     want = {idx: v for idx, v in want.items() if v > 0}

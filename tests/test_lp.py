@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from aoiflow import build_expanded, build_flow_lp, link_groups, lp as lp_module
+from aoiflow import build_expanded, build_flow_lp, lp as lp_module
 from aoiflow.lp import (
     EQ,
     INFEASIBLE,
@@ -95,7 +95,7 @@ def random_programs(seed, count):
 def fastslow_flow_program():
     inst = make_fastslow_instance()
     exp = build_expanded(inst, 11)
-    return build_flow_lp(exp, link_groups(exp, 7), inst).program
+    return build_flow_lp(exp, 7).program
 
 
 def test_single_bound():
@@ -270,8 +270,7 @@ def corpus_flow_calls():
         inst = corpus_instance(seed)
         for bound in (4, 8, 12):
             exp = build_expanded(inst, bound)
-            groups = link_groups(exp, inst.max_period)
-            program = build_flow_lp(exp, groups, inst).program
+            program = build_flow_lp(exp, inst.max_period).program
             calls.append(lambda p=program: solve_lp(p))
             calls.append(lambda p=program, t=inst.batch: solve_lp_reaching(p, t))
     return calls

@@ -10,7 +10,6 @@ from aoiflow import (
     decompose,
     extract_edge_flow,
     feasible_periods,
-    link_groups,
     min_max_delay,
     min_max_delay_oracle,
     network,
@@ -170,10 +169,10 @@ def test_decompose_zero_flow_is_empty():
 def test_decompose_triple_unit_rate_flow():
     inst = make_triple_instance()
     exp = build_expanded(inst, 5)
-    flow_lp = build_flow_lp(exp, link_groups(exp, 5), inst)
+    flow_lp = build_flow_lp(exp, 5)
     lp_sol = solve_lp(flow_lp.program)
     assert lp_sol.objective_value >= 5
-    flow = extract_edge_flow(flow_lp, lp_sol)
+    flow = extract_edge_flow(lp_sol)
     sol = normalize_holding(inst.network, decompose(exp, flow, inst, 5))
     ok, max_delay, violations = validate_solution(inst, sol)
     assert ok and max_delay == 5
@@ -189,9 +188,9 @@ def test_decompose_triple_unit_rate_flow():
 def test_decompose_fastslow_t7_respects_caps():
     inst = make_fastslow_instance()
     exp = build_expanded(inst, 11)
-    flow_lp = build_flow_lp(exp, link_groups(exp, 7), inst)
+    flow_lp = build_flow_lp(exp, 7)
     lp_sol = solve_lp(flow_lp.program)
-    flow = extract_edge_flow(flow_lp, lp_sol)
+    flow = extract_edge_flow(lp_sol)
     sol = normalize_holding(inst.network, decompose(exp, flow, inst, 7))
     ok, max_delay, _ = validate_solution(inst, sol)
     assert ok and max_delay <= 11

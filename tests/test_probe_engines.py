@@ -24,7 +24,6 @@ from aoiflow import (
     build_flow_lp,
     decompose,
     feasible_periods,
-    link_groups,
     normalize_holding,
     solve_lp,
     solve_optimal,
@@ -183,10 +182,10 @@ def test_float_dual_settles_what_the_cut_misses():
     inst = scaled_instance(generate(grid_graph(4, 4, seed=13)), "a1_1", "a4_4", 10)
     period, bound = 10, 24
     exp = build_expanded(inst, bound)
-    push = group_augment(exp, inst, period, inst.batch)
+    push = group_augment(exp, period, inst.batch)
     assert push.flow is None and push.reached is not None
-    assert residual_cut(exp, inst, period, push.reached) == 530 >= inst.batch == 500
-    flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
+    assert residual_cut(exp, period, push.reached) == 530 >= inst.batch == 500
+    flow_lp = build_flow_lp(exp, period)
     assert certify_value_below(flow_lp, inst.batch, _scipy_solve(flow_lp))
 
 
@@ -197,7 +196,7 @@ def test_dual_certificates_never_contradict_exact_optimum():
         period = inst.max_period
         for bound in (3, 6, 9, 12):
             exp = build_expanded(inst, bound)
-            flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
+            flow_lp = build_flow_lp(exp, period)
             exact = solve_lp(flow_lp.program).objective_value
             if not exp.links:  # probe_reaches answers "unreachable" first
                 assert exact == 0
@@ -218,13 +217,13 @@ def test_residual_cut_never_below_exact_optimum():
             exp = build_expanded(inst, bound)
             if not exp.links:
                 continue
-            push = group_augment(exp, inst, period, inst.batch)
+            push = group_augment(exp, period, inst.batch)
             if push.reached is None:
                 continue
             stalls += 1
-            flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
+            flow_lp = build_flow_lp(exp, period)
             exact = solve_lp(flow_lp.program).objective_value
-            cut = residual_cut(exp, inst, period, push.reached)
+            cut = residual_cut(exp, period, push.reached)
             assert cut is not None and cut >= exact, (seed, bound)
     assert stalls > 0
 
@@ -246,17 +245,17 @@ def test_primal_snap_settles_the_stall_it_exists_for():
     inst = complete6_seed4()
     period, bound = 5, 11
     exp = build_expanded(inst, bound)
-    push = group_augment(exp, inst, period, inst.batch)
+    push = group_augment(exp, period, inst.batch)
     assert push.flow is None and push.reached is not None
-    assert residual_cut(exp, inst, period, push.reached) == 660 >= inst.batch == 650
-    flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
+    assert residual_cut(exp, period, push.reached) == 660 >= inst.batch == 650
+    flow_lp = build_flow_lp(exp, period)
     flow = snap_primal(flow_lp, inst.batch, _scipy_solve(flow_lp))
     assert flow is not None
     values = [flow.get(j, F(0)) for j in range(flow_lp.program.n_vars)]
     assert violated_row(flow_lp.program, values) is None
     assert flow_value(flow_lp, values) >= inst.batch
 
-    answer = probe_reaches(exp, inst, period, inst.batch)
+    answer = probe_reaches(exp, period, inst.batch)
     assert answer.engine == "primal-snap"
     raw = decompose(exp, answer.flow, inst, period)
     solution = normalize_holding(inst.network, raw)
@@ -291,7 +290,7 @@ def test_primal_snap_never_exceeds_exact_optimum():
             exp = build_expanded(inst, bound)
             if not exp.links:  # probe_reaches answers "unreachable" first
                 continue
-            flow_lp = build_flow_lp(exp, link_groups(exp, period), inst)
+            flow_lp = build_flow_lp(exp, period)
             exact = solve_lp(flow_lp.program).objective_value
             fr = _scipy_solve(flow_lp)
             flow = snap_primal(flow_lp, exact, fr)
