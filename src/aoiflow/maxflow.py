@@ -1,8 +1,9 @@
 """Exact static flow utilities on the physical network.
 
 Used for per-slot sustainable-rate computations (the steady-rate capacity of
-a sender/receiver pair), feasibility screening, the quickest flow time of a
-batch, and decomposing conserving flows into simple paths.
+a sender/receiver pair), feasibility screening, the successive min-cost
+flows behind the quickest flow time of a batch and its temporally repeated
+schedules, and decomposing conserving flows into simple paths.
 Everything is Fraction-exact.
 """
 
@@ -10,8 +11,10 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 import heapq
 import math
+from typing import NamedTuple
 
 from .model import Link, Network
 
@@ -65,24 +68,34 @@ def max_flow(
         value += bottleneck
 
 
-def quickest_bound(net: Network, source: str, sink: str, amount: Fraction) -> int | None:
-    """Least bound M by which ``amount`` can travel from (source, 0) to (sink, M).
+class Prefix(NamedTuple):
+    """The min-cost flow after one more augmentation, split into paths."""
 
-    Each link copy may carry the link's bandwidth, so this is the quickest
-    flow time of the batch.  A min-cost flow with delays as costs is
-    augmented along one shortest residual path at a time (queue-based
-    Bellman-Ford, since backward arcs cost minus the delay; augmenting along
-    shortest paths keeps the residual graph free of negative cycles).  By
-    Ford and Fulkerson, the first k paths with total rate R and total cost C
-    carry R*(M + 1) - C by bound M, and path lengths never decrease, so once
-    the next path is no shorter than the bound met so far no later path can
-    lower it.  None when the sink is unreachable.
+    length: int  # delay of the augmenting path that completed it
+    rate: Fraction  # flow value
+    cost: Fraction  # total delay, rate times delay summed over links
+    paths: tuple[tuple[tuple[str, ...], Fraction], ...]  # (links, rate), simple
+    delays: tuple[int, ...]  # each path's delay
+
+
+@lru_cache(maxsize=256)
+def min_cost_prefixes(net: Network, source: str, sink: str) -> tuple[Prefix, ...]:
+    """Every successive-shortest-path flow from ``source`` to ``sink``.
+
+    A min-cost flow with delays as costs is augmented along one shortest
+    residual path at a time (queue-based Bellman-Ford, since backward arcs
+    cost minus the delay; augmenting along shortest paths keeps the residual
+    graph free of negative cycles) until the sink is cut off.  The k-th
+    prefix is the flow after k augmentations, a min-cost flow of its value,
+    peeled by `decompose_paths`.  The last one is a maximum flow; none when
+    the sink is unreachable.
     """
     flow: dict[str, Fraction] = {link.id: Fraction(0) for link in net.links}
     outgoing, incoming = net.out_links, net.in_links
+    index = net.link_index
 
+    prefixes: list[Prefix] = []
     rate = cost = Fraction(0)
-    bound: int | None = None
     while True:
         dist = {source: 0}
         parent: dict[str, tuple[Link, bool]] = {}
@@ -103,8 +116,8 @@ def quickest_bound(net: Network, source: str, sink: str, amount: Fraction) -> in
                         queued.add(w)
                         queue.append(w)
         length = dist.get(sink)
-        if length is None or (bound is not None and length >= bound):
-            return bound
+        if length is None:
+            return tuple(prefixes)
         path = []
         v = sink
         while v != source:
@@ -119,7 +132,27 @@ def quickest_bound(net: Network, source: str, sink: str, amount: Fraction) -> in
             flow[link.id] += delta if forward else -delta
         rate += delta
         cost += delta * length
-        bound = max(length, math.ceil((amount + cost) / rate) - 1)
+        paths = tuple(decompose_paths(net, flow, source, sink))
+        delays = tuple(sum(index[l].delay for l in links) for links, _ in paths)
+        prefixes.append(Prefix(length, rate, cost, paths, delays))
+
+
+def quickest_bound(net: Network, source: str, sink: str, amount: Fraction) -> int | None:
+    """Least bound M by which ``amount`` can travel from (source, 0) to (sink, M).
+
+    Each link copy may carry the link's bandwidth, so this is the quickest
+    flow time of the batch.  By Ford and Fulkerson, the min-cost prefix of
+    rate R and cost C carries R*(M + 1) - C by bound M, and augmenting path
+    lengths never decrease, so once the next prefix's last path is no
+    shorter than the bound met so far no later prefix can lower it.  None
+    when the sink is unreachable.
+    """
+    bound: int | None = None
+    for prefix in min_cost_prefixes(net, source, sink):
+        if bound is not None and prefix.length >= bound:
+            break
+        bound = max(prefix.length, math.ceil((amount + prefix.cost) / prefix.rate) - 1)
+    return bound
 
 
 def decompose_paths(

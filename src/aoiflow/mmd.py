@@ -3,41 +3,54 @@
 `min_max_delay` scans the delay bound M upward: probe a bound, ask whether
 the expanded flow program can deliver the whole batch within M layers, and
 stop at the first bound that can.  The scan runs from the quickest bound to
-the witness delay.  Each probe builds the expansion of its own bound, pruned
-to the routes that reach the receiver by then:
+the witness delay:
 
 * a periodic schedule at period T induces a static flow of rate batch/T by
   averaging one period, so when the static max-flow rate is below batch/T no
   bound is feasible and the scan never starts;
 * conversely any static flow of that rate lifts to a schedule (spread each
-  path's rate over the period's offsets), a validated witness whose delay W
-  ends the scan: reached there, it is returned without a probe;
+  path's rate over the period's offsets), a witness whose delay W, the
+  slowest path's delay plus T - 1, ends the scan: reached there, it is
+  validated and returned without a probe;
 * giving each link copy its own bandwidth, instead of sharing it across the
   copies of one push-residue class, only loosens the program, and what is
   left is the maximum flow over time (Ford and Fulkerson).  No bound below
   the quickest flow time of the batch is feasible at any period, so that
-  time, from one min-cost flow on the physical network, is where the scan
-  starts; it is usually the answer itself, and the answer is rarely more
-  than a few bounds above it.
+  time, from the successive min-cost flows on the physical network
+  (`maxflow.min_cost_prefixes`), is where the scan starts; it is usually the
+  answer itself, and the answer is rarely more than a few bounds above it.
 
 A ``horizon`` caps the scan as a search ceiling.  Every bound below the
-witness delay runs the exact engines in `flowlp`, in order: the augmenting
-pusher, its residual cut, the float solve's snapped dual or primal and the
-simplex.  The companion `min_max_delay_oracle` ignores all of that and scans
+witness delay is settled by the first of these engines that can:
+
+* the temporally repeated flow (`temporally_repeated`): each path of one of
+  those min-cost flows departs at up to T consecutive offsets, as many as
+  still arrive by M, so it meets each capacity group at most once.  When
+  that delivers the batch, the schedule is written straight from the paths,
+  with no expansion, no pusher and no `decompose`;
+* otherwise the bound's pruned expansion goes through the exact engines in
+  `flowlp`, in order: the augmenting pusher, its residual cut, the float
+  solve's snapped dual or primal and the simplex, and a feasible flow is
+  peeled into a schedule by `decompose`.
+
+Every returned schedule is validated, with its delay equal to the bound.
+The companion `min_max_delay_oracle` ignores all of that and scans
 M = 0, 1, 2, ... up to the safe horizon, solving each bound's program with
 the reference simplex; tests hold the two to equal answers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound
 from .flowlp import build_flow_lp, extract_edge_flow, probe_reaches
 from .lp import OPTIMAL, solve_lp
-from .maxflow import decompose_paths, max_flow, quickest_bound
+from .maxflow import Prefix, decompose_paths, max_flow, min_cost_prefixes, quickest_bound
 from .model import (
     Instance,
     ModelError,
@@ -63,28 +76,75 @@ class MmdResult:
 
 def lift_path_flow(
     net: Network,
-    path_rates: list[tuple[tuple[str, ...], Fraction]],
+    path_rates: Sequence[tuple[tuple[str, ...], Fraction]],
     period: int,
+    bound: int | None = None,
+    amount: Fraction | None = None,
 ) -> PeriodicSolution:
-    """Turn per-slot path rates into a periodic schedule.
+    """Send each path's rate at departures 0, 1, ... with no holding past the sender.
 
-    Each path streams its rate once per offset 0..period-1 with zero holding
-    past the sender, so a rate assignment summing to R becomes a schedule
-    delivering R*period per period with delay (path delay + period - 1).
+    Without ``bound`` every path departs at all ``period`` offsets, so rates
+    summing to R per slot become a schedule delivering R*period per period
+    with delay (slowest path delay + period - 1).  With it, a path of delay
+    d departs min(period, bound + 1 - d) times, so everything arrives by
+    ``bound``: the temporally repeated flow truncated to one period.  Either
+    way each path meets each push-residue class of its links at most once,
+    so paths from a static flow within the bandwidths give a schedule within
+    them.  Entries stop once they total ``amount``, when one is given.
     """
     index = net.link_index
     entries = []
+    remaining = amount
     for links, rate in path_rates:
         if rate <= 0:
             continue
-        for start in range(period):
-            offsets = [0]
-            at = start
-            for link_id in links:
-                at += index[link_id].delay
-                offsets.append(at)
-            entries.append(ScheduleEntry(tuple(links), tuple(offsets), rate))
+        arrivals = (0, *accumulate(index[link_id].delay for link_id in links))
+        departures = period if bound is None else min(period, bound + 1 - arrivals[-1])
+        for start in range(departures):
+            take = rate if remaining is None else min(rate, remaining)
+            if take <= 0:
+                break
+            offsets = (0,) + tuple(start + at for at in arrivals[1:])
+            entries.append(ScheduleEntry(tuple(links), offsets, take))
+            if remaining is not None:
+                remaining -= take
     return PeriodicSolution(period, tuple(entries))
+
+
+def repeated_value(prefix: Prefix, period: int, bound: int) -> Fraction:
+    """What `lift_path_flow` sends on the prefix's paths by ``bound``.
+
+    This is L_T(M) = sum of x_P * min(T, M + 1 - d(P)) over the paths P of
+    delay d(P) <= M.
+    """
+    return sum(
+        (
+            rate * min(period, bound + 1 - delay)
+            for (_, rate), delay in zip(prefix.paths, prefix.delays)
+            if delay <= bound
+        ),
+        Fraction(0),
+    )
+
+
+def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolution | None:
+    """A schedule of delay at most ``bound`` from the best min-cost prefix.
+
+    Truncating Ford and Fulkerson's temporally repeated flow to one period
+    keeps every capacity group within its bandwidth, so the prefix with the
+    largest `repeated_value` settles the bound whenever that value reaches
+    the batch; its schedule is trimmed to exactly the batch.  None otherwise,
+    which proves nothing.
+    """
+    net = inst.network
+    best, value = None, Fraction(0)
+    for prefix in min_cost_prefixes(net, inst.sender, inst.receiver):
+        reach = repeated_value(prefix, period, bound)
+        if reach > value:
+            best, value = prefix, reach
+    if best is None or value < inst.batch:
+        return None
+    return lift_path_flow(net, best.paths, period, bound, inst.batch)
 
 
 def steady_rate_paths(
@@ -221,7 +281,7 @@ def min_max_delay(
 ) -> MmdResult | None:
     """Smallest delay bound M admitting a full-batch schedule at this period.
 
-    Returns the result with a decomposed, normalized schedule achieving M and
+    Returns the result with a validated, normalized schedule achieving M and
     the (bound, feasible) probe trail; None when the period's throughput is
     not supportable at all, or needs a delay above ``horizon``.
     """
@@ -247,32 +307,42 @@ def _min_max_delay_cached(
     )
     if paths is None:
         return None
-    witness = normalize_holding(net, lift_path_flow(net, paths, period))
-    ok, witness_delay, violations = validate_solution(inst, witness)
-    if not ok:  # the witness may be the answer, so an invalid one is a bug
-        raise AssertionError(f"witness schedule invalid: {violations}")
+    # the lifted witness never holds, so its slowest path departing at the
+    # last offset sets its delay
+    index = net.link_index
+    witness_delay = period - 1 + max(
+        sum(index[link_id].delay for link_id in links) for links, _ in paths
+    )
 
     probes: list[tuple[int, bool]] = []
     bottom = quickest_bound(net, inst.sender, inst.receiver, inst.batch)
     for bound in range(bottom, min(witness_delay, horizon) + 1):
         if bound == witness_delay:  # every lower bound failed its probe
-            probes.append((bound, True))
-            return MmdResult(period, bound, witness, tuple(probes))
-        exp = build_expanded(inst, bound)
-        answer = probe_reaches(exp, period, inst.batch)
-        probes.append((bound, answer.feasible))
-        if answer.feasible:
-            raw = decompose(exp, answer.flow, inst, period)
-            solution = normalize_holding(net, raw)
-            ok, max_delay, violations = validate_solution(inst, solution)
-            if not ok:
-                raise AssertionError(f"decomposed schedule invalid: {violations}")
-            if max_delay != bound:
-                raise AssertionError(
-                    f"schedule delay {max_delay} disagrees with probed minimum {bound}"
-                )
-            return MmdResult(period, bound, solution, tuple(probes))
+            solution = lift_path_flow(net, paths, period)
+        else:
+            solution = temporally_repeated(inst, period, bound)
+        if solution is None:
+            exp = build_expanded(inst, bound)
+            answer = probe_reaches(exp, period, inst.batch)
+            if answer.feasible:
+                solution = decompose(exp, answer.flow, inst, period)
+        probes.append((bound, solution is not None))
+        if solution is not None:
+            return MmdResult(period, bound, _checked(inst, solution, bound), tuple(probes))
     return None
+
+
+def _checked(inst: Instance, raw: PeriodicSolution, bound: int) -> PeriodicSolution:
+    """``raw`` with holding normalized, once it is valid with delay ``bound``."""
+    solution = normalize_holding(inst.network, raw)
+    ok, max_delay, violations = validate_solution(inst, solution)
+    if not ok:
+        raise AssertionError(f"schedule at bound {bound} invalid: {violations}")
+    if max_delay != bound:
+        raise AssertionError(
+            f"schedule delay {max_delay} disagrees with probed minimum {bound}"
+        )
+    return solution
 
 
 def min_max_delay_oracle(

@@ -251,6 +251,22 @@ def test_lift_spreads_each_path_over_the_period():
     assert lifted.max_delay == 1 + 3
 
 
+def test_lift_truncates_departures_to_the_bound():
+    # at T=7 the fast link departs 7 times and arrives by bound 11; the slow
+    # one (delay 11) departs once, trimmed to the 3 units still missing
+    inst = make_fastslow_instance()
+    net = inst.network
+    paths = [(("e1",), F(1)), (("e2",), F(10))]
+    lifted = lift_path_flow(net, paths, 7, bound=11, amount=inst.batch)
+    pushes = [(e.links, e.push_offsets(net), e.amount) for e in lifted.entries]
+    assert pushes == [(("e1",), (i,), F(1)) for i in range(7)] + [(("e2",), (0,), F(3))]
+    ok, max_delay, violations = validate_solution(inst, lifted)
+    assert ok and max_delay == 11, violations
+    # at bound 10 the slow link cannot arrive in time
+    short = lift_path_flow(net, paths, 7, bound=10, amount=inst.batch)
+    assert short.total_amount == 7 and short.max_delay == 7
+
+
 def test_steady_rate_paths_prefers_fast_paths():
     net = make_fastslow_instance().network
     paths = steady_rate_paths(net, "s", "r", F(1))

@@ -1,15 +1,17 @@
 """The probe stack answers must not depend on which engine settles them.
 
-Each "no" certificate ahead of the simplex (the stalled pusher's residual
-cut and the float solve with an exact dual certificate) is switched off by
-patching one module-level name, one at a time and all together, and the
-answers and probe trails are held equal to the normal stack's on a corpus
-slice.  So is where the scan starts, the quickest bound in `mmd`: lowered
-to the shortest delay, it changes the probe trails but not the delays or the
-schedules.  With the pusher off as well, every probe the witness does not
-answer falls to the exact simplex.  The corpus never reaches the float
-solve, so its snapped primal, the one "yes" certificate ahead of the
-simplex, is switched off on the complete-6 sweep that needs it.
+Each certificate ahead of the simplex (the truncated temporally repeated
+flow, which settles most "yes" probes without an expansion, the stalled
+pusher's residual cut and the float solve with an exact dual certificate)
+is switched off by patching one module-level name, one at a time and all
+together, and the answers and probe trails are held equal to the normal
+stack's on a corpus slice.  So is where the scan starts, the quickest bound
+in `mmd`: lowered to the shortest delay, it changes the probe trails but not
+the delays or the schedules.  With the pusher off as well, every probe the
+witness does not answer falls to the exact simplex.  The corpus never
+reaches the float solve, so its snapped primal, the one "yes" certificate
+from the float solve, is switched off on the complete-6 sweep that needs it,
+with the temporally repeated flow off so the stall it exists for happens.
 """
 
 from collections import Counter
@@ -36,6 +38,7 @@ from aoiflow.experiments import (
     generate,
     grid_graph,
     pick_endpoints,
+    run_sweep,
     scaled_instance,
 )
 from aoiflow.flowlp import (
@@ -47,10 +50,11 @@ from aoiflow.flowlp import (
     residual_cut,
     snap_primal,
 )
+from aoiflow.expander import HOLDING, TRANSIT
 from aoiflow.lp import violated_row
 from aoiflow.solvers import sweep_periods
-from aoiflow.maxflow import shortest_delay
-from aoiflow.mmd import _min_max_delay_cached, min_max_delay
+from aoiflow.maxflow import min_cost_prefixes, quickest_bound, shortest_delay
+from aoiflow.mmd import _min_max_delay_cached, min_max_delay, repeated_value
 from conftest import corpus_instance
 
 SLICE = range(20, 32)
@@ -65,32 +69,43 @@ SWITCHES = {
     ),
     "residual-cut": (flowlp_module, "residual_cut", lambda *args: None),
     "dual-certificate": (flowlp_module, "_scipy_solve", lambda flow_lp: None),
+    "temporally-repeated": (mmd_module, "temporally_repeated", lambda *args: None),
 }
 
 
 @contextmanager
 def engine_tally(monkeypatch):
-    """Count the engine that settles each probe `mmd` runs, from a cold cache."""
+    """Count the engine that settles each probe `mmd` runs, from a cold cache;
+    the witness is not counted."""
     engines = Counter()
     probe = mmd_module.probe_reaches
+    repeated = mmd_module.temporally_repeated
 
     def counting_probe(*args):
         answer = probe(*args)
         engines[answer.engine] += 1
         return answer
 
+    def counting_repeated(*args):
+        solution = repeated(*args)
+        if solution is not None:
+            engines["temporally-repeated"] += 1
+        return solution
+
     monkeypatch.setattr(mmd_module, "probe_reaches", counting_probe)
+    monkeypatch.setattr(mmd_module, "temporally_repeated", counting_repeated)
     _min_max_delay_cached.cache_clear()
     yield engines
     monkeypatch.setattr(mmd_module, "probe_reaches", probe)
+    monkeypatch.setattr(mmd_module, "temporally_repeated", repeated)
 
 
-def solve_slice(monkeypatch):
+def solve_slice(monkeypatch, seeds=SLICE):
     """Delay, schedule and probe trail per (seed, period), and the engines
     that ran."""
     with engine_tally(monkeypatch) as engines:
         out = {}
-        for seed in SLICE:
+        for seed in seeds:
             inst = corpus_instance(seed)
             for period in feasible_periods(inst):
                 out[seed, period] = min_max_delay(inst, period)
@@ -115,7 +130,9 @@ def fresh_cache():
         ("quickest-bound",),
         ("residual-cut",),
         ("dual-certificate",),
+        ("temporally-repeated",),
         ("quickest-bound", "residual-cut"),
+        ("quickest-bound", "residual-cut", "dual-certificate"),
         tuple(SWITCHES),
     ],
     ids="+".join,
@@ -123,6 +140,7 @@ def fresh_cache():
 def test_certificate_switched_off_keeps_answers(off, monkeypatch, fresh_cache):
     baseline, base_engines = solve_slice(monkeypatch)
     assert base_engines["residual-cut"] > 0
+    assert base_engines["temporally-repeated"] > 0
     for name in off:
         monkeypatch.setattr(*SWITCHES[name])
     forced, engines = solve_slice(monkeypatch)
@@ -130,18 +148,41 @@ def test_certificate_switched_off_keeps_answers(off, monkeypatch, fresh_cache):
     if "quickest-bound" in off:  # the search starts lower, so trails differ
         assert sum(engines.values()) > sum(base_engines.values())
         fields.remove("probes")
+    if "temporally-repeated" in off:  # the pusher's flows make other schedules
+        fields.remove("solution")
     assert view(forced, *fields) == view(baseline, *fields)
-    if "residual-cut" in off:
-        assert engines["residual-cut"] == 0
+    for name in ("residual-cut", "temporally-repeated"):
+        if name in off:
+            assert engines[name] == 0
     if off == ("quickest-bound", "residual-cut"):  # the float dual takes over
         assert engines["dual-certificate"] > 0
-    if len(off) == len(SWITCHES):
+    if {"residual-cut", "dual-certificate"} <= set(off):
         assert engines["simplex"] > 0
+
+
+def test_temporally_repeated_switched_off_keeps_corpus_trails(monkeypatch, fresh_cache):
+    corpus = range(200)
+    baseline, base_engines = solve_slice(monkeypatch, corpus)
+    monkeypatch.setattr(*SWITCHES["temporally-repeated"])
+    forced, engines = solve_slice(monkeypatch, corpus)
+    assert view(forced, "max_delay", "probes") == view(baseline, "max_delay", "probes")
+    assert base_engines["temporally-repeated"] > 0 == engines["temporally-repeated"]
+    assert engines["augment"] > base_engines["augment"]
+
+
+def test_grid_seed7_engine_tally(monkeypatch, fresh_cache):
+    # the bench's timed grid solve: the temporally repeated flow settles
+    # every "yes" probe the witness does not, the residual cut every "no"
+    inst = scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
+    with engine_tally(monkeypatch) as engines:
+        for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
+            solve_optimal(inst, objective)
+    assert engines == Counter({"temporally-repeated": 10, "residual-cut": 3})
 
 
 def test_simplex_only_stack_matches(monkeypatch, fresh_cache):
     baseline, _ = solve_slice(monkeypatch)
-    for name in ("residual-cut", "dual-certificate"):
+    for name in ("residual-cut", "dual-certificate", "temporally-repeated"):
         monkeypatch.setattr(*SWITCHES[name])
     monkeypatch.setattr(
         flowlp_module, "group_augment", lambda *args, **kwargs: Push(None, None)
@@ -173,6 +214,13 @@ def test_scipy_never_called_on_grid16_window(monkeypatch, fresh_cache):
     inst = scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
     for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
         solve_optimal(inst, objective)
+
+
+def test_scipy_never_called_on_batch_complete6_seed4(monkeypatch, fresh_cache):
+    # the bench's timed batch: the temporally repeated flow settles the
+    # period-5 stall the snapped primal used to, so scipy is never imported
+    monkeypatch.setattr(flowlp_module, "_scipy_solve", refuse_float_solve)
+    run_sweep(complete6_seed4())
 
 
 def test_float_dual_settles_what_the_cut_misses():
@@ -305,6 +353,7 @@ def test_primal_snap_never_exceeds_exact_optimum():
 
 def test_primal_snap_switched_off_keeps_reports(monkeypatch, fresh_cache):
     pytest.importorskip("scipy")
+    monkeypatch.setattr(*SWITCHES["temporally-repeated"])
     inst = complete6_seed4()
     with engine_tally(monkeypatch) as engines:
         baseline = [row.report for row, _ in sweep_periods(inst)]
@@ -314,3 +363,84 @@ def test_primal_snap_switched_off_keeps_reports(monkeypatch, fresh_cache):
         forced = [row.report for row, _ in sweep_periods(inst)]
     assert (engines["primal-snap"], engines["simplex"]) == (0, 1)
     assert forced == baseline
+
+
+def expanded_flow(exp, solution):
+    """A schedule of delay at most ``exp.bound`` as a flow on the expansion:
+    each entry holds at a node from its arrival to its push, and at the
+    receiver from its arrival to the bound."""
+    index = {}
+    for j, el in enumerate(exp.links):
+        name = el.link_id if el.kind == TRANSIT else exp.node_of(el.tail)[0]
+        index[el.kind, name, el.push] = j
+    flow = {}
+
+    def carry(key, amount):
+        flow[index[key]] = flow.get(index[key], F(0)) + amount
+
+    net = exp.net
+    for entry in solution.entries:
+        nodes = entry.path_nodes(net)
+        pushes = entry.push_offsets(net) + (exp.bound,)
+        for hop, node in enumerate(nodes):
+            for layer in range(entry.offsets[hop], pushes[hop]):
+                carry((HOLDING, node, layer), entry.amount)
+            if hop < len(entry.links):
+                carry((TRANSIT, entry.links[hop], pushes[hop]), entry.amount)
+    return [flow.get(j, F(0)) for j in range(len(exp.links))]
+
+
+def repeated_schedules(instances, monkeypatch):
+    """(instance, period, bound, schedule) for every schedule the temporally
+    repeated flow wrote while solving every feasible period."""
+    written = []
+    repeated = mmd_module.temporally_repeated
+
+    def recording(inst, period, bound):
+        solution = repeated(inst, period, bound)
+        if solution is not None:
+            written.append((inst, period, bound, solution))
+        return solution
+
+    monkeypatch.setattr(mmd_module, "temporally_repeated", recording)
+    for inst in instances:
+        for period in feasible_periods(inst):
+            min_max_delay(inst, period)
+    return written
+
+
+def test_temporally_repeated_flows_pass_every_program_row(monkeypatch, fresh_cache):
+    complete6 = []
+    for seed in range(30):
+        net = generate(complete_graph(6, seed))
+        complete6.append(scaled_instance(net, *pick_endpoints(net, seed), 5, 10))
+    corpus = [corpus_instance(seed) for seed in range(200)]
+    written = repeated_schedules(corpus + complete6, monkeypatch)
+    assert len(written) > 400
+    for inst, period, bound, solution in written:
+        exp = build_expanded(inst, bound)
+        flow_lp = build_flow_lp(exp, period)
+        values = expanded_flow(exp, solution)
+        assert violated_row(flow_lp.program, values) is None, (inst, period, bound)
+        assert flow_value(flow_lp, values) == inst.batch == solution.total_amount
+
+
+def test_repeated_value_never_above_exact_optimum():
+    # every bound the scan visits on the acceptance corpus
+    checked = certified = 0
+    for seed in range(200):
+        inst = corpus_instance(seed)
+        prefixes = min_cost_prefixes(inst.network, inst.sender, inst.receiver)
+        bottom = quickest_bound(inst.network, inst.sender, inst.receiver, inst.batch)
+        for period in feasible_periods(inst):
+            result = min_max_delay(inst, period)
+            if result is None:
+                continue
+            for bound in range(bottom, result.max_delay + 1):
+                value = max(repeated_value(p, period, bound) for p in prefixes)
+                flow_lp = build_flow_lp(build_expanded(inst, bound), period)
+                exact = solve_lp(flow_lp.program).objective_value
+                assert value <= exact, (seed, period, bound)
+                checked += 1
+                certified += value >= inst.batch
+    assert certified > 0 and checked > certified
