@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Each call builds the top-level parser and the parser of the one command argv
+names; the other commands' parsers are never built.
+
 Exit codes: 0 success, 1 bad input (a usage error included), 2 infeasible
 instance.
 """
@@ -7,7 +10,6 @@ instance.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from . import experiments, fileio
@@ -34,62 +36,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@functools.cache  # parsing leaves the parser as it was, so one serves every call
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="aoiflow",
-        description="Periodic multi-path schedules minimizing age-of-information",
-    )
-    parser.add_argument("--quiet", action="store_true", help="suppress human output")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Command:
+    """Stand-in for one command's parser that builds it only when argv picks it.
 
-    p = sub.add_parser("solve", help="optimal solve over the period window")
-    p.add_argument("objective", choices=["mpa", "maa", "mmd"])
-    p.add_argument("instance")
-    p.add_argument("--sol", help="write the schedule here")
-    p.add_argument("--csv", help="write the per-period sweep here")
-    p.add_argument("--mu-override", type=int, help="search ceiling override")
+    `add_subparsers(parser_class=_Command)` makes one per command, and
+    `_SubParsersAction` calls `parse_known_args` on the chosen one alone.
+    """
 
-    p = sub.add_parser("approx", help="steady-rate approximation framework")
-    p.add_argument("objective", choices=["mpa", "maa"])
-    p.add_argument("instance")
-    p.add_argument("--sol", help="write the schedule here")
-    p.add_argument("--alpha", default="1", help="declared backend guarantee (p/q)")
+    def __init__(self, add_arguments, **kwargs):
+        self._add_arguments = add_arguments
+        self._kwargs = kwargs  # prog, and whatever else add_parser passes
 
-    p = sub.add_parser("validate", help="check a schedule file against an instance")
-    p.add_argument("instance")
-    p.add_argument("solution")
-
-    p = sub.add_parser("mmd-at-period", help="minimum maximum delay at one period")
-    p.add_argument("instance")
-    p.add_argument("period", type=int)
-    p.add_argument("--sol", help="write the schedule here")
-    p.add_argument("--mu-override", type=int)
-
-    p = sub.add_parser("gen", help="generate a topology")
-    p.add_argument(
-        "kind", choices=["complete", "grid", "erdos-renyi", "watts-strogatz", "copying"]
-    )
-    p.add_argument("params", nargs="*", help="model parameters (see docs)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("sweep", help="per-period optimal vs replay table")
-    p.add_argument("instance")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--mu-override", type=int)
-
-    p = sub.add_parser("batch", help="summary over seeded random instances")
-    p.add_argument(
-        "kind", choices=["complete", "grid", "erdos-renyi", "watts-strogatz", "copying"]
-    )
-    p.add_argument("params", nargs="*")
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=int, default=5, help="batch = scale * capacity")
-    p.add_argument("--periods", type=int, default=10)
-    p.add_argument("--csv", required=True)
-    return parser
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self._kwargs)
+        self._add_arguments(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 def _spec_for(kind: str, params: list[str], seed: int) -> experiments.TopologySpec:
@@ -117,6 +78,14 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _solve_arguments(p) -> None:
+    p.add_argument("objective", choices=["mpa", "maa", "mmd"])
+    p.add_argument("instance")
+    p.add_argument("--sol", help="write the schedule here")
+    p.add_argument("--csv", help="write the per-period sweep here")
+    p.add_argument("--mu-override", type=int, help="search ceiling override")
+
+
 def _cmd_solve(args) -> int:
     inst = fileio.load_instance(args.instance)
     objective = OBJECTIVES[args.objective]
@@ -125,6 +94,11 @@ def _cmd_solve(args) -> int:
     except AllInfeasibleError:
         _emit(args, "infeasible at every period")
         return 2
+    if args.sol:
+        fileio.save_solution(inst.network, outcome.solution, inst.batch, args.sol)
+    if args.csv:
+        rows = experiments.run_sweep(inst, args.mu_override)
+        experiments.write_sweep_csv(rows, args.instance, args.csv)
     best = outcome.best
     rates = ",".join(_fr(r) for r in sorted(outcome.optimal_throughputs))
     _emit(
@@ -133,12 +107,14 @@ def _cmd_solve(args) -> int:
         f"M={best.max_delay} peak={best.peak_aoi} avg={_fr(best.avg_aoi)} "
         f"optimal_throughputs={{{rates}}}",
     )
-    if args.sol:
-        fileio.save_solution(inst.network, outcome.solution, inst.batch, args.sol)
-    if args.csv:
-        rows = experiments.run_sweep(inst, args.mu_override)
-        experiments.write_sweep_csv(rows, args.instance, args.csv)
     return 0
+
+
+def _approx_arguments(p) -> None:
+    p.add_argument("objective", choices=["mpa", "maa"])
+    p.add_argument("instance")
+    p.add_argument("--sol", help="write the schedule here")
+    p.add_argument("--alpha", default="1", help="declared backend guarantee (p/q)")
 
 
 def _cmd_approx(args) -> int:
@@ -151,6 +127,8 @@ def _cmd_approx(args) -> int:
     except AllInfeasibleError:
         _emit(args, "infeasible at every period")
         return 2
+    if args.sol:
+        fileio.save_solution(inst.network, outcome.solution, inst.batch, args.sol)
     rep = outcome.report
     _emit(
         args,
@@ -158,9 +136,12 @@ def _cmd_approx(args) -> int:
         f"M={rep.max_delay} peak={rep.peak_aoi} avg={_fr(rep.avg_aoi)} "
         f"ratio_bound={_fr(outcome.ratio_bound)}",
     )
-    if args.sol:
-        fileio.save_solution(inst.network, outcome.solution, inst.batch, args.sol)
     return 0
+
+
+def _validate_arguments(p) -> None:
+    p.add_argument("instance")
+    p.add_argument("solution")
 
 
 def _cmd_validate(args) -> int:
@@ -179,21 +160,37 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _mmd_at_period_arguments(p) -> None:
+    p.add_argument("instance")
+    p.add_argument("period", type=int)
+    p.add_argument("--sol", help="write the schedule here")
+    p.add_argument("--mu-override", type=int)
+
+
 def _cmd_mmd_at_period(args) -> int:
     inst = fileio.load_instance(args.instance)
     result = min_max_delay(inst, args.period, args.mu_override)
     if result is None:
         _emit(args, f"infeasible at period {args.period}")
         return 2
+    if args.sol:
+        fileio.save_solution(inst.network, result.solution, inst.batch, args.sol)
     peak, avg = aoi_from_max_delay(result.max_delay, result.period)
     _emit(
         args,
         f"T={result.period} M={result.max_delay} peak={peak} avg={_fr(avg)} "
         f"probes={len(result.probes)}",
     )
-    if args.sol:
-        fileio.save_solution(inst.network, result.solution, inst.batch, args.sol)
     return 0
+
+
+def _gen_arguments(p) -> None:
+    p.add_argument(
+        "kind", choices=["complete", "grid", "erdos-renyi", "watts-strogatz", "copying"]
+    )
+    p.add_argument("params", nargs="*", help="model parameters (see docs)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
 
 
 def _cmd_gen(args) -> int:
@@ -211,6 +208,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _sweep_arguments(p) -> None:
+    p.add_argument("instance")
+    p.add_argument("--csv", required=True)
+    p.add_argument("--mu-override", type=int)
+
+
 def _cmd_sweep(args) -> int:
     inst = fileio.load_instance(args.instance)
     rows = experiments.run_sweep(inst, args.mu_override)
@@ -220,6 +223,18 @@ def _cmd_sweep(args) -> int:
         return 2
     _emit(args, f"{len(rows)} periods -> {args.csv}")
     return 0
+
+
+def _batch_arguments(p) -> None:
+    p.add_argument(
+        "kind", choices=["complete", "grid", "erdos-renyi", "watts-strogatz", "copying"]
+    )
+    p.add_argument("params", nargs="*")
+    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--scale", type=int, default=5, help="batch = scale * capacity")
+    p.add_argument("--periods", type=int, default=10)
+    p.add_argument("--csv", required=True)
 
 
 def _cmd_batch(args) -> int:
@@ -240,21 +255,43 @@ def _cmd_batch(args) -> int:
     return 0
 
 
+# name -> (help line, adds the command's arguments, handler)
 COMMANDS = {
-    "solve": _cmd_solve,
-    "approx": _cmd_approx,
-    "validate": _cmd_validate,
-    "mmd-at-period": _cmd_mmd_at_period,
-    "gen": _cmd_gen,
-    "sweep": _cmd_sweep,
-    "batch": _cmd_batch,
+    "solve": ("optimal solve over the period window", _solve_arguments, _cmd_solve),
+    "approx": ("steady-rate approximation framework", _approx_arguments, _cmd_approx),
+    "validate": (
+        "check a schedule file against an instance",
+        _validate_arguments,
+        _cmd_validate,
+    ),
+    "mmd-at-period": (
+        "minimum maximum delay at one period",
+        _mmd_at_period_arguments,
+        _cmd_mmd_at_period,
+    ),
+    "gen": ("generate a topology", _gen_arguments, _cmd_gen),
+    "sweep": ("per-period optimal vs replay table", _sweep_arguments, _cmd_sweep),
+    "batch": ("summary over seeded random instances", _batch_arguments, _cmd_batch),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="aoiflow",
+        description="Periodic multi-path schedules minimizing age-of-information",
+    )
+    parser.add_argument("--quiet", action="store_true", help="suppress human output")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    for name, (summary, add_arguments, _) in COMMANDS.items():
+        sub.add_parser(name, help=summary, add_arguments=add_arguments)
+    return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, _, run = COMMANDS[args.command]
     try:
-        return COMMANDS[args.command](args)
+        return run(args)
     except (ValueError, OSError) as exc:  # ModelError, bad JSON, bad numbers
         print(f"error: {exc}", file=sys.stderr)
         return 1

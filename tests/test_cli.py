@@ -1,4 +1,6 @@
+import argparse
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -241,3 +243,303 @@ def test_help_exits_0(capsys):
 def test_quiet_suppresses_output(fastslow_path, capsys):
     assert main(["--quiet", "solve", "mpa", fastslow_path]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "mpa", "{inst}", "--sol", "{bad}"],
+        ["solve", "mpa", "{inst}", "--csv", "{bad}"],
+        ["approx", "mpa", "{inst}", "--sol", "{bad}"],
+        ["mmd-at-period", "{inst}", "7", "--sol", "{bad}"],
+    ],
+)
+def test_failed_write_prints_no_result(argv, fastslow_path, tmp_path, capsys):
+    # the result line is printed only once every requested file is written
+    bad = str(tmp_path / "missing" / "out")
+    assert main([a.format(inst=fastslow_path, bad=bad) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert bad in captured.err and "Traceback" not in captured.err
+
+
+def test_main_builds_only_the_invoked_command_parser(fastslow_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    assert main(["--quiet", "mmd-at-period", fastslow_path, "7"]) == 0
+    assert built == ["aoiflow", "aoiflow mmd-at-period"]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert built == ["aoiflow"]
+
+
+# (argv, exit code, stdout, stderr) at COLUMNS=80
+CLI_TEXT = [
+    (
+        ["--help"],
+        0,
+        """\
+usage: aoiflow [-h] [--quiet]
+               {solve,approx,validate,mmd-at-period,gen,sweep,batch} ...
+
+Periodic multi-path schedules minimizing age-of-information
+
+positional arguments:
+  {solve,approx,validate,mmd-at-period,gen,sweep,batch}
+    solve               optimal solve over the period window
+    approx              steady-rate approximation framework
+    validate            check a schedule file against an instance
+    mmd-at-period       minimum maximum delay at one period
+    gen                 generate a topology
+    sweep               per-period optimal vs replay table
+    batch               summary over seeded random instances
+
+options:
+  -h, --help            show this help message and exit
+  --quiet               suppress human output
+""",
+        "",
+    ),
+    (
+        [],
+        1,
+        "",
+        """\
+usage: aoiflow [-h] [--quiet]
+               {solve,approx,validate,mmd-at-period,gen,sweep,batch} ...
+aoiflow: error: the following arguments are required: command
+""",
+    ),
+    (
+        ["frobnicate"],
+        1,
+        "",
+        """\
+usage: aoiflow [-h] [--quiet]
+               {solve,approx,validate,mmd-at-period,gen,sweep,batch} ...
+aoiflow: error: argument command: invalid choice: 'frobnicate' (choose from 'solve', 'approx', 'validate', 'mmd-at-period', 'gen', 'sweep', 'batch')
+""",
+    ),
+    (
+        ["solve", "-h"],
+        0,
+        """\
+usage: aoiflow solve [-h] [--sol SOL] [--csv CSV] [--mu-override MU_OVERRIDE]
+                     {mpa,maa,mmd} instance
+
+positional arguments:
+  {mpa,maa,mmd}
+  instance
+
+options:
+  -h, --help            show this help message and exit
+  --sol SOL             write the schedule here
+  --csv CSV             write the per-period sweep here
+  --mu-override MU_OVERRIDE
+                        search ceiling override
+""",
+        "",
+    ),
+    (
+        ["approx", "-h"],
+        0,
+        """\
+usage: aoiflow approx [-h] [--sol SOL] [--alpha ALPHA] {mpa,maa} instance
+
+positional arguments:
+  {mpa,maa}
+  instance
+
+options:
+  -h, --help     show this help message and exit
+  --sol SOL      write the schedule here
+  --alpha ALPHA  declared backend guarantee (p/q)
+""",
+        "",
+    ),
+    (
+        ["validate", "-h"],
+        0,
+        """\
+usage: aoiflow validate [-h] instance solution
+
+positional arguments:
+  instance
+  solution
+
+options:
+  -h, --help  show this help message and exit
+""",
+        "",
+    ),
+    (
+        ["mmd-at-period", "-h"],
+        0,
+        """\
+usage: aoiflow mmd-at-period [-h] [--sol SOL] [--mu-override MU_OVERRIDE]
+                             instance period
+
+positional arguments:
+  instance
+  period
+
+options:
+  -h, --help            show this help message and exit
+  --sol SOL             write the schedule here
+  --mu-override MU_OVERRIDE
+""",
+        "",
+    ),
+    (
+        ["gen", "-h"],
+        0,
+        """\
+usage: aoiflow gen [-h] [--seed SEED] --out OUT
+                   {complete,grid,erdos-renyi,watts-strogatz,copying}
+                   [params ...]
+
+positional arguments:
+  {complete,grid,erdos-renyi,watts-strogatz,copying}
+  params                model parameters (see docs)
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --out OUT
+""",
+        "",
+    ),
+    (
+        ["sweep", "-h"],
+        0,
+        """\
+usage: aoiflow sweep [-h] --csv CSV [--mu-override MU_OVERRIDE] instance
+
+positional arguments:
+  instance
+
+options:
+  -h, --help            show this help message and exit
+  --csv CSV
+  --mu-override MU_OVERRIDE
+""",
+        "",
+    ),
+    (
+        ["batch", "-h"],
+        0,
+        """\
+usage: aoiflow batch [-h] [--count COUNT] [--seed SEED] [--scale SCALE]
+                     [--periods PERIODS] --csv CSV
+                     {complete,grid,erdos-renyi,watts-strogatz,copying}
+                     [params ...]
+
+positional arguments:
+  {complete,grid,erdos-renyi,watts-strogatz,copying}
+  params
+
+options:
+  -h, --help            show this help message and exit
+  --count COUNT
+  --seed SEED
+  --scale SCALE         batch = scale * capacity
+  --periods PERIODS
+  --csv CSV
+""",
+        "",
+    ),
+    (
+        ["solve", "xyz", "inst.json"],
+        1,
+        "",
+        """\
+usage: aoiflow solve [-h] [--sol SOL] [--csv CSV] [--mu-override MU_OVERRIDE]
+                     {mpa,maa,mmd} instance
+aoiflow solve: error: argument objective: invalid choice: 'xyz' (choose from 'mpa', 'maa', 'mmd')
+""",
+    ),
+    (
+        ["approx", "mmd", "inst.json"],
+        1,
+        "",
+        """\
+usage: aoiflow approx [-h] [--sol SOL] [--alpha ALPHA] {mpa,maa} instance
+aoiflow approx: error: argument objective: invalid choice: 'mmd' (choose from 'mpa', 'maa')
+""",
+    ),
+    (
+        ["validate", "inst.json"],
+        1,
+        "",
+        """\
+usage: aoiflow validate [-h] instance solution
+aoiflow validate: error: the following arguments are required: solution
+""",
+    ),
+    (
+        ["mmd-at-period", "inst.json", "abc"],
+        1,
+        "",
+        """\
+usage: aoiflow mmd-at-period [-h] [--sol SOL] [--mu-override MU_OVERRIDE]
+                             instance period
+aoiflow mmd-at-period: error: argument period: invalid int value: 'abc'
+""",
+    ),
+    (
+        ["gen", "complete", "6"],
+        1,
+        "",
+        """\
+usage: aoiflow gen [-h] [--seed SEED] --out OUT
+                   {complete,grid,erdos-renyi,watts-strogatz,copying}
+                   [params ...]
+aoiflow gen: error: the following arguments are required: --out
+""",
+    ),
+    (
+        ["sweep", "inst.json", "--mu-override", "x"],
+        1,
+        "",
+        """\
+usage: aoiflow sweep [-h] --csv CSV [--mu-override MU_OVERRIDE] instance
+aoiflow sweep: error: argument --mu-override: invalid int value: 'x'
+""",
+    ),
+    (
+        ["batch", "complete", "6", "--csv", "o.csv", "--bogus"],
+        1,
+        "",
+        """\
+usage: aoiflow [-h] [--quiet]
+               {solve,approx,validate,mmd-at-period,gen,sweep,batch} ...
+aoiflow: error: unrecognized arguments: --bogus
+""",
+    ),
+]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="recorded with Python 3.11, whose argparse words and lays out help "
+    "differently from later versions",
+)
+@pytest.mark.parametrize(
+    "argv,code,out,err", CLI_TEXT, ids=[" ".join(c[0]) or "no-command" for c in CLI_TEXT]
+)
+def test_cli_text_is_exact(argv, code, out, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (code, out, err)
