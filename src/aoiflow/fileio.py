@@ -62,6 +62,10 @@ def network_to_dict(net: Network) -> dict:
 
 def network_from_dict(data: dict) -> Network:
     try:
+        for field in ("nodes", "links"):
+            # a JSON string or object would iterate as characters or keys
+            if not isinstance(data[field], list):
+                raise TypeError(f"{field} must be an array")
         links = tuple(
             Link(
                 id=str(entry["id"]),

@@ -2,26 +2,27 @@
 
 `min_max_delay` scans the delay bound M upward: probe a bound, ask whether
 the expanded flow program can deliver the whole batch within M layers, and
-stop at the first bound that can.  The scan runs from the quickest bound to
-the witness delay:
+stop at the first bound that can.  The successive min-cost flows on the
+physical network (`maxflow.min_cost_prefixes`) decide where the scan starts
+and why it ends:
 
 * a periodic schedule at period T induces a static flow of rate batch/T by
-  averaging one period, so when the static max-flow rate is below batch/T no
-  bound is feasible and the scan never starts;
-* conversely any static flow of that rate lifts to a schedule (spread each
-  path's rate over the period's offsets), a witness whose delay W, the
-  slowest path's delay plus T - 1, ends the scan: reached there, it is
-  validated and returned without a probe;
+  averaging one period, so when the last prefix, a maximum flow, has a rate
+  below batch/T no bound is feasible and the scan never starts;
 * giving each link copy its own bandwidth, instead of sharing it across the
   copies of one push-residue class, only loosens the program, and what is
   left is the maximum flow over time (Ford and Fulkerson).  No bound below
   the quickest flow time of the batch is feasible at any period, so that
-  time, from the successive min-cost flows on the physical network
-  (`maxflow.min_cost_prefixes`), is where the scan starts; it is usually the
-  answer itself, and the answer is rarely more than a few bounds above it.
+  time is where the scan starts; it is usually the answer itself, and the
+  answer is rarely more than a few bounds above it;
+* and the scan ends by itself: take d* as the least delay at which the
+  last prefix's paths of delay at most d* carry rate batch/T.  At the bound
+  T - 1 + d* each of those paths departs T times, so the temporally
+  repeated flow below delivers at least the batch there (`repeated_value`),
+  and that bound is settled without an expansion.
 
-A ``horizon`` caps the scan as a search ceiling.  Every bound below the
-witness delay is settled by the first of these engines that can:
+A ``horizon`` caps the scan as a search ceiling.  Every bound is settled by
+the first of these engines that can:
 
 * the temporally repeated flow (`temporally_repeated`): each path of one of
   those min-cost flows departs at up to T consecutive offsets, as many as
@@ -50,7 +51,7 @@ from itertools import accumulate
 from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound
 from .flowlp import build_flow_lp, extract_edge_flow, probe_reaches
 from .lp import OPTIMAL, solve_lp
-from .maxflow import Prefix, decompose_paths, max_flow, min_cost_prefixes, quickest_bound
+from .maxflow import Prefix, max_flow, min_cost_prefixes, quickest_bound
 from .model import (
     Instance,
     ModelError,
@@ -78,19 +79,19 @@ def lift_path_flow(
     net: Network,
     path_rates: Sequence[tuple[tuple[str, ...], Fraction]],
     period: int,
-    bound: int | None = None,
+    bound: int,
     amount: Fraction | None = None,
 ) -> PeriodicSolution:
     """Send each path's rate at departures 0, 1, ... with no holding past the sender.
 
-    Without ``bound`` every path departs at all ``period`` offsets, so rates
-    summing to R per slot become a schedule delivering R*period per period
-    with delay (slowest path delay + period - 1).  With it, a path of delay
-    d departs min(period, bound + 1 - d) times, so everything arrives by
-    ``bound``: the temporally repeated flow truncated to one period.  Either
-    way each path meets each push-residue class of its links at most once,
-    so paths from a static flow within the bandwidths give a schedule within
-    them.  Entries stop once they total ``amount``, when one is given.
+    A path of delay d departs min(period, bound + 1 - d) times, so everything
+    arrives by ``bound``: the temporally repeated flow truncated to one
+    period.  At a bound of (slowest path delay + period - 1) every path
+    departs at all ``period`` offsets, so rates summing to R per slot become
+    a schedule delivering R*period per period.  Each path meets each
+    push-residue class of its links at most once, so paths from a static
+    flow within the bandwidths give a schedule within them.  Entries stop
+    once they total ``amount``, when one is given.
     """
     index = net.link_index
     entries = []
@@ -99,8 +100,7 @@ def lift_path_flow(
         if rate <= 0:
             continue
         arrivals = (0, *accumulate(index[link_id].delay for link_id in links))
-        departures = period if bound is None else min(period, bound + 1 - arrivals[-1])
-        for start in range(departures):
+        for start in range(min(period, bound + 1 - arrivals[-1])):
             take = rate if remaining is None else min(rate, remaining)
             if take <= 0:
                 break
@@ -145,31 +145,6 @@ def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolu
     if best is None or value < inst.batch:
         return None
     return lift_path_flow(net, best.paths, period, bound, inst.batch)
-
-
-def steady_rate_paths(
-    net: Network, sender: str, receiver: str, rate: Fraction
-) -> list[tuple[tuple[str, ...], Fraction]] | None:
-    """A per-slot path flow of exactly ``rate``, favouring fast paths.
-
-    Decomposes a static max-flow and keeps the lowest-delay paths first;
-    None when the network cannot sustain the rate.
-    """
-    flow, value = max_flow(net, sender, receiver)
-    if value < rate:
-        return None
-    paths = decompose_paths(net, flow, sender, receiver)
-    index = net.link_index
-    paths.sort(key=lambda pr: (sum(index[l].delay for l in pr[0]), pr[0]))
-    chosen: list[tuple[tuple[str, ...], Fraction]] = []
-    remaining = rate
-    for links, amount in paths:
-        if remaining <= 0:
-            break
-        take = min(amount, remaining)
-        chosen.append((links, take))
-        remaining -= take
-    return chosen
 
 
 def decompose(
@@ -302,25 +277,15 @@ def _min_max_delay_cached(
     inst: Instance, period: int, horizon: int
 ) -> MmdResult | None:
     net = inst.network
-    paths = steady_rate_paths(
-        net, inst.sender, inst.receiver, Fraction(inst.batch, period)
-    )
-    if paths is None:
+    prefixes = min_cost_prefixes(net, inst.sender, inst.receiver)
+    if not prefixes or prefixes[-1].rate < Fraction(inst.batch, period):
         return None
-    # the lifted witness never holds, so its slowest path departing at the
-    # last offset sets its delay
-    index = net.link_index
-    witness_delay = period - 1 + max(
-        sum(index[link_id].delay for link_id in links) for links, _ in paths
-    )
-
     probes: list[tuple[int, bool]] = []
     bottom = quickest_bound(net, inst.sender, inst.receiver, inst.batch)
-    for bound in range(bottom, min(witness_delay, horizon) + 1):
-        if bound == witness_delay:  # every lower bound failed its probe
-            solution = lift_path_flow(net, paths, period)
-        else:
-            solution = temporally_repeated(inst, period, bound)
+    # the temporally repeated flow settles T - 1 + d* at the latest, so the
+    # scan ends there (module docstring)
+    for bound in range(bottom, horizon + 1):
+        solution = temporally_repeated(inst, period, bound)
         if solution is None:
             exp = build_expanded(inst, bound)
             answer = probe_reaches(exp, period, inst.batch)

@@ -191,10 +191,10 @@ def approx_solve(
     if flow is None:
         raise AllInfeasibleError("steady-rate subproblem infeasible at r_min")
     period = inst.max_period
-    solution = lift_path_flow(inst.network, list(flow.paths), period)
     max_delay = flow.max_delay + period - 1
-    if solution.max_delay != max_delay:
-        raise AssertionError("lifted schedule delay disagrees with backend delay")
+    solution = lift_path_flow(inst.network, list(flow.paths), period, max_delay)
+    if solution.max_delay != max_delay or solution.total_amount != flow.rate * period:
+        raise AssertionError("lifted schedule disagrees with backend delay or rate")
     report = report_for(inst.r_min, period, max_delay)
     ratio = Fraction(inst.r_max, inst.r_min)
     c = 2 * ratio if objective is Objective.PEAK_AOI else 3 * ratio

@@ -85,6 +85,17 @@ def test_ill_formed_network_exits_1(pos, field, value, code, tmp_path, capsys):
     assert code in err and "Traceback" not in err
 
 
+def test_string_nodes_exit_1(tmp_path, capsys):
+    # the fastslow nodes are s and r, so "sr" would iterate into a solvable
+    # instance
+    data = instance_to_dict(make_fastslow_instance())
+    data["nodes"] = "sr"
+    path = tmp_path / "ill.inst"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "mpa", str(path)]) == 1
+    assert "nodes must be an array" in capsys.readouterr().err
+
+
 def test_validate_detects_batch_mismatch(fastslow_path, tmp_path, capsys):
     sol = tmp_path / "s.sol"
     assert main(["solve", "mpa", fastslow_path, "--sol", str(sol)]) == 0

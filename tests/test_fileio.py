@@ -9,6 +9,7 @@ from aoiflow.fileio import (
     load_instance,
     load_network,
     load_solution,
+    network_from_dict,
     parse_rational,
     save_instance,
     save_network,
@@ -140,3 +141,12 @@ def test_malformed_network_data_raises():
         from aoiflow.fileio import network_from_dict
 
         network_from_dict({"nodes": ["s"], "links": [{"id": "e"}]})
+
+
+@pytest.mark.parametrize("field", ["nodes", "links"])
+@pytest.mark.parametrize("value", ["sr", {"s": 1, "r": 2}])
+def test_network_fields_must_be_arrays(field, value):
+    # "nodes": "sr" would otherwise iterate into the nodes s and r
+    data = {"nodes": ["s", "r"], "links": [], field: value}
+    with pytest.raises(ModelError, match=f"{field} must be an array"):
+        network_from_dict(data)

@@ -22,9 +22,9 @@ from aoiflow.flowlp import (
     snap_primal,
 )
 from aoiflow.lp import EQ, LE, OPTIMAL, LinearProgram
-from aoiflow.maxflow import quickest_bound, shortest_delay
-from aoiflow.mmd import lift_path_flow, min_max_delay, steady_rate_paths
-from aoiflow.model import feasible_periods, normalize_holding, validate_solution
+from aoiflow.maxflow import decompose_paths, max_flow, quickest_bound, shortest_delay
+from aoiflow.mmd import min_max_delay
+from aoiflow.model import feasible_periods
 from conftest import corpus_instance, make_fastslow_instance
 
 
@@ -390,14 +390,23 @@ def test_group_augment_matches_reference():
     for inst in instances:
         net = inst.network
         low = shortest_delay(net, inst.sender)[inst.receiver]
+        flow, _ = max_flow(net, inst.sender, inst.receiver)
+        paths = sorted(
+            (sum(net.link_index[l].delay for l in links), rate)
+            for links, rate in decompose_paths(net, flow, inst.sender, inst.receiver)
+        )
         for period in feasible_periods(inst):
-            rate = F(inst.batch, period)
-            paths = steady_rate_paths(net, inst.sender, inst.receiver, rate)
-            if paths is None:
+            # the lifted max-flow paths carrying rate D/T, fastest first: their
+            # slowest departs at offset T - 1 and arrives at the top bound
+            carried, top = F(0), None
+            for delay, rate in paths:
+                carried += rate
+                if carried >= F(inst.batch, period):
+                    top = period - 1 + delay
+                    break
+            if top is None:
                 continue
-            witness = normalize_holding(net, lift_path_flow(net, paths, period))
-            _, witness_delay, _ = validate_solution(inst, witness)
-            for bound in range(low, witness_delay + 1):
+            for bound in range(low, top + 1):
                 exp = build_expanded(inst, bound)
                 got = group_augment(exp, period, inst.batch).flow
                 want = reference_group_augment(exp, inst, period, inst.batch)

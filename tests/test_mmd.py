@@ -19,9 +19,15 @@ from aoiflow import (
 )
 from aoiflow import mmd as mmd_module
 from aoiflow.expander import TRANSIT
-from aoiflow.experiments import generate, grid_graph, scaled_instance
-from aoiflow.maxflow import max_flow, quickest_bound
-from aoiflow.mmd import _min_max_delay_cached, lift_path_flow, steady_rate_paths
+from aoiflow.experiments import (
+    complete_graph,
+    generate,
+    grid_graph,
+    pick_endpoints,
+    scaled_instance,
+)
+from aoiflow.maxflow import max_flow, min_cost_prefixes, quickest_bound
+from aoiflow.mmd import _min_max_delay_cached, lift_path_flow, repeated_value
 from aoiflow.solvers import mmd1_exact
 from conftest import corpus_instance, make_fastslow_instance, make_triple_instance
 
@@ -109,9 +115,10 @@ def test_probe_trail_is_scan_from_quickest_bound():
             assert result.probes == expected, (seed, period)
 
 
-def test_witness_ends_scan_without_a_probe(monkeypatch):
-    # at a large period the pusher's probe at the witness delay would be its
-    # slowest; the witness settles that bound, so only the bound below runs
+def test_repeated_flow_settles_top_bound_without_expansion(monkeypatch):
+    # at a large period the pusher's probe at the answer would be its
+    # slowest; the temporally repeated flow settles that bound, so only the
+    # bound below runs
     inst = scaled_instance(generate(grid_graph(2, 2, seed=0)), "a1_1", "a2_2", 100, 1)
     calls = []
     probe = mmd_module.probe_reaches
@@ -244,7 +251,8 @@ def test_decompose_reroutes_node_revisit_through_holding():
 
 def test_lift_spreads_each_path_over_the_period():
     net = make_fastslow_instance().network
-    lifted = lift_path_flow(net, [(("e1",), F(1, 2))], 4)
+    # at bound (delay 1) + (period 4) - 1 the path departs at every offset
+    lifted = lift_path_flow(net, [(("e1",), F(1, 2))], 4, 4)
     assert len(lifted.entries) == 4
     assert lifted.total_amount == 2
     assert sorted(e.push_offsets(net)[0] for e in lifted.entries) == [0, 1, 2, 3]
@@ -267,10 +275,37 @@ def test_lift_truncates_departures_to_the_bound():
     assert short.total_amount == 7 and short.max_delay == 7
 
 
-def test_steady_rate_paths_prefers_fast_paths():
-    net = make_fastslow_instance().network
-    paths = steady_rate_paths(net, "s", "r", F(1))
-    assert paths == [(("e1",), F(1))]
-    assert steady_rate_paths(net, "s", "r", F(12)) is None
-    both = steady_rate_paths(net, "s", "r", F(11))
-    assert sum(r for _, r in both) == 11
+def test_repeated_flow_ends_scan_by_fastest_rate_paths(monkeypatch):
+    # the last min-cost prefix is a maximum flow; d* is the least delay at
+    # which its paths no slower than d* carry rate D/T.  Each of them departs
+    # T times by T - 1 + d*, so the temporally repeated flow settles that
+    # bound, which ends the scan without a static max-flow of its own
+    complete6 = []
+    for seed in range(30):
+        net = generate(complete_graph(6, seed))
+        complete6.append(scaled_instance(net, *pick_endpoints(net, seed), 5, 10))
+    corpus = [corpus_instance(seed) for seed in range(200)]
+
+    def refuse_max_flow(*args):
+        raise AssertionError("max_flow reached")
+
+    monkeypatch.setattr(mmd_module, "max_flow", refuse_max_flow)
+    _min_max_delay_cached.cache_clear()
+    tight = 0
+    for inst in corpus + complete6:
+        last = min_cost_prefixes(inst.network, inst.sender, inst.receiver)[-1]
+        for period in feasible_periods(inst):
+            result = min_max_delay(inst, period)
+            if result is None:
+                continue
+            rate = F(inst.batch, period)
+            d_star = min(
+                d
+                for d in last.delays
+                if sum(r for (_, r), e in zip(last.paths, last.delays) if e <= d) >= rate
+            )
+            top = period - 1 + d_star
+            assert repeated_value(last, period, top) >= inst.batch, (inst, period)
+            assert result.max_delay <= top, (inst, period)
+            tight += result.max_delay == top
+    assert tight > 0

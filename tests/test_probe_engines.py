@@ -7,11 +7,11 @@ is switched off by patching one module-level name, one at a time and all
 together, and the answers and probe trails are held equal to the normal
 stack's on a corpus slice.  So is where the scan starts, the quickest bound
 in `mmd`: lowered to the shortest delay, it changes the probe trails but not
-the delays or the schedules.  With the pusher off as well, every probe the
-witness does not answer falls to the exact simplex.  The corpus never
-reaches the float solve, so its snapped primal, the one "yes" certificate
-from the float solve, is switched off on the complete-6 sweep that needs it,
-with the temporally repeated flow off so the stall it exists for happens.
+the delays or the schedules.  With the pusher off as well, every probe
+falls to the exact simplex.  The corpus never reaches the float solve, so
+its snapped primal, the one "yes" certificate from the float solve, is
+switched off on the complete-6 sweep that needs it, with the temporally
+repeated flow off so the stall it exists for happens.
 """
 
 from collections import Counter
@@ -75,8 +75,8 @@ SWITCHES = {
 
 @contextmanager
 def engine_tally(monkeypatch):
-    """Count the engine that settles each probe `mmd` runs, from a cold cache;
-    the witness is not counted."""
+    """Count the engine that settles each probe `mmd` runs, from a cold
+    cache."""
     engines = Counter()
     probe = mmd_module.probe_reaches
     repeated = mmd_module.temporally_repeated
@@ -172,7 +172,7 @@ def test_temporally_repeated_switched_off_keeps_corpus_trails(monkeypatch, fresh
 
 def test_grid_seed7_engine_tally(monkeypatch, fresh_cache):
     # the bench's timed grid solve: the temporally repeated flow settles
-    # every "yes" probe the witness does not, the residual cut every "no"
+    # every "yes" probe, the residual cut every "no"
     inst = scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
     with engine_tally(monkeypatch) as engines:
         for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):

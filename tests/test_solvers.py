@@ -210,6 +210,18 @@ def test_approx_pluggable_backend_alpha():
     assert ok
 
 
+def test_approx_refuses_backend_understating_delay():
+    from aoiflow.solvers import PathFlow
+
+    def lying_backend(net, s, r, rate):
+        # the slow link's delay is 11, not 10: lifted by bound 10 + T - 1 at
+        # T = 10 it departs 9 times, the last arriving at the bound itself
+        return PathFlow(paths=((("e2",), rate),), max_delay=10)
+
+    with pytest.raises(AssertionError, match="backend delay"):
+        approx_solve(make_fastslow_instance(), Objective.PEAK_AOI, backend=lying_backend)
+
+
 # --- cross-objective relation checks ----------------------------------------
 
 
