@@ -13,6 +13,9 @@ all read them from there.
 which even the program without shared groups falls short.  Probes are
 settled in this order, every answer certified with exact arithmetic:
 
+* the period cut (`period_cut`): a static max flow on the physical network
+  whose links carry the bandwidths of all their capacity groups bounds the
+  program's value from above ("no" answers, with no pushing),
 * an augmenting-path pusher on the group-capacitated residual graph (fast
   "yes" answers with an exact witness flow),
 * the residual cut of a stalled pusher: every link copy leaving the node set
@@ -28,7 +31,7 @@ settled in this order, every answer certified with exact arithmetic:
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -43,6 +46,8 @@ from .lp import (
     solve_lp_reaching,
     violated_row,
 )
+from .maxflow import max_flow
+from .model import Network
 
 
 @dataclass
@@ -101,7 +106,43 @@ def extract_edge_flow(sol: LpSolution) -> dict[int, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# engine 1: exact augmentation with shared group capacities, and its cut
+# engine 1: a cut of the physical network
+
+
+def period_cut(exp: ExpandedNetwork, period: int) -> Fraction:
+    """Upper bound on the program's value from the physical network's cuts.
+
+    Give each physical link the total bandwidth of its capacity groups, its
+    bandwidth times the number of its groups, min(period, its copies in the
+    expansion); drop the links without a copy, and take the static max flow
+    from sender to receiver.  Sound: for any node set S holding the sender
+    and not the receiver, every expanded route from (sender, 0) to
+    (receiver, bound) uses a transit copy of some link leaving S, while
+    holding links never leave S, since they stay at one node.  So the
+    program's value is at most the bandwidth of those links' groups, and by
+    max-flow/min-cut the least such total over all S is the static max flow.
+    """
+    group_of, _ = exp.capacity_groups(period)
+    groups: dict[str, set[int]] = defaultdict(set)
+    for el, g in zip(exp.links, group_of):
+        if g >= 0:
+            groups[el.link_id].add(g)
+    net = exp.net
+    summed = Network(
+        nodes=net.nodes,
+        links=tuple(
+            replace(link, bandwidth=link.bandwidth * len(groups[link.id]))
+            for link in net.links
+            if link.id in groups
+        ),
+    )
+    sender, _ = exp.node_of(exp.source)
+    receiver, _ = exp.node_of(exp.sink)
+    return max_flow(summed, sender, receiver)[1]
+
+
+# ---------------------------------------------------------------------------
+# engine 2: exact augmentation with shared group capacities, and its cut
 
 
 class Push(NamedTuple):
@@ -216,7 +257,7 @@ def residual_cut(exp: ExpandedNetwork, period: int, reached: set[int]) -> Fracti
 
 
 # ---------------------------------------------------------------------------
-# engine 2: float solve with exact dual and primal certification
+# engine 3: float solve with exact dual and primal certification
 
 _SNAP_DENOMINATORS = (1, 2, 4, 8, 24, 120, 5040, 1 << 20)
 
@@ -329,6 +370,8 @@ def probe_reaches(exp: ExpandedNetwork, period: int, target: Fraction) -> ProbeA
     """
     if not exp.links:
         return ProbeAnswer(False, None, "unreachable")
+    if period_cut(exp, period) < target:
+        return ProbeAnswer(False, None, "period-cut")
 
     push = group_augment(exp, period, target)
     if push.flow is not None:

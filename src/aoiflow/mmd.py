@@ -30,9 +30,10 @@ the first of these engines that can:
   that delivers the batch, the schedule is written straight from the paths,
   with no expansion, no pusher and no `decompose`;
 * otherwise the bound's pruned expansion goes through the exact engines in
-  `flowlp`, in order: the augmenting pusher, its residual cut, the float
-  solve's snapped dual or primal and the simplex, and a feasible flow is
-  peeled into a schedule by `decompose`.
+  `flowlp`, in order: the period cut of the physical network, the
+  augmenting pusher, its residual cut, the float solve's snapped dual or
+  primal and the simplex, and a feasible flow is peeled into a schedule by
+  `decompose`.
 
 Every returned schedule is validated, with its delay equal to the bound.
 The companion `min_max_delay_oracle` ignores all of that and scans

@@ -1,17 +1,18 @@
 """The probe stack answers must not depend on which engine settles them.
 
 Each certificate ahead of the simplex (the truncated temporally repeated
-flow, which settles most "yes" probes without an expansion, the stalled
-pusher's residual cut and the float solve with an exact dual certificate)
-is switched off by patching one module-level name, one at a time and all
-together, and the answers and probe trails are held equal to the normal
-stack's on a corpus slice.  So is where the scan starts, the quickest bound
-in `mmd`: lowered to the shortest delay, it changes the probe trails but not
-the delays or the schedules.  With the pusher off as well, every probe
-falls to the exact simplex.  The corpus never reaches the float solve, so
-its snapped primal, the one "yes" certificate from the float solve, is
-switched off on the complete-6 sweep that needs it, with the temporally
-repeated flow off so the stall it exists for happens.
+flow, which settles most "yes" probes without an expansion, the period cut
+of the physical network, the stalled pusher's residual cut and the float
+solve with an exact dual certificate) is switched off by patching one
+module-level name, one at a time and all together, and the answers and
+probe trails are held equal to the normal stack's on a corpus slice.  So is
+where the scan starts, the quickest bound in `mmd`: lowered to the shortest
+delay, it changes the probe trails but not the delays or the schedules.
+With the pusher off as well, every probe falls to the exact simplex.  The
+corpus never reaches the float solve, so its snapped primal, the one "yes"
+certificate from the float solve, is switched off on the complete-6 sweep
+that needs it, with the temporally repeated flow off so the stall it exists
+for happens.
 """
 
 from collections import Counter
@@ -46,6 +47,7 @@ from aoiflow.flowlp import (
     _scipy_solve,
     certify_value_below,
     group_augment,
+    period_cut,
     probe_reaches,
     residual_cut,
     snap_primal,
@@ -70,6 +72,7 @@ SWITCHES = {
     "residual-cut": (flowlp_module, "residual_cut", lambda *args: None),
     "dual-certificate": (flowlp_module, "_scipy_solve", lambda flow_lp: None),
     "temporally-repeated": (mmd_module, "temporally_repeated", lambda *args: None),
+    "period-cut": (flowlp_module, "period_cut", lambda *args: float("inf")),
 }
 
 
@@ -128,6 +131,7 @@ def fresh_cache():
     "off",
     [
         ("quickest-bound",),
+        ("period-cut",),
         ("residual-cut",),
         ("dual-certificate",),
         ("temporally-repeated",),
@@ -139,9 +143,12 @@ def fresh_cache():
 )
 def test_certificate_switched_off_keeps_answers(off, monkeypatch, fresh_cache):
     baseline, base_engines = solve_slice(monkeypatch)
-    assert base_engines["residual-cut"] > 0
+    assert base_engines["period-cut"] > 0
     assert base_engines["temporally-repeated"] > 0
-    for name in off:
+    switched = set(off)
+    if "residual-cut" in off:  # else the period cut settles its probes first
+        switched.add("period-cut")
+    for name in switched:
         monkeypatch.setattr(*SWITCHES[name])
     forced, engines = solve_slice(monkeypatch)
     fields = ["max_delay", "solution", "probes"]
@@ -151,9 +158,11 @@ def test_certificate_switched_off_keeps_answers(off, monkeypatch, fresh_cache):
     if "temporally-repeated" in off:  # the pusher's flows make other schedules
         fields.remove("solution")
     assert view(forced, *fields) == view(baseline, *fields)
-    for name in ("residual-cut", "temporally-repeated"):
-        if name in off:
+    for name in ("period-cut", "residual-cut", "temporally-repeated"):
+        if name in switched:
             assert engines[name] == 0
+    if off == ("period-cut",):  # the residual cut takes over
+        assert engines["residual-cut"] > 0
     if off == ("quickest-bound", "residual-cut"):  # the float dual takes over
         assert engines["dual-certificate"] > 0
     if {"residual-cut", "dual-certificate"} <= set(off):
@@ -172,17 +181,17 @@ def test_temporally_repeated_switched_off_keeps_corpus_trails(monkeypatch, fresh
 
 def test_grid_seed7_engine_tally(monkeypatch, fresh_cache):
     # the bench's timed grid solve: the temporally repeated flow settles
-    # every "yes" probe, the residual cut every "no"
+    # every "yes" probe, the period cut every "no", so the pusher never runs
     inst = scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
     with engine_tally(monkeypatch) as engines:
         for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
             solve_optimal(inst, objective)
-    assert engines == Counter({"temporally-repeated": 10, "residual-cut": 3})
+    assert engines == Counter({"temporally-repeated": 10, "period-cut": 3})
 
 
 def test_simplex_only_stack_matches(monkeypatch, fresh_cache):
     baseline, _ = solve_slice(monkeypatch)
-    for name in ("residual-cut", "dual-certificate", "temporally-repeated"):
+    for name in ("period-cut", "residual-cut", "dual-certificate", "temporally-repeated"):
         monkeypatch.setattr(*SWITCHES[name])
     monkeypatch.setattr(
         flowlp_module, "group_augment", lambda *args, **kwargs: Push(None, None)
@@ -224,17 +233,43 @@ def test_scipy_never_called_on_batch_complete6_seed4(monkeypatch, fresh_cache):
 
 
 def test_float_dual_settles_what_the_cut_misses():
-    # grid seed 13 at period 10, bound 24: the pusher stalls, the cut's bound
-    # is no help, and the exact simplex takes over 20 s on this program
+    # grid seed 16 at period 12, bound 24: the pusher stalls and neither
+    # cut's bound falls below the batch
     pytest.importorskip("scipy")
-    inst = scaled_instance(generate(grid_graph(4, 4, seed=13)), "a1_1", "a4_4", 10)
-    period, bound = 10, 24
+    inst = scaled_instance(generate(grid_graph(4, 4, seed=16)), "a1_1", "a4_4", 10)
+    period, bound = 12, 24
     exp = build_expanded(inst, bound)
+    assert period_cut(exp, period) == 500 >= inst.batch == 500
     push = group_augment(exp, period, inst.batch)
     assert push.flow is None and push.reached is not None
-    assert residual_cut(exp, period, push.reached) == 530 >= inst.batch == 500
+    assert residual_cut(exp, period, push.reached) == 500
     flow_lp = build_flow_lp(exp, period)
     assert certify_value_below(flow_lp, inst.batch, _scipy_solve(flow_lp))
+    assert probe_reaches(exp, period, inst.batch).engine == "dual-certificate"
+
+
+def test_period_cut_settles_what_the_residual_cut_misses():
+    # grid seed 13 at period 10, bound 24: the stalled pusher's cut is 530,
+    # above the batch of 500, and the exact simplex takes over 20 s here
+    inst = scaled_instance(generate(grid_graph(4, 4, seed=13)), "a1_1", "a4_4", 10)
+    exp = build_expanded(inst, 24)
+    assert period_cut(exp, 10) == 490 < inst.batch == 500
+    push = group_augment(exp, 10, inst.batch)
+    assert push.flow is None and residual_cut(exp, 10, push.reached) == 530
+    assert probe_reaches(exp, 10, inst.batch).engine == "period-cut"
+
+
+def test_period_cut_settles_large_periods_without_the_pusher(monkeypatch, fresh_cache):
+    # grid 2x2 at period 400: the pusher needed about one augmenting path
+    # per residue class to stall below the answer, seconds per probe
+    def refuse_pusher(*args):
+        raise AssertionError("pusher reached")
+
+    monkeypatch.setattr(flowlp_module, "group_augment", refuse_pusher)
+    inst = scaled_instance(generate(grid_graph(2, 2, seed=0)), "a1_1", "a2_2", 400, 1)
+    result = min_max_delay(inst, 400)
+    assert result.max_delay == 409
+    assert result.probes == ((408, False), (409, True))
 
 
 def test_dual_certificates_never_contradict_exact_optimum():
@@ -274,6 +309,22 @@ def test_residual_cut_never_below_exact_optimum():
             cut = residual_cut(exp, period, push.reached)
             assert cut is not None and cut >= exact, (seed, bound)
     assert stalls > 0
+
+
+def test_period_cut_never_below_exact_optimum():
+    refuted = 0
+    for seed in range(10, 16):
+        inst = corpus_instance(seed)
+        period = inst.max_period
+        for bound in (3, 6, 9, 12):
+            exp = build_expanded(inst, bound)
+            if not exp.links:
+                continue
+            exact = solve_lp(build_flow_lp(exp, period).program).objective_value
+            cut = period_cut(exp, period)
+            assert cut >= exact, (seed, bound)
+            refuted += cut < inst.batch
+    assert refuted > 0
 
 
 def complete6_seed4():
