@@ -33,6 +33,9 @@ from .model import Instance, Link, Network
 TRANSIT = "transit"
 HOLDING = "holding"
 
+# each expanded link's capacity group (-1 for holding), each group's bandwidth
+Groups = tuple[list[int], list[Fraction]]
+
 
 @dataclass(frozen=True)
 class ExpandedLink:
@@ -67,7 +70,7 @@ class ExpandedNetwork:
             adj.setdefault(getattr(el, end), []).append(idx)
         return adj
 
-    def capacity_groups(self, period: int) -> tuple[list[int], list[Fraction]]:
+    def capacity_groups(self, period: int) -> Groups:
         """Each link's capacity group (-1 for holding) and each group's bandwidth.
 
         Transit copies of one physical link whose push slots agree mod

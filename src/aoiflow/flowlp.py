@@ -6,8 +6,8 @@ capacity group (one physical link, one push-residue class) stays within its
 bandwidth?  That expansion already holds only the copies on such a route, so
 the program has one variable per expanded link.  The expansion also owns the
 source, the sink, the adjacency and the capacity groups
-(`ExpandedNetwork.capacity_groups`); the program, the pusher and its cut
-all read them from there.
+(`ExpandedNetwork.capacity_groups`).  `probe_reaches` derives the groups
+once per probe; the program, the pusher and both cuts read that one copy.
 
 `mmd` never probes below the batch's quickest flow time, the bound at
 which even the program without shared groups falls short.  Probes are
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .expander import ExpandedNetwork
+from .expander import ExpandedNetwork, Groups
 from .lp import (
     EQ,
     LE,
@@ -58,13 +58,14 @@ class FlowLp:
     exp: ExpandedNetwork
 
 
-def build_flow_lp(exp: ExpandedNetwork, period: int) -> FlowLp:
+def build_flow_lp(exp: ExpandedNetwork, groups: Groups) -> FlowLp:
     """Max-throughput program over layers 0..exp.bound.
 
     One variable per expanded link; the objective is total outflow of the
     source; source outflow equals sink inflow; flow conserves everywhere
-    else; each capacity group, in `capacity_groups` order, is limited by its
-    link bandwidth.  Holding links are uncapacitated.
+    else; each capacity group in ``groups`` (`capacity_groups` at the
+    period), in their order, is limited by its link bandwidth.  Holding
+    links are uncapacitated.
     """
     out_at, in_at = exp.out_links, exp.in_links
     n = len(exp.links)
@@ -89,7 +90,7 @@ def build_flow_lp(exp: ExpandedNetwork, period: int) -> FlowLp:
             coeffs[j] = coeffs.get(j, Fraction(0)) - 1
         lp.add_row(coeffs, Fraction(0), EQ)
 
-    group_of, bandwidths = exp.capacity_groups(period)
+    group_of, bandwidths = groups
     members: list[dict[int, Fraction]] = [{} for _ in bandwidths]
     for j, g in enumerate(group_of):
         if g >= 0:
@@ -109,31 +110,32 @@ def extract_edge_flow(sol: LpSolution) -> dict[int, Fraction]:
 # engine 1: a cut of the physical network
 
 
-def period_cut(exp: ExpandedNetwork, period: int) -> Fraction:
+def period_cut(exp: ExpandedNetwork, groups: Groups) -> Fraction:
     """Upper bound on the program's value from the physical network's cuts.
 
-    Give each physical link the total bandwidth of its capacity groups, its
-    bandwidth times the number of its groups, min(period, its copies in the
-    expansion); drop the links without a copy, and take the static max flow
-    from sender to receiver.  Sound: for any node set S holding the sender
+    Give each physical link the total bandwidth of its capacity groups in
+    ``groups`` (`capacity_groups` at period T), its bandwidth times the
+    number of its groups, min(T, its copies in the expansion); drop the
+    links without a copy, and take the static max flow from sender to
+    receiver.  Sound: for any node set S holding the sender
     and not the receiver, every expanded route from (sender, 0) to
     (receiver, bound) uses a transit copy of some link leaving S, while
     holding links never leave S, since they stay at one node.  So the
     program's value is at most the bandwidth of those links' groups, and by
     max-flow/min-cut the least such total over all S is the static max flow.
     """
-    group_of, _ = exp.capacity_groups(period)
-    groups: dict[str, set[int]] = defaultdict(set)
+    group_of, _ = groups
+    held: dict[str, set[int]] = defaultdict(set)
     for el, g in zip(exp.links, group_of):
         if g >= 0:
-            groups[el.link_id].add(g)
+            held[el.link_id].add(g)
     net = exp.net
     summed = Network(
         nodes=net.nodes,
         links=tuple(
-            replace(link, bandwidth=link.bandwidth * len(groups[link.id]))
+            replace(link, bandwidth=link.bandwidth * len(held[link.id]))
             for link in net.links
-            if link.id in groups
+            if link.id in held
         ),
     )
     sender, _ = exp.node_of(exp.source)
@@ -152,7 +154,7 @@ class Push(NamedTuple):
     reached: set[int] | None  # nodes the last search reached, when it missed the sink
 
 
-def group_augment(exp: ExpandedNetwork, period: int, target: Fraction) -> Push:
+def group_augment(exp: ExpandedNetwork, groups: Groups, target: Fraction) -> Push:
     """Push exactly ``target`` units with augmenting paths.
 
     Residual capacity of a transit copy is its whole group's remaining
@@ -169,7 +171,8 @@ def group_augment(exp: ExpandedNetwork, period: int, target: Fraction) -> Push:
     links = exp.links
     heads = [el.head for el in links]
     tails = [el.tail for el in links]
-    group_of, group_resid = exp.capacity_groups(period)
+    group_of, bandwidths = groups
+    group_resid = list(bandwidths)  # the caller's groups stay as they were
     open_group = [r > 0 for r in group_resid]
 
     flow: dict[int, Fraction] = {}  # positive entries only
@@ -238,7 +241,9 @@ def group_augment(exp: ExpandedNetwork, period: int, target: Fraction) -> Push:
     return Push(None, None)
 
 
-def residual_cut(exp: ExpandedNetwork, period: int, reached: set[int]) -> Fraction | None:
+def residual_cut(
+    exp: ExpandedNetwork, groups: Groups, reached: set[int]
+) -> Fraction | None:
     """Upper bound on the program's value from a source-side node set.
 
     ``reached`` holds the source and not the sink, so every feasible flow's
@@ -246,7 +251,7 @@ def residual_cut(exp: ExpandedNetwork, period: int, reached: set[int]) -> Fracti
     leaving it, at most the bandwidths of the groups those copies belong to.
     None when an uncapacitated holding link leaves the set.
     """
-    group_of, bandwidths = exp.capacity_groups(period)
+    group_of, bandwidths = groups
     full: set[int] = set()
     for idx, el in enumerate(exp.links):
         if el.tail in reached and el.head not in reached:
@@ -366,22 +371,24 @@ def probe_reaches(exp: ExpandedNetwork, period: int, target: Fraction) -> ProbeA
     """Exact answer to "does the flow program at exp.bound reach target?".
 
     An expansion without links means the receiver is farther than the
-    bound: the program's value is zero, and no engine runs.
+    bound: the program's value is zero, and no engine runs.  Otherwise the
+    capacity groups are derived once and every engine reads them.
     """
     if not exp.links:
         return ProbeAnswer(False, None, "unreachable")
-    if period_cut(exp, period) < target:
+    groups = exp.capacity_groups(period)
+    if period_cut(exp, groups) < target:
         return ProbeAnswer(False, None, "period-cut")
 
-    push = group_augment(exp, period, target)
+    push = group_augment(exp, groups, target)
     if push.flow is not None:
         return ProbeAnswer(True, push.flow, "augment")
     if push.reached is not None:
-        cut = residual_cut(exp, period, push.reached)
+        cut = residual_cut(exp, groups, push.reached)
         if cut is not None and cut < target:
             return ProbeAnswer(False, None, "residual-cut")
 
-    flow_lp = build_flow_lp(exp, period)
+    flow_lp = build_flow_lp(exp, groups)
 
     # one float solve settles most stalls either way, once its snapped dual
     # or primal passes an exact check, without an exact optimality proof

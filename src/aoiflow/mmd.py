@@ -326,7 +326,7 @@ def min_max_delay_oracle(
     probes: list[tuple[int, bool]] = []
     for bound in range(0, mu + 1):
         exp = build_expanded(inst, bound)
-        flow_lp = build_flow_lp(exp, period)
+        flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
         sol = solve_lp(flow_lp.program)
         feasible = sol.status == OPTIMAL and sol.objective_value >= inst.batch
         probes.append((bound, feasible))

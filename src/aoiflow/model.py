@@ -235,6 +235,21 @@ def report_for(throughput: Fraction, period: int, max_delay: int) -> AoiReport:
 # operations
 
 
+def _unwritable(kind: str, name: str, separator: str) -> Violation | None:
+    """Why ``name`` cannot be carried by a schedule file, if it cannot.
+
+    A schedule line is split on whitespace, its path on '>' and its link
+    list on ','.
+    """
+    if not name:
+        return Violation("empty-name", kind)
+    if separator in name or any(ch.isspace() for ch in name):
+        return Violation(
+            f"unwritable-{kind}", name, f"whitespace or {separator!r} in the name"
+        )
+    return None
+
+
 def validate_network(net: Network) -> list[Violation]:
     """Return all structural violations; an empty list means the net is sane."""
     violations: list[Violation] = []
@@ -242,7 +257,14 @@ def validate_network(net: Network) -> list[Violation]:
     seen_ids: set[str] = set()
     if len(declared) != len(net.nodes):
         violations.append(Violation("duplicate-node", "nodes", "repeated node id"))
+    for node in net.nodes:
+        problem = _unwritable("node-name", node, ">")
+        if problem is not None:
+            violations.append(problem)
     for link in net.links:
+        problem = _unwritable("link-id", link.id, ",")
+        if problem is not None:
+            violations.append(problem)
         if link.id in seen_ids:
             violations.append(Violation("duplicate-link-id", link.id))
         seen_ids.add(link.id)

@@ -1,9 +1,11 @@
 """Optimal and approximate age/delay minimization over the period window.
 
 The minimal peak age, minimal average age, and minimal maximum delay at a
-fixed throughput all come from the same per-period subproblem; since the age
-curves are neither monotone nor convex in the throughput, the optimum over
-the window is found by plain enumeration of every candidate period.
+fixed throughput all come from the same per-period subproblem.  The age
+curves are neither monotone nor convex in the throughput, so the optimum over
+the window is found by scanning the periods in ascending order.  The scan
+stops once the batch's quickest flow time, a lower bound on every period's
+maximum delay, puts every later period's age above the best found.
 
 The approximation path instead solves the steady-rate min-max-delay problem
 once at the lowest required throughput and replays its path flow every slot;
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .maxflow import quickest_bound
 from .mmd import MmdResult, lift_path_flow, min_max_delay
 from .model import (
     AoiReport,
@@ -60,6 +63,12 @@ class GridRow:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """The objective's optimum over the period window.
+
+    ``grid`` holds only the periods the scan solved, an ascending prefix of
+    the window; `sweep_periods` solves them all.
+    """
+
     objective: Objective
     best: AoiReport
     solution: PeriodicSolution
@@ -91,51 +100,67 @@ class ApproxOutcome:
     ratio_bound: Fraction
 
 
+def _solved_row(
+    inst: Instance, period: int, horizon: int | None
+) -> tuple[GridRow, MmdResult | None]:
+    throughput = Fraction(inst.batch, period)
+    result = min_max_delay(inst, period, horizon)
+    if result is None:
+        return GridRow(period, throughput, None), None
+    report = report_for(throughput, period, result.max_delay)
+    return GridRow(period, throughput, report), result
+
+
 def sweep_periods(
     inst: Instance, horizon: int | None = None
 ) -> list[tuple[GridRow, MmdResult | None]]:
     """Solve every candidate period once; rows ordered by ascending period."""
-    rows = []
-    for period in feasible_periods(inst):
-        throughput = Fraction(inst.batch, period)
-        result = min_max_delay(inst, period, horizon)
-        if result is None:
-            rows.append((GridRow(period, throughput, None), None))
-        else:
-            rows.append(
-                (
-                    GridRow(period, throughput, report_for(throughput, period, result.max_delay)),
-                    result,
-                )
-            )
-    return rows
+    return [_solved_row(inst, period, horizon) for period in feasible_periods(inst)]
 
 
 def solve_optimal(
     inst: Instance, objective: Objective, horizon: int | None = None
 ) -> SolveOutcome:
-    """Enumerate the period window and take the objective's minimizer.
+    """Scan the period window upward and take the objective's minimizer.
+
+    Every period's maximum delay is at least the batch's quickest flow time
+    Q, which does not depend on the period, so report_for(D/T, T, Q) bounds
+    the objective at T from below: peak Q + T - 1, average Q + (T - 1)/2,
+    delay Q.  The age floors grow with T, so the scan stops at the first
+    period whose floor is strictly above the best value found; no later
+    period can reach it, and ties are still solved.  The delay floor never
+    exceeds the best, so that objective solves every period.
 
     Ties are reported in full via optimal_throughputs; the returned schedule
     belongs to the largest optimal throughput.
     """
-    swept = sweep_periods(inst, horizon)
-    feasible = [(row, res) for row, res in swept if res is not None]
-    if not feasible:
+    quickest = quickest_bound(inst.network, inst.sender, inst.receiver, inst.batch)
+    rows: list[GridRow] = []
+    best = None
+    winners: list[tuple[GridRow, MmdResult]] = []
+    for period in range(inst.min_period, inst.max_period + 1):
+        if best is not None:
+            floor = report_for(Fraction(inst.batch, period), period, quickest)
+            if objective.key(floor) > best:
+                break
+        row, result = _solved_row(inst, period, horizon)
+        rows.append(row)
+        if result is None:
+            continue
+        value = objective.key(row.report)
+        if best is None or value < best:
+            best, winners = value, []
+        if value == best:
+            winners.append((row, result))
+    if not winners:
         raise AllInfeasibleError("no candidate period is supportable")
-    best_value = min(objective.key(row.report) for row, _ in feasible)
-    winners = [
-        (row, res)
-        for row, res in feasible
-        if objective.key(row.report) == best_value
-    ]
-    # largest optimal throughput = smallest optimal period
-    top_row, top_res = min(winners, key=lambda pair: pair[0].period)
+    # largest optimal throughput = smallest optimal period, the first found
+    top_row, top_res = winners[0]
     return SolveOutcome(
         objective=objective,
         best=top_row.report,
         solution=top_res.solution,
-        grid=tuple(row for row, _ in swept),
+        grid=tuple(rows),
         optimal_throughputs=frozenset(row.throughput for row, _ in winners),
     )
 
@@ -222,7 +247,14 @@ def check_objective_relations(
     Any failure here is a solver bug, not an instance property.
     """
     window = Fraction(inst.batch, inst.r_min) - Fraction(inst.batch, inst.r_max)
-    by_rate = {row.throughput: row.report for row in peak.grid if row.feasible}
+    # each outcome's grid holds its own optima, so together they hold every
+    # rate compared below
+    by_rate = {
+        row.throughput: row.report
+        for outcome in (peak, avg, delay)
+        for row in outcome.grid
+        if row.feasible
+    }
 
     def reports(outcome: SolveOutcome):
         return [by_rate[r] for r in sorted(outcome.optimal_throughputs)]

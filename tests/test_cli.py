@@ -73,11 +73,21 @@ def test_bad_input_exits_1(tmp_path, capsys):
         (1, "to", "x", "unknown-endpoint"),
         (0, "delay", 2.9, "non-integer-delay"),
         (0, "delay", True, "non-integer-delay"),
+        # names a schedule file could not carry back to `validate`
+        (0, "id", "e,1", "unwritable-link-id"),
+        (0, "id", "e 1", "unwritable-link-id"),
+        (0, "id", "", "empty-name"),
+        (None, "node", "s x", "unwritable-node-name"),
+        (None, "node", "s>a", "unwritable-node-name"),
+        (None, "node", "", "empty-name"),
     ],
 )
 def test_ill_formed_network_exits_1(pos, field, value, code, tmp_path, capsys):
     data = instance_to_dict(make_fastslow_instance())
-    data["links"][pos][field] = value
+    if field == "node":  # rename the sender s wherever it appears
+        data = json.loads(json.dumps(data).replace('"s"', json.dumps(value)))
+    else:
+        data["links"][pos][field] = value
     path = tmp_path / "ill.inst"
     path.write_text(json.dumps(data))
     assert main(["solve", "mpa", str(path)]) == 1

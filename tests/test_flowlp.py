@@ -30,7 +30,7 @@ from conftest import corpus_instance, make_fastslow_instance
 
 def optimum(inst, period, bound):
     exp = build_expanded(inst, bound)
-    flow_lp = build_flow_lp(exp, period)
+    flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
     sol = solve_lp(flow_lp.program)
     assert sol.status == OPTIMAL
     return flow_lp, sol
@@ -127,7 +127,7 @@ def test_capacity_groups_pin_rule_and_row_order():
         index = inst.network.link_index
         caps = [index[lid].bandwidth for lid, _ in keys]
         assert bandwidths == caps
-        rows = build_flow_lp(exp, period).program.rows
+        rows = build_flow_lp(exp, exp.capacity_groups(period)).program.rows
         senses = [sense for _, _, sense in rows]
         assert senses == sorted(senses, key=lambda sense: sense == LE)
         assert [(c, rhs) for c, rhs, sense in rows if sense == LE] == [
@@ -174,7 +174,7 @@ def test_quickest_bound_is_least_bound_without_sharing():
 
     def lp_reaches(inst, bound, amount):
         exp = build_expanded(inst, bound)
-        sol = solve_lp(build_flow_lp(exp, bound + 1).program)
+        sol = solve_lp(build_flow_lp(exp, exp.capacity_groups(bound + 1)).program)
         assert sol.status == OPTIMAL
         return sol.objective_value >= amount
 
@@ -250,7 +250,7 @@ def test_group_augment_agrees_with_lp_when_it_succeeds():
     inst = make_fastslow_instance()
     for period, bound in [(7, 11), (10, 10), (8, 12)]:
         exp = build_expanded(inst, bound)
-        flow = group_augment(exp, period, inst.batch).flow
+        flow = group_augment(exp, exp.capacity_groups(period), inst.batch).flow
         assert flow is not None
         assert_groups_within_bandwidth(exp, period, flow)
         source = exp.node_id("s", 0)
@@ -408,7 +408,7 @@ def test_group_augment_matches_reference():
                 continue
             for bound in range(low, top + 1):
                 exp = build_expanded(inst, bound)
-                got = group_augment(exp, period, inst.batch).flow
+                got = group_augment(exp, exp.capacity_groups(period), inst.batch).flow
                 want = reference_group_augment(exp, inst, period, inst.batch)
                 if want is not None:
                     want = {idx: v for idx, v in want.items() if v > 0}

@@ -14,7 +14,9 @@ from aoiflow.fileio import instance_to_dict, load_instance, load_solution
 from aoiflow.model import validate_solution
 from conftest import make_fastslow_instance
 
-NODES = ["s", "r", "a", "x"]
+# "a b" and "a>b" are node names, "e,1" and "e 1" link ids, that a schedule
+# file cannot carry, so an instance naming them is refused
+NODES = ["s", "r", "a", "x", "a b", "a>b"]
 RATIONALS = ["1", "2", "3", "1/2", "2/3", "0", "-1", "3/0", "x", "1/100000"]
 
 # every JSON value a field might wrongly hold, right ones included
@@ -23,7 +25,7 @@ any_value = st.sampled_from(
     + [None, True, 1.5, 1e300, float("inf"), float("nan"), [1], {}]
 )
 LINK_FIELDS = {
-    "id": st.sampled_from(["e1", "e2", "e3"]),
+    "id": st.sampled_from(["e1", "e2", "e3", "e,1", "e 1", "", "s>r"]),
     "from": st.sampled_from(NODES),
     "to": st.sampled_from(NODES),
     "delay": any_value,
@@ -133,15 +135,24 @@ small_links = st.lists(
     t_min=st.integers(1, 3),
     t_extra=st.integers(0, 2),
     shift=st.integers(0, 2),
+    relay=st.sampled_from(["a", "a_1", "a,1", "a b", "a>b", ""]),
+    tag=st.sampled_from(["e", "a>b", "e,", "e "]),
 )
 def test_mmd_at_period_schedules_validate(
-    tmp_path_factory, link_specs, batch, t_min, t_extra, shift
+    tmp_path_factory, link_specs, batch, t_min, t_extra, shift, relay, tag
 ):
     t_max, period = t_min + t_extra, t_min + shift  # period may leave the window
+    name = {"s": "s", "r": "r", "a": relay}
     document = {
-        "nodes": ["s", "r", "a"],
+        "nodes": ["s", "r", relay],
         "links": [
-            {"id": f"e{i}", "from": tail, "to": head, "delay": delay, "bandwidth": bw}
+            {
+                "id": f"{tag}{i}",
+                "from": name[tail],
+                "to": name[head],
+                "delay": delay,
+                "bandwidth": bw,
+            }
             for i, ((tail, head), delay, bw) in enumerate(link_specs)
         ],
         "sender": "s",
@@ -156,6 +167,8 @@ def test_mmd_at_period_schedules_validate(
     argv = ["--quiet", "mmd-at-period", str(inst_path), str(period), "--sol", str(sol_path)]
     rc = main(argv)
     assert rc in (0, 1, 2)
+    if relay in ("a b", "a>b", "") or tag in ("e,", "e "):
+        assert rc == 1  # refused before solving: the schedule would not load
     if rc == 0:
         inst = load_instance(str(inst_path))
         sol, loaded_batch = load_solution(inst.network, str(sol_path))

@@ -95,7 +95,7 @@ def random_programs(seed, count):
 def fastslow_flow_program():
     inst = make_fastslow_instance()
     exp = build_expanded(inst, 11)
-    return build_flow_lp(exp, 7).program
+    return build_flow_lp(exp, exp.capacity_groups(7)).program
 
 
 def test_single_bound():
@@ -270,7 +270,7 @@ def corpus_flow_calls():
         inst = corpus_instance(seed)
         for bound in (4, 8, 12):
             exp = build_expanded(inst, bound)
-            program = build_flow_lp(exp, inst.max_period).program
+            program = build_flow_lp(exp, exp.capacity_groups(inst.max_period)).program
             calls.append(lambda p=program: solve_lp(p))
             calls.append(lambda p=program, t=inst.batch: solve_lp_reaching(p, t))
     return calls

@@ -176,7 +176,7 @@ def test_decompose_zero_flow_is_empty():
 def test_decompose_triple_unit_rate_flow():
     inst = make_triple_instance()
     exp = build_expanded(inst, 5)
-    flow_lp = build_flow_lp(exp, 5)
+    flow_lp = build_flow_lp(exp, exp.capacity_groups(5))
     lp_sol = solve_lp(flow_lp.program)
     assert lp_sol.objective_value >= 5
     flow = extract_edge_flow(lp_sol)
@@ -195,7 +195,7 @@ def test_decompose_triple_unit_rate_flow():
 def test_decompose_fastslow_t7_respects_caps():
     inst = make_fastslow_instance()
     exp = build_expanded(inst, 11)
-    flow_lp = build_flow_lp(exp, 7)
+    flow_lp = build_flow_lp(exp, exp.capacity_groups(7))
     lp_sol = solve_lp(flow_lp.program)
     flow = extract_edge_flow(lp_sol)
     sol = normalize_holding(inst.network, decompose(exp, flow, inst, 7))

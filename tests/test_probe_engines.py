@@ -181,12 +181,14 @@ def test_temporally_repeated_switched_off_keeps_corpus_trails(monkeypatch, fresh
 
 def test_grid_seed7_engine_tally(monkeypatch, fresh_cache):
     # the bench's timed grid solve: the temporally repeated flow settles
-    # every "yes" probe, the period cut every "no", so the pusher never runs
+    # every "yes" probe, the period cut every "no", so the pusher never runs;
+    # both solves stop after periods 10 and 11, and the average solve reuses
+    # the peak solve's cached answers
     inst = scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
     with engine_tally(monkeypatch) as engines:
         for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
             solve_optimal(inst, objective)
-    assert engines == Counter({"temporally-repeated": 10, "period-cut": 3})
+    assert engines == Counter({"temporally-repeated": 2, "period-cut": 3})
 
 
 def test_simplex_only_stack_matches(monkeypatch, fresh_cache):
@@ -239,11 +241,12 @@ def test_float_dual_settles_what_the_cut_misses():
     inst = scaled_instance(generate(grid_graph(4, 4, seed=16)), "a1_1", "a4_4", 10)
     period, bound = 12, 24
     exp = build_expanded(inst, bound)
-    assert period_cut(exp, period) == 500 >= inst.batch == 500
-    push = group_augment(exp, period, inst.batch)
+    groups = exp.capacity_groups(period)
+    assert period_cut(exp, groups) == 500 >= inst.batch == 500
+    push = group_augment(exp, groups, inst.batch)
     assert push.flow is None and push.reached is not None
-    assert residual_cut(exp, period, push.reached) == 500
-    flow_lp = build_flow_lp(exp, period)
+    assert residual_cut(exp, groups, push.reached) == 500
+    flow_lp = build_flow_lp(exp, groups)
     assert certify_value_below(flow_lp, inst.batch, _scipy_solve(flow_lp))
     assert probe_reaches(exp, period, inst.batch).engine == "dual-certificate"
 
@@ -253,9 +256,10 @@ def test_period_cut_settles_what_the_residual_cut_misses():
     # above the batch of 500, and the exact simplex takes over 20 s here
     inst = scaled_instance(generate(grid_graph(4, 4, seed=13)), "a1_1", "a4_4", 10)
     exp = build_expanded(inst, 24)
-    assert period_cut(exp, 10) == 490 < inst.batch == 500
-    push = group_augment(exp, 10, inst.batch)
-    assert push.flow is None and residual_cut(exp, 10, push.reached) == 530
+    groups = exp.capacity_groups(10)
+    assert period_cut(exp, groups) == 490 < inst.batch == 500
+    push = group_augment(exp, groups, inst.batch)
+    assert push.flow is None and residual_cut(exp, groups, push.reached) == 530
     assert probe_reaches(exp, 10, inst.batch).engine == "period-cut"
 
 
@@ -279,7 +283,7 @@ def test_dual_certificates_never_contradict_exact_optimum():
         period = inst.max_period
         for bound in (3, 6, 9, 12):
             exp = build_expanded(inst, bound)
-            flow_lp = build_flow_lp(exp, period)
+            flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
             exact = solve_lp(flow_lp.program).objective_value
             if not exp.links:  # probe_reaches answers "unreachable" first
                 assert exact == 0
@@ -300,13 +304,14 @@ def test_residual_cut_never_below_exact_optimum():
             exp = build_expanded(inst, bound)
             if not exp.links:
                 continue
-            push = group_augment(exp, period, inst.batch)
+            groups = exp.capacity_groups(period)
+            push = group_augment(exp, groups, inst.batch)
             if push.reached is None:
                 continue
             stalls += 1
-            flow_lp = build_flow_lp(exp, period)
+            flow_lp = build_flow_lp(exp, groups)
             exact = solve_lp(flow_lp.program).objective_value
-            cut = residual_cut(exp, period, push.reached)
+            cut = residual_cut(exp, groups, push.reached)
             assert cut is not None and cut >= exact, (seed, bound)
     assert stalls > 0
 
@@ -320,8 +325,9 @@ def test_period_cut_never_below_exact_optimum():
             exp = build_expanded(inst, bound)
             if not exp.links:
                 continue
-            exact = solve_lp(build_flow_lp(exp, period).program).objective_value
-            cut = period_cut(exp, period)
+            groups = exp.capacity_groups(period)
+            exact = solve_lp(build_flow_lp(exp, groups).program).objective_value
+            cut = period_cut(exp, groups)
             assert cut >= exact, (seed, bound)
             refuted += cut < inst.batch
     assert refuted > 0
@@ -344,10 +350,11 @@ def test_primal_snap_settles_the_stall_it_exists_for():
     inst = complete6_seed4()
     period, bound = 5, 11
     exp = build_expanded(inst, bound)
-    push = group_augment(exp, period, inst.batch)
+    groups = exp.capacity_groups(period)
+    push = group_augment(exp, groups, inst.batch)
     assert push.flow is None and push.reached is not None
-    assert residual_cut(exp, period, push.reached) == 660 >= inst.batch == 650
-    flow_lp = build_flow_lp(exp, period)
+    assert residual_cut(exp, groups, push.reached) == 660 >= inst.batch == 650
+    flow_lp = build_flow_lp(exp, groups)
     flow = snap_primal(flow_lp, inst.batch, _scipy_solve(flow_lp))
     assert flow is not None
     values = [flow.get(j, F(0)) for j in range(flow_lp.program.n_vars)]
@@ -389,7 +396,7 @@ def test_primal_snap_never_exceeds_exact_optimum():
             exp = build_expanded(inst, bound)
             if not exp.links:  # probe_reaches answers "unreachable" first
                 continue
-            flow_lp = build_flow_lp(exp, period)
+            flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
             exact = solve_lp(flow_lp.program).objective_value
             fr = _scipy_solve(flow_lp)
             flow = snap_primal(flow_lp, exact, fr)
@@ -470,7 +477,7 @@ def test_temporally_repeated_flows_pass_every_program_row(monkeypatch, fresh_cac
     assert len(written) > 400
     for inst, period, bound, solution in written:
         exp = build_expanded(inst, bound)
-        flow_lp = build_flow_lp(exp, period)
+        flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
         values = expanded_flow(exp, solution)
         assert violated_row(flow_lp.program, values) is None, (inst, period, bound)
         assert flow_value(flow_lp, values) == inst.batch == solution.total_amount
@@ -489,7 +496,8 @@ def test_repeated_value_never_above_exact_optimum():
                 continue
             for bound in range(bottom, result.max_delay + 1):
                 value = max(repeated_value(p, period, bound) for p in prefixes)
-                flow_lp = build_flow_lp(build_expanded(inst, bound), period)
+                exp = build_expanded(inst, bound)
+                flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
                 exact = solve_lp(flow_lp.program).objective_value
                 assert value <= exact, (seed, period, bound)
                 checked += 1

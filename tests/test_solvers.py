@@ -14,7 +14,11 @@ from aoiflow import (
     solve_optimal,
     validate_solution,
 )
+from aoiflow import solvers
+from aoiflow.experiments import generate, grid_graph, scaled_instance
+from aoiflow.solvers import sweep_periods
 from conftest import (
+    corpus_instance,
     make_fastslow_instance,
     make_fastslow_network,
     make_triple_instance,
@@ -22,13 +26,17 @@ from conftest import (
 )
 
 
-def grid_values(outcome, attr):
-    return [getattr(row.report, attr) for row in outcome.grid if row.feasible]
+def grid_values(inst, attr):
+    return [getattr(row.report, attr) for row, _ in sweep_periods(inst) if row.feasible]
+
+
+def by_rate(inst):
+    return {row.throughput: row.report for row, _ in sweep_periods(inst) if row.feasible}
 
 
 def test_fastslow_peak_grid_and_optimum():
+    assert grid_values(make_fastslow_instance(), "peak_aoi") == [17, 18, 19, 19]
     outcome = solve_optimal(make_fastslow_instance(), Objective.PEAK_AOI)
-    assert grid_values(outcome, "peak_aoi") == [17, 18, 19, 19]
     assert outcome.best.peak_aoi == 17
     assert outcome.optimal_throughputs == {F(10, 7)}
     assert outcome.best.period == 7
@@ -51,23 +59,21 @@ def test_triple_both_objectives():
 
 
 def test_knee_sharp_corner_grids():
-    d7 = solve_optimal(make_knee_instance(7), Objective.PEAK_AOI)
-    by_rate = {row.throughput: row.report for row in d7.grid if row.feasible}
-    assert by_rate[F(5, 6)].peak_aoi == 10
-    assert by_rate[F(1)].peak_aoi == 9
-    assert by_rate[F(5, 4)].peak_aoi == 10
-    assert by_rate[F(1)].avg_aoi == 7
-    assert by_rate[F(5, 6)].avg_aoi == F(15, 2)
-    assert by_rate[F(5, 4)].avg_aoi == F(17, 2)
+    d7 = by_rate(make_knee_instance(7))
+    assert d7[F(5, 6)].peak_aoi == 10
+    assert d7[F(1)].peak_aoi == 9
+    assert d7[F(5, 4)].peak_aoi == 10
+    assert d7[F(1)].avg_aoi == 7
+    assert d7[F(5, 6)].avg_aoi == F(15, 2)
+    assert d7[F(5, 4)].avg_aoi == F(17, 2)
 
-    d6 = solve_optimal(make_knee_instance(6), Objective.PEAK_AOI)
-    by_rate = {row.throughput: row.report for row in d6.grid if row.feasible}
-    assert by_rate[F(5, 3)].peak_aoi == 8
-    assert by_rate[F(5, 4)].peak_aoi == 9
-    assert by_rate[F(1)].peak_aoi == 9
-    assert by_rate[F(5, 3)].avg_aoi == 7
-    assert by_rate[F(5, 4)].avg_aoi == F(15, 2)
-    assert by_rate[F(1)].avg_aoi == 7
+    d6 = by_rate(make_knee_instance(6))
+    assert d6[F(5, 3)].peak_aoi == 8
+    assert d6[F(5, 4)].peak_aoi == 9
+    assert d6[F(1)].peak_aoi == 9
+    assert d6[F(5, 3)].avg_aoi == 7
+    assert d6[F(5, 4)].avg_aoi == F(15, 2)
+    assert d6[F(1)].avg_aoi == 7
 
 
 def test_solutions_validate_for_every_objective():
@@ -114,6 +120,89 @@ def test_infeasible_periods_recorded_in_grid():
     outcome = solve_optimal(inst, Objective.PEAK_AOI)
     status = {row.period: row.feasible for row in outcome.grid}
     assert status == {2: False, 3: False, 4: False, 5: False, 6: True}
+
+
+# --- the bounded period scan ------------------------------------------------
+
+
+def swept_optimum(inst, objective):
+    """Best report, its schedule and every optimal throughput, from a full
+    sweep of the window; None when no period is supportable."""
+    feasible = [(row, res) for row, res in sweep_periods(inst) if res is not None]
+    if not feasible:
+        return None
+    best = min(objective.key(row.report) for row, _ in feasible)
+    winners = [(row, res) for row, res in feasible if objective.key(row.report) == best]
+    row, res = min(winners, key=lambda pair: pair[0].period)
+    return row.report, res.solution, frozenset(r.throughput for r, _ in winners)
+
+
+def test_scan_matches_full_sweep():
+    instances = [corpus_instance(seed) for seed in range(200)] + [
+        make_fastslow_instance(),
+        make_triple_instance(),
+        make_knee_instance(6),
+        make_knee_instance(7),
+    ]
+    solved = swept = 0
+    for inst in instances:
+        for objective in Objective:
+            want = swept_optimum(inst, objective)
+            if want is None:
+                with pytest.raises(AllInfeasibleError):
+                    solve_optimal(inst, objective)
+                continue
+            outcome = solve_optimal(inst, objective)
+            got = (outcome.best, outcome.solution, outcome.optimal_throughputs)
+            assert got == want, (inst, objective)
+            periods = [row.period for row in outcome.grid]
+            assert periods == list(range(inst.min_period, periods[-1] + 1))
+            if objective is not Objective.MAX_DELAY:
+                solved += len(periods)
+                swept += inst.max_period - inst.min_period + 1
+    assert solved < swept
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The periods `solve_optimal` hands to the per-period search."""
+    periods = []
+    search = solvers.min_max_delay
+
+    def recording(inst, period, horizon=None):
+        periods.append(period)
+        return search(inst, period, horizon)
+
+    monkeypatch.setattr(solvers, "min_max_delay", recording)
+    return periods
+
+
+def test_grid_seed7_scan_stops_after_period_11(searched):
+    inst = scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
+    for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
+        searched.clear()
+        solve_optimal(inst, objective)
+        assert searched == [10, 11], objective
+
+
+def test_wide_window_solves_a_handful_of_periods(searched):
+    # periods 1..100000; rates above the link's 20000 fail at periods 1..4,
+    # period 5 gives peak 9 and period 6's floor Q + 5 = 10 ends the scan
+    net = network(["s", "r"], [("e", "s", "r", 1, 20000)])
+    inst = Instance(net, "s", "r", F(100000), F(1), F(100000))
+    for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
+        searched.clear()
+        outcome = solve_optimal(inst, objective)
+        assert searched == [1, 2, 3, 4, 5], objective
+        assert outcome.best.period == 5 and outcome.best.max_delay == 5
+        assert len(outcome.grid) == 5
+
+
+def test_delay_objective_solves_every_period():
+    for inst in (make_fastslow_instance(), make_triple_instance(), make_knee_instance(7)):
+        outcome = solve_optimal(inst, Objective.MAX_DELAY)
+        periods = [row.period for row in outcome.grid]
+        assert periods == list(range(inst.min_period, inst.max_period + 1))
 
 
 # --- steady-rate solver ---------------------------------------------------------
