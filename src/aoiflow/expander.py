@@ -24,17 +24,17 @@ inputs always yield identical link orderings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+import heapq
 
 from .maxflow import shortest_delay
-from .model import Instance, Link, Network
+from .model import Instance, Network, Rational
 
 TRANSIT = "transit"
 HOLDING = "holding"
 
 # each expanded link's capacity group (-1 for holding), each group's bandwidth
-Groups = tuple[list[int], list[Fraction]]
+Groups = tuple[list[int], list[Rational]]
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class ExpandedNetwork:
                 classes.setdefault((el.link_id, el.push % period), []).append(idx)
         order = {link.id: i for i, link in enumerate(self.net.links)}
         group_of = [-1] * len(self.links)
-        bandwidths: list[Fraction] = []
+        bandwidths: list[Rational] = []
         for key in sorted(classes, key=lambda k: (order[k[0]], k[1])):
             for idx in classes[key]:
                 group_of[idx] = len(bandwidths)
@@ -126,11 +126,7 @@ def build_expanded(inst: Instance, bound: int) -> ExpandedNetwork:
         raise ValueError("bound must not be negative")
     net = inst.network
     dist_s = shortest_delay(net, inst.sender)
-    reversed_net = Network(
-        nodes=net.nodes,
-        links=tuple(Link(l.id, l.head, l.tail, l.delay, l.bandwidth) for l in net.links),
-    )
-    dist_r = shortest_delay(reversed_net, inst.receiver)
+    dist_r = _delays_to(net, inst.receiver)
     links: list[ExpandedLink] = []
     width = bound + 1
     node_pos = {v: i for i, v in enumerate(net.nodes)}
@@ -155,3 +151,21 @@ def build_expanded(inst: Instance, bound: int) -> ExpandedNetwork:
         source=node_pos[inst.sender] * width,
         sink=node_pos[inst.receiver] * width + bound,
     )
+
+
+def _delays_to(net: Network, sink: str) -> dict[str, int]:
+    """Dijkstra backwards over link delays: each node's shortest delay to
+    ``sink``; nodes that cannot reach it are absent."""
+    dist = {sink: 0}
+    heap = [(0, sink)]
+    incoming = net.in_links
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist.get(v, d):
+            continue
+        for link in incoming[v]:
+            nd = d + link.delay
+            if nd < dist.get(link.tail, nd + 1):
+                dist[link.tail] = nd
+                heapq.heappush(heap, (nd, link.tail))
+    return dist

@@ -47,7 +47,7 @@ from .lp import (
     violated_row,
 )
 from .maxflow import max_flow
-from .model import Network
+from .model import Network, Rational
 
 
 @dataclass
@@ -110,7 +110,7 @@ def extract_edge_flow(sol: LpSolution) -> dict[int, Fraction]:
 # engine 1: a cut of the physical network
 
 
-def period_cut(exp: ExpandedNetwork, groups: Groups) -> Fraction:
+def period_cut(exp: ExpandedNetwork, groups: Groups) -> Rational:
     """Upper bound on the program's value from the physical network's cuts.
 
     Give each physical link the total bandwidth of its capacity groups in
@@ -150,18 +150,19 @@ def period_cut(exp: ExpandedNetwork, groups: Groups) -> Fraction:
 class Push(NamedTuple):
     """What `group_augment` ended with."""
 
-    flow: dict[int, Fraction] | None  # pushes exactly the target; None if stalled
+    flow: dict[int, Rational] | None  # pushes exactly the target; None if stalled
     reached: set[int] | None  # nodes the last search reached, when it missed the sink
 
 
-def group_augment(exp: ExpandedNetwork, groups: Groups, target: Fraction) -> Push:
+def group_augment(exp: ExpandedNetwork, groups: Groups, target: Rational) -> Push:
     """Push exactly ``target`` units with augmenting paths.
 
     Residual capacity of a transit copy is its whole group's remaining
     bandwidth, so a path using several copies of one group is throttled by
-    the group's residual divided by the number of uses.  Shared capacities
-    mean a stall does not prove infeasibility; when the stall is a search
-    that missed the sink, the nodes it reached feed `residual_cut`.
+    the group's residual divided by the number of uses, a `Fraction` unless
+    there is one use.  Shared capacities mean a stall does not prove
+    infeasibility; when the stall is a search that missed the sink, the
+    nodes it reached feed `residual_cut`.
     """
     source, sink = exp.source, exp.sink
     out_adj, in_adj = exp.out_links, exp.in_links
@@ -175,8 +176,8 @@ def group_augment(exp: ExpandedNetwork, groups: Groups, target: Fraction) -> Pus
     group_resid = list(bandwidths)  # the caller's groups stay as they were
     open_group = [r > 0 for r in group_resid]
 
-    flow: dict[int, Fraction] = {}  # positive entries only
-    value = Fraction(0)
+    flow: dict[int, Rational] = {}  # positive entries only
+    value = 0
     max_rounds = 3 * len(links) + 64
     for _ in range(max_rounds):
         if value >= target:
@@ -218,7 +219,8 @@ def group_augment(exp: ExpandedNetwork, groups: Groups, target: Fraction) -> Pus
                 usage[g] += 1 if forward else -1
         for g, uses in usage.items():
             if uses > 0:
-                bottleneck = min(bottleneck, group_resid[g] / uses)
+                share = group_resid[g] if uses == 1 else Fraction(group_resid[g], uses)
+                bottleneck = min(bottleneck, share)
         if bottleneck <= 0:
             return Push(None, None)
         for idx, forward in arcs:
@@ -243,7 +245,7 @@ def group_augment(exp: ExpandedNetwork, groups: Groups, target: Fraction) -> Pus
 
 def residual_cut(
     exp: ExpandedNetwork, groups: Groups, reached: set[int]
-) -> Fraction | None:
+) -> Rational | None:
     """Upper bound on the program's value from a source-side node set.
 
     ``reached`` holds the source and not the sink, so every feasible flow's
@@ -258,7 +260,7 @@ def residual_cut(
             if group_of[idx] < 0:
                 return None
             full.add(group_of[idx])
-    return sum((bandwidths[g] for g in full), Fraction(0))
+    return sum(bandwidths[g] for g in full)
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +365,11 @@ def snap_primal(
 @dataclass
 class ProbeAnswer:
     feasible: bool
-    flow: dict[int, Fraction] | None  # value-target witness when feasible
+    flow: dict[int, Rational] | None  # value-target witness when feasible
     engine: str
 
 
-def probe_reaches(exp: ExpandedNetwork, period: int, target: Fraction) -> ProbeAnswer:
+def probe_reaches(exp: ExpandedNetwork, period: int, target: Rational) -> ProbeAnswer:
     """Exact answer to "does the flow program at exp.bound reach target?".
 
     An expansion without links means the receiver is farther than the

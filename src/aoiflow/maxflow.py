@@ -4,31 +4,30 @@ Used for per-slot sustainable-rate computations (the steady-rate capacity of
 a sender/receiver pair), feasibility screening, the successive min-cost
 flows behind the quickest flow time of a batch and its temporally repeated
 schedules, and decomposing conserving flows into simple paths.
-Everything is Fraction-exact.
+Everything is exact: on integer bandwidths every flow, rate and cost is an
+int (Ford and Fulkerson's integrality), otherwise a Fraction.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from functools import lru_cache
 import heapq
-import math
 from typing import NamedTuple
 
-from .model import Link, Network
+from .model import Link, Network, Rational
 
 
 def max_flow(
     net: Network, source: str, sink: str
-) -> tuple[dict[str, Fraction], Fraction]:
+) -> tuple[dict[str, Rational], Rational]:
     """Edmonds-Karp with exact capacities; returns per-link flow and value."""
     if source == sink:
-        return {}, Fraction(0)
-    flow: dict[str, Fraction] = {link.id: Fraction(0) for link in net.links}
+        return {}, 0
+    flow: dict[str, Rational] = {link.id: 0 for link in net.links}
     outgoing, incoming = net.out_links, net.in_links
 
-    value = Fraction(0)
+    value = 0
     while True:
         # BFS in the residual graph
         parent: dict[str, tuple[Link, bool]] = {}
@@ -72,9 +71,9 @@ class Prefix(NamedTuple):
     """The min-cost flow after one more augmentation, split into paths."""
 
     length: int  # delay of the augmenting path that completed it
-    rate: Fraction  # flow value
-    cost: Fraction  # total delay, rate times delay summed over links
-    paths: tuple[tuple[tuple[str, ...], Fraction], ...]  # (links, rate), simple
+    rate: Rational  # flow value
+    cost: Rational  # total delay, rate times delay summed over links
+    paths: tuple[tuple[tuple[str, ...], Rational], ...]  # (links, rate), simple
     delays: tuple[int, ...]  # each path's delay
 
 
@@ -90,12 +89,12 @@ def min_cost_prefixes(net: Network, source: str, sink: str) -> tuple[Prefix, ...
     peeled by `decompose_paths`.  The last one is a maximum flow; none when
     the sink is unreachable.
     """
-    flow: dict[str, Fraction] = {link.id: Fraction(0) for link in net.links}
+    flow: dict[str, Rational] = {link.id: 0 for link in net.links}
     outgoing, incoming = net.out_links, net.in_links
     index = net.link_index
 
     prefixes: list[Prefix] = []
-    rate = cost = Fraction(0)
+    rate = cost = 0
     while True:
         dist = {source: 0}
         parent: dict[str, tuple[Link, bool]] = {}
@@ -137,7 +136,7 @@ def min_cost_prefixes(net: Network, source: str, sink: str) -> tuple[Prefix, ...
         prefixes.append(Prefix(length, rate, cost, paths, delays))
 
 
-def quickest_bound(net: Network, source: str, sink: str, amount: Fraction) -> int | None:
+def quickest_bound(net: Network, source: str, sink: str, amount: Rational) -> int | None:
     """Least bound M by which ``amount`` can travel from (source, 0) to (sink, M).
 
     Each link copy may carry the link's bandwidth, so this is the quickest
@@ -145,19 +144,20 @@ def quickest_bound(net: Network, source: str, sink: str, amount: Fraction) -> in
     rate R and cost C carries R*(M + 1) - C by bound M, and augmenting path
     lengths never decrease, so once the next prefix's last path is no
     shorter than the bound met so far no later prefix can lower it.  None
-    when the sink is unreachable.
+    when the sink is unreachable.  The ceiling is an exact floor division,
+    so no float ever rounds it.
     """
     bound: int | None = None
     for prefix in min_cost_prefixes(net, source, sink):
         if bound is not None and prefix.length >= bound:
             break
-        bound = max(prefix.length, math.ceil((amount + prefix.cost) / prefix.rate) - 1)
+        bound = max(prefix.length, -(-(amount + prefix.cost) // prefix.rate) - 1)
     return bound
 
 
 def decompose_paths(
-    net: Network, flow: dict[str, Fraction], source: str, sink: str
-) -> list[tuple[tuple[str, ...], Fraction]]:
+    net: Network, flow: dict[str, Rational], source: str, sink: str
+) -> list[tuple[tuple[str, ...], Rational]]:
     """Split a conserving source->sink flow into simple paths with rates.
 
     Walks forward along positive links; any cycle met along the way is
@@ -166,11 +166,11 @@ def decompose_paths(
     """
     residual = {k: v for k, v in flow.items() if v > 0}
     outgoing = net.out_links
-    paths: list[tuple[tuple[str, ...], Fraction]] = []
+    paths: list[tuple[tuple[str, ...], Rational]] = []
 
     def next_link(v: str) -> Link | None:
         for link in outgoing[v]:
-            if residual.get(link.id, Fraction(0)) > 0:
+            if residual.get(link.id, 0) > 0:
                 return link
         return None
 

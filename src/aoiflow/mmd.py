@@ -58,6 +58,7 @@ from .model import (
     ModelError,
     Network,
     PeriodicSolution,
+    Rational,
     ScheduleEntry,
     normalize_holding,
     validate_solution,
@@ -78,10 +79,10 @@ class MmdResult:
 
 def lift_path_flow(
     net: Network,
-    path_rates: Sequence[tuple[tuple[str, ...], Fraction]],
+    path_rates: Sequence[tuple[tuple[str, ...], Rational]],
     period: int,
     bound: int,
-    amount: Fraction | None = None,
+    amount: Rational | None = None,
 ) -> PeriodicSolution:
     """Send each path's rate at departures 0, 1, ... with no holding past the sender.
 
@@ -112,19 +113,16 @@ def lift_path_flow(
     return PeriodicSolution(period, tuple(entries))
 
 
-def repeated_value(prefix: Prefix, period: int, bound: int) -> Fraction:
+def repeated_value(prefix: Prefix, period: int, bound: int) -> Rational:
     """What `lift_path_flow` sends on the prefix's paths by ``bound``.
 
     This is L_T(M) = sum of x_P * min(T, M + 1 - d(P)) over the paths P of
     delay d(P) <= M.
     """
     return sum(
-        (
-            rate * min(period, bound + 1 - delay)
-            for (_, rate), delay in zip(prefix.paths, prefix.delays)
-            if delay <= bound
-        ),
-        Fraction(0),
+        rate * min(period, bound + 1 - delay)
+        for (_, rate), delay in zip(prefix.paths, prefix.delays)
+        if delay <= bound
     )
 
 
@@ -138,7 +136,7 @@ def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolu
     which proves nothing.
     """
     net = inst.network
-    best, value = None, Fraction(0)
+    best, value = None, 0
     for prefix in min_cost_prefixes(net, inst.sender, inst.receiver):
         reach = repeated_value(prefix, period, bound)
         if reach > value:
@@ -150,7 +148,7 @@ def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolu
 
 def decompose(
     exp: ExpandedNetwork,
-    edge_flow: dict[int, Fraction],
+    edge_flow: dict[int, Rational],
     inst: Instance,
     period: int,
 ) -> PeriodicSolution:
@@ -166,11 +164,11 @@ def decompose(
     source, sink = exp.source, exp.sink
     work = {idx: v for idx, v in edge_flow.items() if v > 0}
 
-    imbalance: dict[int, Fraction] = {}
+    imbalance: dict[int, Rational] = {}
     for idx, v in work.items():
         el = exp.links[idx]
-        imbalance[el.tail] = imbalance.get(el.tail, Fraction(0)) + v
-        imbalance[el.head] = imbalance.get(el.head, Fraction(0)) - v
+        imbalance[el.tail] = imbalance.get(el.tail, 0) + v
+        imbalance[el.head] = imbalance.get(el.head, 0) - v
     for node, delta in imbalance.items():
         if node not in (source, sink) and delta != 0:
             raise ModelError(f"flow does not conserve at expanded node {node}")
@@ -187,7 +185,7 @@ def decompose(
 
     def first_positive(cands: list[int]) -> int | None:
         for idx in cands:
-            if work.get(idx, Fraction(0)) > 0:
+            if work.get(idx, 0) > 0:
                 return idx
         return None
 
@@ -221,7 +219,7 @@ def decompose(
     return PeriodicSolution(period, tuple(entries))
 
 
-def _collapse(exp: ExpandedNetwork, path: list[int], amount: Fraction) -> ScheduleEntry:
+def _collapse(exp: ExpandedNetwork, path: list[int], amount: Rational) -> ScheduleEntry:
     hops: list[tuple[str, int]] = []  # (physical link id, arrival layer)
     for idx in path:
         el = exp.links[idx]
@@ -279,7 +277,7 @@ def _min_max_delay_cached(
 ) -> MmdResult | None:
     net = inst.network
     prefixes = min_cost_prefixes(net, inst.sender, inst.receiver)
-    if not prefixes or prefixes[-1].rate < Fraction(inst.batch, period):
+    if not prefixes or prefixes[-1].rate * period < inst.batch:
         return None
     probes: list[tuple[int, bool]] = []
     bottom = quickest_bound(net, inst.sender, inst.receiver, inst.batch)

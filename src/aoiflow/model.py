@@ -7,8 +7,13 @@ one or more paths.  A schedule assigns amounts to (path, offset-vector) pairs
 and is replayed every period; overlapping periods share link bandwidth, so
 capacity is checked per offset residue class mod ``T``.
 
-All amounts and bandwidths are `fractions.Fraction`; delays, offsets and
-periods are plain ints.  Nothing in the solver path ever rounds.
+Bandwidths, batches and amounts are exact rationals: an ``int`` when the
+value is integral and a `fractions.Fraction` otherwise (`exact`), so an
+instance with integer bandwidths and batch is solved in ``int`` arithmetic
+throughout.  A division always goes through `Fraction`, never ``/`` on two
+ints.  The throughput bounds ``r_min``/``r_max`` stay `Fraction`, since
+they are only ever divided into.  Delays, offsets and periods are plain
+ints.  Nothing in the solver path ever rounds.
 
 Offset convention: an entry over hops ``e_1..e_H`` stores
 ``offsets = (u_0, u_1, ..., u_H)`` with ``u_0 = 0``, where ``u_i`` is the
@@ -24,6 +29,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
+
+
+# an exact rational value: int when integral, Fraction otherwise
+Rational = int | Fraction
+
+
+def exact(value) -> Rational:
+    """``value`` as an exact rational: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class ModelError(ValueError):
@@ -49,10 +66,10 @@ class Link:
     tail: str
     head: str
     delay: int
-    bandwidth: Fraction
+    bandwidth: Rational
 
     def __post_init__(self):
-        object.__setattr__(self, "bandwidth", Fraction(self.bandwidth))
+        object.__setattr__(self, "bandwidth", exact(self.bandwidth))
 
 
 @dataclass(frozen=True)
@@ -92,7 +109,7 @@ def network(nodes: Iterable[str], links: Iterable[tuple]) -> Network:
     """Build a Network from (id, tail, head, delay, bandwidth) tuples."""
     return Network(
         nodes=tuple(nodes),
-        links=tuple(Link(i, t, h, int(d), Fraction(b)) for i, t, h, d, b in links),
+        links=tuple(Link(i, t, h, int(d), b) for i, t, h, d, b in links),
     )
 
 
@@ -109,12 +126,12 @@ class Instance:
     network: Network
     sender: str
     receiver: str
-    batch: Fraction
+    batch: Rational
     r_min: Fraction
     r_max: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "batch", Fraction(self.batch))
+        object.__setattr__(self, "batch", exact(self.batch))
         object.__setattr__(self, "r_min", Fraction(self.r_min))
         object.__setattr__(self, "r_max", Fraction(self.r_max))
         problems = validate_network(self.network)
@@ -155,12 +172,12 @@ class ScheduleEntry:
 
     links: tuple[str, ...]
     offsets: tuple[int, ...]
-    amount: Fraction
+    amount: Rational
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
         object.__setattr__(self, "offsets", tuple(int(u) for u in self.offsets))
-        object.__setattr__(self, "amount", Fraction(self.amount))
+        object.__setattr__(self, "amount", exact(self.amount))
         if len(self.offsets) != len(self.links) + 1:
             raise ModelError("offsets must have one entry per hop plus the origin")
         if not self.links:
@@ -207,8 +224,8 @@ class PeriodicSolution:
             raise ModelError("period must be a positive integer")
 
     @property
-    def total_amount(self) -> Fraction:
-        return sum((e.amount for e in self.entries), Fraction(0))
+    def total_amount(self) -> Rational:
+        return sum(e.amount for e in self.entries)
 
     @property
     def max_delay(self) -> int:
@@ -332,15 +349,15 @@ def normalize_holding(net: Network, sol: PeriodicSolution) -> PeriodicSolution:
 
 def residue_loads(
     net: Network, sol: PeriodicSolution
-) -> dict[tuple[str, int], Fraction]:
+) -> dict[tuple[str, int], Rational]:
     """Aggregate amount pushed onto each link per offset residue class."""
-    loads: dict[tuple[str, int], Fraction] = {}
+    loads: dict[tuple[str, int], Rational] = {}
     index = net.link_index
     for entry in sol.entries:
         for i, link_id in enumerate(entry.links):
             push = entry.offsets[i + 1] - index[link_id].delay
             key = (link_id, push % sol.period)
-            loads[key] = loads.get(key, Fraction(0)) + entry.amount
+            loads[key] = loads.get(key, 0) + entry.amount
     return loads
 
 

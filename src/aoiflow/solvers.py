@@ -28,6 +28,7 @@ from .model import (
     ModelError,
     Network,
     PeriodicSolution,
+    Rational,
     feasible_periods,
     report_for,
 )
@@ -80,12 +81,12 @@ class SolveOutcome:
 class PathFlow:
     """Steady per-slot path rates; max_delay is the slowest used path."""
 
-    paths: tuple[tuple[tuple[str, ...], Fraction], ...]
+    paths: tuple[tuple[tuple[str, ...], Rational], ...]
     max_delay: int
 
     @property
-    def rate(self) -> Fraction:
-        return sum((r for _, r in self.paths), Fraction(0))
+    def rate(self) -> Rational:
+        return sum(r for _, r in self.paths)
 
 
 Mmd1Backend = Callable[[Network, str, str, Fraction], "PathFlow | None"]
@@ -185,9 +186,9 @@ def mmd1_exact(net: Network, sender: str, receiver: str, rate: Fraction) -> Path
     result = min_max_delay(inst, 1)
     if result is None:
         return None
-    merged: dict[tuple[str, ...], Fraction] = {}
+    merged: dict[tuple[str, ...], Rational] = {}
     for entry in result.solution.entries:
-        merged[entry.links] = merged.get(entry.links, Fraction(0)) + entry.amount
+        merged[entry.links] = merged.get(entry.links, 0) + entry.amount
     return PathFlow(
         paths=tuple(sorted(merged.items())),
         max_delay=result.max_delay,

@@ -1,0 +1,186 @@
+"""Exact rationals on the solve path.
+
+Integral bandwidths, batches, flows and amounts stay `int`; a `Fraction`
+appears only where a value is not integral or a division makes one.  No
+`float` may enter anywhere: at 10^20 a float ceiling rounds away the answer,
+and at 1 + 10^-30 a float bandwidth rounds away an infeasibility.
+"""
+
+from dataclasses import replace
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from aoiflow import Instance, Network, network
+from aoiflow.cli import main
+from aoiflow.expander import ExpandedLink, ExpandedNetwork, TRANSIT, build_expanded
+from aoiflow.experiments import (
+    complete_graph,
+    generate,
+    grid_graph,
+    pick_endpoints,
+    scaled_instance,
+)
+from aoiflow.fileio import save_instance
+from aoiflow.flowlp import group_augment, period_cut
+from aoiflow.maxflow import min_cost_prefixes
+from aoiflow.mmd import min_max_delay
+from aoiflow.model import exact, feasible_periods
+from aoiflow.solvers import Objective, solve_optimal
+from conftest import corpus_instance
+
+
+def solved_values(inst):
+    """Every value the type pins read, by kind, over the whole window."""
+    values = {
+        "bandwidth": [link.bandwidth for link in inst.network.links],
+        "batch": [inst.batch],
+        "prefix": [],
+        "group": [],
+        "cut": [],
+        "push": [],
+        "amount": [],
+    }
+    for prefix in min_cost_prefixes(inst.network, inst.sender, inst.receiver):
+        values["prefix"] += [prefix.rate, prefix.cost, *(r for _, r in prefix.paths)]
+    for period in feasible_periods(inst):
+        result = min_max_delay(inst, period)
+        if result is None:
+            continue
+        values["amount"] += [e.amount for e in result.solution.entries]
+        for bound, _ in result.probes:
+            exp = build_expanded(inst, bound)
+            groups = exp.capacity_groups(period)
+            values["group"] += groups[1]
+            values["cut"].append(period_cut(exp, groups))
+            flow = group_augment(exp, groups, inst.batch).flow or {}
+            values["push"] += flow.values()
+    for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
+        solution = solve_optimal(inst, objective).solution
+        values["amount"] += [e.amount for e in solution.entries]
+    return values
+
+
+def test_integer_instance_stays_int():
+    net = generate(grid_graph(4, 4, seed=7))
+    inst = scaled_instance(net, "a1_1", "a4_4", 10)
+    values = solved_values(inst)
+    assert all(values.values())  # every kind was met
+    for kind, found in values.items():
+        assert {type(v) for v in found} == {int}, kind
+
+
+def test_half_bandwidths_stay_fractions():
+    inst = corpus_instance(20)  # bandwidths 2, 3/2, 3/2
+    values = solved_values(inst)
+    assert {type(v) for v in values["bandwidth"]} == {int, F}
+    for kind in ("prefix", "group"):
+        assert values[kind] and F in {type(v) for v in values[kind]}, kind
+    assert {type(v) for v in values["prefix"]} == {F}
+    assert values["amount"] == [F(3, 2)] * len(values["amount"])
+    for kind, found in values.items():
+        assert all(type(v) in (int, F) for v in found), kind
+    # what the model stores is canonical: int exactly when integral
+    for kind in ("bandwidth", "batch", "amount"):
+        assert all(type(v) is type(exact(v)) for v in values[kind]), kind
+
+
+def test_exact_canonicalises():
+    assert type(exact(F(6, 3))) is int and exact(F(6, 3)) == 2
+    assert type(exact(7)) is int and type(exact(True)) is int
+    assert exact(F(3, 6)) == F(1, 2) and exact("3/6") == F(1, 2)
+
+
+def test_pusher_splits_a_twice_used_group_exactly():
+    """The first path crosses one group twice, so it takes half of its
+    integer bandwidth; the second path brings the rest."""
+    net = network(["s", "r"], [("e", "s", "r", 1, 1), ("f", "s", "r", 1, 1)])
+    hops = [(0, 1, "e"), (1, 2, "e"), (0, 3, "f"), (3, 4, "f"), (4, 2, "f")]
+    exp = ExpandedNetwork(
+        net=net,
+        bound=4,
+        links=tuple(ExpandedLink(t, h, TRANSIT, link, 0) for t, h, link in hops),
+        source=0,
+        sink=2,
+    )
+    groups = ([0, 0, 1, 2, 3], [1, 1, 1, 1])
+    flow = group_augment(exp, groups, 1).flow
+    assert flow == {idx: F(1, 2) for idx in range(5)}
+    assert {type(v) for v in flow.values()} == {F}
+
+
+def test_huge_delay_keeps_an_exact_ceiling(tmp_path, capsys):
+    big = 10**20
+    net = network(["s", "r"], [("e", "s", "r", big, 1)])
+    path = tmp_path / "far.inst"
+    save_instance(Instance(net, "s", "r", 2, 1, 1), str(path))
+    assert main(["mmd-at-period", str(path), "2"]) == 0
+    assert capsys.readouterr().out == (
+        f"T=2 M={big + 1} peak={big + 2} avg={2 * big + 3}/2 probes=1\n"
+    )
+
+
+def test_bandwidth_a_hair_above_one_stays_exact(tmp_path, capsys):
+    hair = F(10**30 + 1, 10**30)
+    net = network(["s", "r"], [("e", "s", "r", 1, hair)])
+    path = tmp_path / "hair.inst"
+    save_instance(Instance(net, "s", "r", 3, 1, F(3, 2)), str(path))
+    assert main(["mmd-at-period", str(path), "2"]) == 2
+    assert capsys.readouterr().out == "infeasible at period 2\n"
+    assert main(["solve", "maa", str(path)]) == 0
+    assert "T=3 M=3 " in capsys.readouterr().out
+
+
+def test_bandwidth_a_hair_below_one_stays_exact():
+    # as a float the bandwidth is 1, and two slots would carry the batch
+    hair = F(10**30 - 1, 10**30)
+    net = network(["s", "r"], [("e", "s", "r", 1, hair)])
+    inst = Instance(net, "s", "r", 2, F(2, 3), 1)
+    assert min_max_delay(inst, 2) is None
+    assert min_max_delay(inst, 3).max_delay == 3
+
+
+def rescaled(inst, factor):
+    """The instance with every bandwidth, the batch and the window times factor."""
+    net = inst.network
+    links = tuple(replace(link, bandwidth=link.bandwidth * factor) for link in net.links)
+    return Instance(
+        Network(net.nodes, links),
+        inst.sender,
+        inst.receiver,
+        inst.batch * factor,
+        inst.r_min * factor,
+        inst.r_max * factor,
+    )
+
+
+TOPOLOGIES = {
+    "grid3x3": lambda seed: grid_graph(3, 3, seed),
+    "grid3x4": lambda seed: grid_graph(3, 4, seed),
+    "grid4x4": lambda seed: grid_graph(4, 4, seed),
+    "complete5": lambda seed: complete_graph(5, seed),
+    "complete6": lambda seed: complete_graph(6, seed),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(TOPOLOGIES)),
+    seed=st.integers(0, 40),
+    scale=st.integers(1, 6),
+    n_periods=st.integers(1, 3),
+    factor=st.sampled_from([F(3), F(1, 7)]),
+)
+def test_rescaling_leaves_every_delay(kind, seed, scale, n_periods, factor):
+    """The flow program is homogeneous in bandwidths and batch, so scaling
+    both, and the window with them, keeps every period's minimum maximum
+    delay.  A factor of 1/7 moves an integer instance onto Fractions."""
+    net = generate(TOPOLOGIES[kind](seed))
+    sender, receiver = pick_endpoints(net, seed)
+    inst = scaled_instance(net, sender, receiver, scale, n_periods)
+    other = rescaled(inst, factor)
+    kinds = {type(link.bandwidth) for link in other.network.links}
+    assert kinds == ({int} if factor == 3 else {F})
+    for period in feasible_periods(inst):
+        base, scaled = min_max_delay(inst, period), min_max_delay(other, period)
+        assert (base and base.max_delay) == (scaled and scaled.max_delay), period

@@ -187,7 +187,7 @@ def test_quickest_bound_is_least_bound_without_sharing():
         batch = inst.batch
         for amount, reaches in [
             (batch, lp_reaches),
-            (batch / 3, lp_reaches),
+            (F(batch, 3), lp_reaches),
             (7 * batch, pusher_reaches),
         ]:
             bound = quickest_bound(inst.network, inst.sender, inst.receiver, amount)
