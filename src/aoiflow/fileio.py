@@ -123,9 +123,17 @@ def save_network(net: Network, path: str) -> None:
         fh.write("\n")
 
 
-def load_network(path: str) -> Network:
+def _load_json(path: str):
+    """The file's JSON value; ModelError when it nests too deeply to parse."""
     with open(path) as fh:
-        return network_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ModelError(f"{path}: JSON nested too deeply") from exc
+
+
+def load_network(path: str) -> Network:
+    return network_from_dict(_load_json(path))
 
 
 def save_instance(inst: Instance, path: str) -> None:
@@ -135,8 +143,7 @@ def save_instance(inst: Instance, path: str) -> None:
 
 
 def load_instance(path: str) -> Instance:
-    with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+    return instance_from_dict(_load_json(path))
 
 
 def solution_to_text(net: Network, sol: PeriodicSolution, batch: Fraction) -> str:

@@ -24,8 +24,8 @@ settled in this order, every answer certified with exact arithmetic:
 * one float LP solve (scipy/HiGHS), snapped to small rationals and
   re-verified exactly: its dual certifies "no" answers, and its primal,
   when every row and the target hold exactly, is a "yes" witness flow,
-* the exact rational simplex from `lp`, which is the reference semantics and
-  the fallback whenever the quick engines cannot certify.
+* the exact rational simplex `lp.solve_lp`, which is the reference
+  semantics and the fallback whenever the quick engines cannot certify.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ from .lp import (
     EQ,
     LE,
     OPTIMAL,
-    TARGET_REACHED,
     LinearProgram,
     LpSolution,
-    solve_lp_reaching,
+    solve_lp,
     violated_row,
 )
 from .maxflow import max_flow
@@ -52,10 +51,9 @@ from .model import Network, Rational
 
 @dataclass
 class FlowLp:
-    """A built flow program; variable j is the flow on ``exp.links[j]``."""
+    """A built flow program; variable j is the flow on the expansion's link j."""
 
     program: LinearProgram
-    exp: ExpandedNetwork
 
 
 def build_flow_lp(exp: ExpandedNetwork, groups: Groups) -> FlowLp:
@@ -98,7 +96,7 @@ def build_flow_lp(exp: ExpandedNetwork, groups: Groups) -> FlowLp:
     for coeffs, cap in zip(members, bandwidths):
         lp.add_row(coeffs, cap, LE)
 
-    return FlowLp(program=lp, exp=exp)
+    return FlowLp(program=lp)
 
 
 def extract_edge_flow(sol: LpSolution) -> dict[int, Fraction]:
@@ -243,23 +241,21 @@ def group_augment(exp: ExpandedNetwork, groups: Groups, target: Rational) -> Pus
     return Push(None, None)
 
 
-def residual_cut(
-    exp: ExpandedNetwork, groups: Groups, reached: set[int]
-) -> Rational | None:
+def residual_cut(exp: ExpandedNetwork, groups: Groups, reached: set[int]) -> Rational:
     """Upper bound on the program's value from a source-side node set.
 
     ``reached`` holds the source and not the sink, so every feasible flow's
     value is its net flow out of ``reached``, at most the flow on the copies
     leaving it, at most the bandwidths of the groups those copies belong to.
-    None when an uncapacitated holding link leaves the set.
+    Precondition: no uncapacitated holding link leaves ``reached``, as in
+    the set `group_augment` hands over: its search follows every one.
     """
     group_of, bandwidths = groups
-    full: set[int] = set()
-    for idx, el in enumerate(exp.links):
-        if el.tail in reached and el.head not in reached:
-            if group_of[idx] < 0:
-                return None
-            full.add(group_of[idx])
+    full = {
+        group_of[idx]
+        for idx, el in enumerate(exp.links)
+        if el.tail in reached and el.head not in reached
+    }
     return sum(bandwidths[g] for g in full)
 
 
@@ -372,12 +368,10 @@ class ProbeAnswer:
 def probe_reaches(exp: ExpandedNetwork, period: int, target: Rational) -> ProbeAnswer:
     """Exact answer to "does the flow program at exp.bound reach target?".
 
-    An expansion without links means the receiver is farther than the
-    bound: the program's value is zero, and no engine runs.  Otherwise the
-    capacity groups are derived once and every engine reads them.
+    The capacity groups are derived once and every engine reads them.  On
+    an expansion without links (the receiver is farther than the bound) no
+    engine runs past the period cut, whose summed network then reads 0.
     """
-    if not exp.links:
-        return ProbeAnswer(False, None, "unreachable")
     groups = exp.capacity_groups(period)
     if period_cut(exp, groups) < target:
         return ProbeAnswer(False, None, "period-cut")
@@ -385,10 +379,8 @@ def probe_reaches(exp: ExpandedNetwork, period: int, target: Rational) -> ProbeA
     push = group_augment(exp, groups, target)
     if push.flow is not None:
         return ProbeAnswer(True, push.flow, "augment")
-    if push.reached is not None:
-        cut = residual_cut(exp, groups, push.reached)
-        if cut is not None and cut < target:
-            return ProbeAnswer(False, None, "residual-cut")
+    if push.reached is not None and residual_cut(exp, groups, push.reached) < target:
+        return ProbeAnswer(False, None, "residual-cut")
 
     flow_lp = build_flow_lp(exp, groups)
 
@@ -404,11 +396,9 @@ def probe_reaches(exp: ExpandedNetwork, period: int, target: Rational) -> ProbeA
             if flow is not None:
                 return ProbeAnswer(True, flow, "primal-snap")
 
-    sol = solve_lp_reaching(flow_lp.program, target)
-    if sol.status == TARGET_REACHED or (
-        sol.status == OPTIMAL and sol.objective_value >= target
-    ):
-        return ProbeAnswer(True, extract_edge_flow(sol), "simplex")
+    sol = solve_lp(flow_lp.program)
     if sol.status != OPTIMAL:  # zero flow is always feasible, caps are finite
         raise AssertionError(f"flow program reported {sol.status}")
+    if sol.objective_value >= target:
+        return ProbeAnswer(True, extract_edge_flow(sol), "simplex")
     return ProbeAnswer(False, None, "simplex")

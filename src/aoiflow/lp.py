@@ -5,7 +5,8 @@ dense rows, but a pivot updates only the pivot row's nonzero columns, and
 the artificial variables of phase one are basis indices with no stored
 column.  gmpy2.mpq is used for tableau arithmetic when available (it is
 noticeably faster), with fractions.Fraction as a drop-in fallback; inputs
-and outputs are always Fraction.
+and outputs are always Fraction.  `solve_lp` is the one entry point, and
+phase two has no early exit.
 
 Pivoting: largest-reduced-cost (Dantzig) during a bounded warm phase, then
 smallest-index (Bland) which guarantees termination.  An iteration budget of
@@ -26,7 +27,6 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-TARGET_REACHED = "target-reached"  # internal: early exit for threshold probes
 
 EQ = "eq"
 LE = "le"
@@ -77,22 +77,15 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Every optimal solution is substitution-checked against all rows before
     being returned.
     """
-    sol = _solve(lp, target=None)
-    if sol.status == OPTIMAL:
-        _assert_satisfies(lp, sol.values)
-    return sol
-
-
-def solve_lp_reaching(lp: LinearProgram, target: Fraction) -> LpSolution:
-    """Like solve_lp, but may stop early once the objective reaches target.
-
-    Status TARGET_REACHED certifies optimum >= target; the returned point is
-    primal feasible (substitution-checked) with that objective value.
-    """
-    sol = _solve(lp, target=Fraction(target))
-    if sol.status in (OPTIMAL, TARGET_REACHED):
-        _assert_satisfies(lp, sol.values)
-    return sol
+    tab = _Tableau(lp)
+    if not tab.phase_one():
+        return LpSolution(INFEASIBLE, [Fraction(0)] * lp.n_vars, Fraction(0))
+    status = tab._run()
+    values = tab.structural_values()
+    if status == OPTIMAL:
+        _assert_satisfies(lp, values)
+    objective = sum((values[j] * c for j, c in enumerate(lp.objective)), Fraction(0))
+    return LpSolution(status, values, objective)
 
 
 def violated_row(lp: LinearProgram, values: list[Fraction]) -> str | None:
@@ -113,18 +106,6 @@ def _assert_satisfies(lp: LinearProgram, values: list[Fraction]) -> None:
     for j, v in enumerate(values):
         if v < 0:
             raise AssertionError(f"negative value on x{j}")
-
-
-def _solve(lp: LinearProgram, target: Fraction | None) -> LpSolution:
-    tab = _Tableau(lp)
-    if not tab.phase_one():
-        return LpSolution(INFEASIBLE, [Fraction(0)] * lp.n_vars, Fraction(0))
-    status = tab.phase_two(None if target is None else _mpq(target))
-    values = tab.structural_values()
-    objective = sum(
-        (values[j] * c for j, c in enumerate(lp.objective)), Fraction(0)
-    )
-    return LpSolution(status, values, objective)
 
 
 class _Tableau:
@@ -223,13 +204,11 @@ class _Tableau:
                     best_r = i
         return best_r
 
-    def _run(self, target) -> str:
-        """Maximize the current objrow; returns OPTIMAL/UNBOUNDED/TARGET_REACHED."""
+    def _run(self) -> str:
+        """Maximize the current objrow; returns OPTIMAL or UNBOUNDED."""
         stall = 0
         bland = False
         while True:
-            if target is not None and self.objval >= target:
-                return TARGET_REACHED
             obj = self.objrow
             enter = -1
             if not bland:
@@ -271,7 +250,7 @@ class _Tableau:
                     objrow[j] -= a
             self.objval -= self.rhs[r]
         self.objrow = objrow
-        self._run(target=None)
+        self._run()
         if self.objval != 0:
             return False
         self._drive_out_artificials()
@@ -311,9 +290,6 @@ class _Tableau:
             obj[b] = _ZERO
         self.objrow = obj
         self.objval = val
-
-    def phase_two(self, target) -> str:
-        return self._run(target)
 
     def structural_values(self) -> list[Fraction]:
         values = [Fraction(0)] * self.n_struct

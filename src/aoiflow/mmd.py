@@ -329,11 +329,6 @@ def min_max_delay_oracle(
         feasible = sol.status == OPTIMAL and sol.objective_value >= inst.batch
         probes.append((bound, feasible))
         if feasible:
-            flow = extract_edge_flow(sol)
-            raw = decompose(exp, flow, inst, period)
-            solution = normalize_holding(inst.network, raw)
-            ok, max_delay, violations = validate_solution(inst, solution)
-            if not ok:
-                raise AssertionError(f"oracle schedule invalid: {violations}")
-            return MmdResult(period, bound, solution, tuple(probes))
+            raw = decompose(exp, extract_edge_flow(sol), inst, period)
+            return MmdResult(period, bound, _checked(inst, raw, bound), tuple(probes))
     return None

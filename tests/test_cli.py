@@ -62,6 +62,16 @@ def test_bad_input_exits_1(tmp_path, capsys):
     bad.write_text("{not json")
     rc = main(["solve", "mpa", str(bad)])
     assert rc == 1
+    # nesting past the parser's recursion limit is bad input too
+    deep = tmp_path / "deep.inst"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    sol = tmp_path / "any.sol"
+    sol.write_text("period=1 batch=1\n")
+    capsys.readouterr()
+    for argv in (["solve", "mpa", str(deep)], ["validate", str(deep), str(sol)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

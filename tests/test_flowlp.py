@@ -70,9 +70,10 @@ def test_extract_zero_flow_empty():
 
 
 def test_extract_flow_conserves_and_totals():
-    flow_lp, sol = optimum(make_fastslow_instance(), 10, 10)
+    inst = make_fastslow_instance()
+    _, sol = optimum(inst, 10, 10)
     assert sol.objective_value >= 10
-    exp = flow_lp.exp
+    exp = build_expanded(inst, 10)
     flow = extract_edge_flow(sol)
     balance = {}
     for idx, v in flow.items():
@@ -92,8 +93,8 @@ def test_extract_flow_conserves_and_totals():
 
 def test_group_loads_within_bandwidth():
     inst = make_fastslow_instance()
-    flow_lp, sol = optimum(inst, 7, 11)
-    assert_groups_within_bandwidth(flow_lp.exp, 7, extract_edge_flow(sol))
+    _, sol = optimum(inst, 7, 11)
+    assert_groups_within_bandwidth(build_expanded(inst, 11), 7, extract_edge_flow(sol))
 
 
 def test_capacity_groups_pin_rule_and_row_order():
@@ -277,7 +278,7 @@ def test_primal_snap_refuses_what_breaks_a_row_or_falls_short():
     program = LinearProgram(n_vars=3, objective=[F(1), F(0), F(0)])
     program.add_row({0: F(1), 1: F(1), 2: F(1)}, 2, EQ)
     program.add_row({0: F(1)}, 1, LE)
-    flow_lp = FlowLp(program, exp=None)
+    flow_lp = FlowLp(program)
 
     def snap(*x):
         return snap_primal(flow_lp, F(1), {"x": list(x)})

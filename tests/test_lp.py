@@ -9,11 +9,9 @@ from aoiflow.lp import (
     INFEASIBLE,
     LE,
     OPTIMAL,
-    TARGET_REACHED,
     UNBOUNDED,
     LinearProgram,
     solve_lp,
-    solve_lp_reaching,
 )
 from conftest import corpus_instance, make_fastslow_instance
 
@@ -142,15 +140,6 @@ def test_degenerate_cycling_guard():
     assert sol.objective_value == F(1, 20)
 
 
-def test_target_reached_early_exit():
-    lp = two_boxes()
-    sol = solve_lp_reaching(lp, F(5))
-    assert sol.status in (TARGET_REACHED, OPTIMAL)
-    assert sum(sol.values) >= 5
-    full = solve_lp(lp)
-    assert full.objective_value == 20
-
-
 def test_solution_satisfies_rows_exactly():
     for lp in random_programs(7, 25):
         sol = solve_lp(lp)
@@ -264,7 +253,7 @@ def dense_pivot(self, r, c):
 
 
 def corpus_flow_calls():
-    """solve_lp and solve_lp_reaching on corpus flow programs at a few bounds."""
+    """solve_lp on corpus flow programs at a few bounds."""
     calls = []
     for seed in range(40):
         inst = corpus_instance(seed)
@@ -272,7 +261,6 @@ def corpus_flow_calls():
             exp = build_expanded(inst, bound)
             program = build_flow_lp(exp, exp.capacity_groups(inst.max_period)).program
             calls.append(lambda p=program: solve_lp(p))
-            calls.append(lambda p=program, t=inst.batch: solve_lp_reaching(p, t))
     return calls
 
 

@@ -69,7 +69,7 @@ SWITCHES = {
         "quickest_bound",
         lambda net, source, sink, amount: shortest_delay(net, source)[sink],
     ),
-    "residual-cut": (flowlp_module, "residual_cut", lambda *args: None),
+    "residual-cut": (flowlp_module, "residual_cut", lambda *args: float("inf")),
     "dual-certificate": (flowlp_module, "_scipy_solve", lambda flow_lp: None),
     "temporally-repeated": (mmd_module, "temporally_repeated", lambda *args: None),
     "period-cut": (flowlp_module, "period_cut", lambda *args: float("inf")),
@@ -201,7 +201,7 @@ def test_simplex_only_stack_matches(monkeypatch, fresh_cache):
     forced, engines = solve_slice(monkeypatch)
     # same delays and trails; the simplex's flows make other schedules
     assert view(forced, "max_delay", "probes") == view(baseline, "max_delay", "probes")
-    assert set(engines) <= {"simplex", "unreachable"} and engines["simplex"] > 0
+    assert set(engines) == {"simplex"}
 
 
 def refuse_float_solve(flow_lp):
@@ -285,7 +285,7 @@ def test_dual_certificates_never_contradict_exact_optimum():
             exp = build_expanded(inst, bound)
             flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
             exact = solve_lp(flow_lp.program).objective_value
-            if not exp.links:  # probe_reaches answers "unreachable" first
+            if not exp.links:  # the period cut reads 0 here and answers first
                 assert exact == 0
                 continue
             fr = _scipy_solve(flow_lp)
@@ -311,9 +311,24 @@ def test_residual_cut_never_below_exact_optimum():
             stalls += 1
             flow_lp = build_flow_lp(exp, groups)
             exact = solve_lp(flow_lp.program).objective_value
-            cut = residual_cut(exp, groups, push.reached)
-            assert cut is not None and cut >= exact, (seed, bound)
+            reached = push.reached
+            leaving = [el for el in exp.links if el.tail in reached and el.head not in reached]
+            # residual_cut's precondition: no holding link leaves the set
+            assert all(el.kind == TRANSIT for el in leaving), (seed, bound)
+            assert residual_cut(exp, groups, reached) >= exact, (seed, bound)
     assert stalls > 0
+
+
+def test_period_cut_refutes_an_expansion_without_links():
+    # below the shortest delay no copy lies on a route, the summed network
+    # has no links, and the period cut answers before any other engine
+    for seed in range(5):
+        inst = corpus_instance(seed)
+        bound = shortest_delay(inst.network, inst.sender)[inst.receiver] - 1
+        exp = build_expanded(inst, bound)
+        assert not exp.links
+        answer = probe_reaches(exp, inst.max_period, inst.batch)
+        assert (answer.feasible, answer.engine) == (False, "period-cut"), seed
 
 
 def test_period_cut_never_below_exact_optimum():
@@ -378,7 +393,7 @@ def test_simplex_never_called_on_grid_seed0(monkeypatch, fresh_cache):
     # two probes at period 10, bound 29 stall the pusher; the exact simplex
     # took over 20 s on them, the snapped primal settles both
     pytest.importorskip("scipy")
-    monkeypatch.setattr(flowlp_module, "solve_lp_reaching", refuse_simplex)
+    monkeypatch.setattr(flowlp_module, "solve_lp", refuse_simplex)
     inst = scaled_instance(generate(grid_graph(4, 4, seed=0)), "a1_1", "a4_4", 10)
     for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
         best = solve_optimal(inst, objective).best
@@ -394,7 +409,7 @@ def test_primal_snap_never_exceeds_exact_optimum():
         period = inst.max_period
         for bound in (3, 6, 9, 12):
             exp = build_expanded(inst, bound)
-            if not exp.links:  # probe_reaches answers "unreachable" first
+            if not exp.links:  # the period cut reads 0 here and answers first
                 continue
             flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
             exact = solve_lp(flow_lp.program).objective_value
