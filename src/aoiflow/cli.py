@@ -248,8 +248,8 @@ def _cmd_batch(args) -> int:
         inst = experiments.scaled_instance(
             net, sender, receiver, args.scale, args.periods
         )
-        rows = experiments.run_sweep(inst)
-        summaries.append(experiments.summarize_sweep(f"{args.kind}-{args.seed + i}", rows))
+        name = f"{args.kind}-{args.seed + i}"
+        summaries.append(experiments.summarize_instance(name, inst))
     experiments.write_batch_csv(summaries, args.csv)
     _emit(args, f"{len(summaries)} instances -> {args.csv}")
     return 0

@@ -1,5 +1,9 @@
 """Topology generators and the sweep/batch measurement harness.
 
+`run_sweep` pairs every period's optimum with the steady-rate replay at its
+rate (`sweep`, `solve --csv`).  A `batch` row needs only the two optima over
+the window and the replay at r_min: `solve_optimal` and `approx_solve`.
+
 Generated graphs are undirected; every undirected edge becomes two directed
 links operating independently, each drawing its own delay from
 `DEFAULT_DELAYS` and bandwidth from `DEFAULT_BANDWIDTHS`.  All draws come
@@ -16,8 +20,8 @@ from fractions import Fraction
 
 from .fileio import format_rational
 from .maxflow import max_flow
-from .model import Instance, ModelError, Network, Link, report_for
-from .solvers import mmd1_exact, sweep_periods
+from .model import Instance, ModelError, Network, Link, feasible_periods, report_for
+from .solvers import Objective, approx_solve, mmd1_exact, solve_optimal, sweep_periods
 
 DEFAULT_DELAYS = (1, 2, 3, 4, 5)
 DEFAULT_BANDWIDTHS = (
@@ -291,28 +295,25 @@ class BatchSummary:
     avg_reduction: Fraction
 
 
-def summarize_sweep(instance_id: str, rows: list[SweepRow]) -> BatchSummary:
+def summarize_instance(instance_id: str, inst: Instance) -> BatchSummary:
     """Optimal-vs-replay comparison for one instance.
 
     The replay framework commits to the lowest throughput (largest period),
     mirroring how it would be deployed; reductions are exact fractions,
     rounded only when written out.
     """
-    ok = [r for r in rows if r.status == "ok"]
-    if not ok:
-        raise ModelError("instance infeasible at every period")
-    peak_opt = min(r.peak_opt for r in ok)
-    avg_opt = min(r.avg_opt for r in ok)
-    last = ok[-1]  # largest feasible period = lowest throughput
+    peak_opt = solve_optimal(inst, Objective.PEAK_AOI).best.peak_aoi
+    avg_opt = solve_optimal(inst, Objective.AVG_AOI).best.avg_aoi
+    ap = approx_solve(inst, Objective.PEAK_AOI).report
     return BatchSummary(
         instance_id=instance_id,
-        periods=len(rows),
+        periods=len(feasible_periods(inst)),
         peak_opt=peak_opt,
-        peak_ap=last.peak_ap,
-        peak_reduction=Fraction(last.peak_ap - peak_opt, last.peak_ap),
+        peak_ap=ap.peak_aoi,
+        peak_reduction=Fraction(ap.peak_aoi - peak_opt, ap.peak_aoi),
         avg_opt=avg_opt,
-        avg_ap=last.avg_ap,
-        avg_reduction=(last.avg_ap - avg_opt) / last.avg_ap,
+        avg_ap=ap.avg_aoi,
+        avg_reduction=(ap.avg_aoi - avg_opt) / ap.avg_aoi,
     )
 
 

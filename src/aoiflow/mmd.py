@@ -72,10 +72,6 @@ class MmdResult:
     solution: PeriodicSolution
     probes: tuple[tuple[int, bool], ...]
 
-    @property
-    def throughput(self) -> Fraction:
-        return Fraction(self.solution.total_amount, self.period)
-
 
 def lift_path_flow(
     net: Network,

@@ -341,9 +341,9 @@ def normalize_holding(net: Network, sol: PeriodicSolution) -> PeriodicSolution:
                 shift = (holding // period) * period
                 for j in range(i, len(offsets)):
                     offsets[j] -= shift
-        out_entries.append(
-            ScheduleEntry(entry.links, tuple(offsets), entry.amount)
-        )
+        if offsets != list(entry.offsets):  # some hop held a full period
+            entry = ScheduleEntry(entry.links, tuple(offsets), entry.amount)
+        out_entries.append(entry)
     return PeriodicSolution(period, tuple(out_entries))
 
 

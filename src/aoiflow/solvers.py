@@ -198,7 +198,7 @@ def mmd1_exact(net: Network, sender: str, receiver: str, rate: Fraction) -> Path
 def approx_solve(
     inst: Instance,
     objective: Objective,
-    backend: Mmd1Backend = mmd1_exact,
+    backend: Mmd1Backend | None = None,
     alpha: Fraction = Fraction(1),
 ) -> ApproxOutcome:
     """Approximation framework on top of a steady-rate backend.
@@ -207,13 +207,13 @@ def approx_solve(
     the per-slot path flow to a periodic schedule at the largest period, and
     reports the certified ratio alpha + c (c = 2*Ru/Rl for peak age,
     3*Ru/Rl for average age), where alpha >= 1 is the backend's declared
-    guarantee.
+    guarantee.  The default backend, `mmd1_exact`, is looked up per call.
     """
     if objective is Objective.MAX_DELAY:
         raise ModelError("the approximation framework targets age objectives")
     if alpha < 1:
         raise ModelError(f"alpha must be at least 1, got {alpha}")
-    flow = backend(inst.network, inst.sender, inst.receiver, inst.r_min)
+    flow = (backend or mmd1_exact)(inst.network, inst.sender, inst.receiver, inst.r_min)
     if flow is None:
         raise AllInfeasibleError("steady-rate subproblem infeasible at r_min")
     period = inst.max_period

@@ -31,9 +31,8 @@ from aoiflow.experiments import (
     erdos_renyi,
     generate,
     grid_graph,
-    run_sweep,
     scaled_instance,
-    summarize_sweep,
+    summarize_instance,
 )
 from aoiflow.fileio import network_to_dict
 from aoiflow.lp import OPTIMAL
@@ -318,7 +317,7 @@ def test_criterion_10_grid_scale_budget():
     ]:
         g = generate(spec)
         sweep_inst = scaled_instance(g, sender, receiver, scale, n_periods=4)
-        summary = summarize_sweep("sign", run_sweep(sweep_inst))
+        summary = summarize_instance("sign", sweep_inst)
         assert summary.peak_reduction >= 0
         assert summary.avg_reduction >= 0
         signs += 1

@@ -4,6 +4,7 @@ import pytest
 
 from aoiflow import Instance, batch_capacity, network, validate_network
 from aoiflow.experiments import (
+    BatchSummary,
     complete_graph,
     copying_model,
     erdos_renyi,
@@ -12,7 +13,7 @@ from aoiflow.experiments import (
     pick_endpoints,
     run_sweep,
     scaled_instance,
-    summarize_sweep,
+    summarize_instance,
     undirected_edge_count,
     watts_strogatz,
     write_batch_csv,
@@ -20,7 +21,7 @@ from aoiflow.experiments import (
 )
 from aoiflow.fileio import network_to_dict
 from aoiflow.model import ModelError
-from conftest import make_fastslow_instance, make_fastslow_network
+from conftest import corpus_instance, make_fastslow_instance, make_fastslow_network
 
 
 def test_complete_six_node_counts():
@@ -128,7 +129,7 @@ def test_run_sweep_fastslow(tmp_path):
     # the d=11 link: M_ap = 11 + 6, peak 23, avg 20
     assert text[1] == "fastslow,7,10/7,11,17,14,23,20,ok"
     # replay pins the lowest throughput: its value upper-bounds the optimum
-    summary = summarize_sweep("fastslow", rows)
+    summary = summarize_instance("fastslow", inst)
     assert summary.peak_opt <= summary.peak_ap
     assert summary.avg_opt <= summary.avg_ap
     assert summary.peak_opt == 17 and summary.peak_ap == 19
@@ -139,16 +140,54 @@ def test_sweep_marks_infeasible_rows():
     inst = Instance(net, "s", "r", F(6), F(1), F(3))
     rows = run_sweep(inst)
     assert [r.status for r in rows] == ["infeasible"] * 4 + ["ok"]
+    assert summarize_instance("one-link", inst) == sweep_summary("one-link", rows)
 
 
 def test_batch_csv_rounds_only_at_the_edge(tmp_path):
     inst = make_fastslow_instance()
-    summary = summarize_sweep("fastslow", run_sweep(inst))
+    summary = summarize_instance("fastslow", inst)
     assert summary.peak_reduction == F(19 - 17, 19)  # exact fraction inside
     out = tmp_path / "batch.csv"
     write_batch_csv([summary], str(out))
     line = out.read_text().splitlines()[1]
     assert line.startswith("fastslow,4,17,19,0.1053,")
+
+
+def sweep_summary(instance_id, rows):
+    """The batch row built from every period's sweep row."""
+    ok = [r for r in rows if r.status == "ok"]
+    peak_opt = min(r.peak_opt for r in ok)
+    avg_opt = min(r.avg_opt for r in ok)
+    last = ok[-1]  # largest feasible period = lowest throughput
+    return BatchSummary(
+        instance_id=instance_id,
+        periods=len(rows),
+        peak_opt=peak_opt,
+        peak_ap=last.peak_ap,
+        peak_reduction=F(last.peak_ap - peak_opt, last.peak_ap),
+        avg_opt=avg_opt,
+        avg_ap=last.avg_ap,
+        avg_reduction=(last.avg_ap - avg_opt) / last.avg_ap,
+    )
+
+
+def test_summary_matches_the_full_sweep_on_complete6_batches():
+    # `aoiflow batch complete 6 --scale 5 --periods 10`, seeds 0-29
+    for seed in range(30):
+        net = generate(complete_graph(6, seed))
+        inst = scaled_instance(net, *pick_endpoints(net, seed), 5, 10)
+        name = f"complete-{seed}"
+        assert summarize_instance(name, inst) == sweep_summary(name, run_sweep(inst))
+
+
+def test_feasible_periods_are_a_suffix_of_the_window():
+    # max-flow rate * T >= D holds from some period on, so the largest
+    # period is feasible whenever any is: the replay at r_min is the sweep's
+    # last "ok" row
+    for seed in range(200):
+        statuses = [r.status for r in run_sweep(corpus_instance(seed))]
+        ok = statuses.count("ok")
+        assert statuses == ["infeasible"] * (len(statuses) - ok) + ["ok"] * ok, seed
 
 
 def test_pick_endpoints_deterministic():

@@ -124,6 +124,15 @@ def test_normalize_identity_when_within_bound():
     assert normalize_holding(net, sol) == sol
 
 
+def test_normalize_keeps_entries_that_hold_less_than_a_period():
+    net = single_link_net()
+    kept = ScheduleEntry(("e",), (0, 3), F(1))
+    moved = ScheduleEntry(("e",), (0, 4), F(2))
+    out = normalize_holding(net, PeriodicSolution(3, (kept, moved)))
+    assert out.entries[0] is kept
+    assert out.entries[1].offsets == (0, 1)
+
+
 def test_normalize_two_hop_double_shift():
     net = network(["s", "m", "r"], [("e1", "s", "m", 1, 1), ("e2", "m", "r", 1, 1)])
     sol = PeriodicSolution(2, (ScheduleEntry(("e1", "e2"), (0, 1, 6), F(1)),))

@@ -41,6 +41,7 @@ from aoiflow.experiments import (
     pick_endpoints,
     run_sweep,
     scaled_instance,
+    summarize_instance,
 )
 from aoiflow.flowlp import (
     Push,
@@ -228,9 +229,11 @@ def test_scipy_never_called_on_grid16_window(monkeypatch, fresh_cache):
 
 
 def test_scipy_never_called_on_batch_complete6_seed4(monkeypatch, fresh_cache):
-    # the bench's timed batch: the temporally repeated flow settles the
-    # period-5 stall the snapped primal used to, so scipy is never imported
+    # the bench's timed batch, and the sweep of every period of its window:
+    # the temporally repeated flow settles the period-5 stall the snapped
+    # primal used to, so scipy is never imported
     monkeypatch.setattr(flowlp_module, "_scipy_solve", refuse_float_solve)
+    summarize_instance("complete-4", complete6_seed4())
     run_sweep(complete6_seed4())
 
 

@@ -269,6 +269,22 @@ def test_approx_triple_avg_matches_optimum():
     assert outcome.ratio_bound == 1 + 3 * F(5, 2)
 
 
+def test_approx_default_backend_is_the_patched_module_attribute(monkeypatch):
+    # a tracer wraps `solvers.mmd1_exact` after import; the default backend
+    # must be looked up when approx_solve runs, not bound at definition
+    rates = []
+    exact = solvers.mmd1_exact
+
+    def counting(net, s, r, rate):
+        rates.append(rate)
+        return exact(net, s, r, rate)
+
+    monkeypatch.setattr(solvers, "mmd1_exact", counting)
+    inst = make_fastslow_instance()
+    approx_solve(inst, Objective.PEAK_AOI)
+    assert rates == [inst.r_min]
+
+
 def test_approx_rejects_delay_objective():
     with pytest.raises(ModelError):
         approx_solve(make_fastslow_instance(), Objective.MAX_DELAY)
