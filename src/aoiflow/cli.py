@@ -23,6 +23,8 @@ OBJECTIVES = {
     "mmd": Objective.MAX_DELAY,
 }
 
+KINDS = ("complete", "grid", "erdos-renyi", "watts-strogatz", "copying")
+
 
 def _fr(value) -> str:
     return fileio.format_rational(value)
@@ -185,9 +187,7 @@ def _cmd_mmd_at_period(args) -> int:
 
 
 def _gen_arguments(p) -> None:
-    p.add_argument(
-        "kind", choices=["complete", "grid", "erdos-renyi", "watts-strogatz", "copying"]
-    )
+    p.add_argument("kind", choices=KINDS)
     p.add_argument("params", nargs="*", help="model parameters (see docs)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -218,7 +218,7 @@ def _cmd_sweep(args) -> int:
     inst = fileio.load_instance(args.instance)
     rows = experiments.run_sweep(inst, args.mu_override)
     experiments.write_sweep_csv(rows, args.instance, args.csv)
-    if all(row.status == "infeasible" for row in rows):
+    if all(row.opt is None for row in rows):
         _emit(args, "infeasible at every period")
         return 2
     _emit(args, f"{len(rows)} periods -> {args.csv}")
@@ -226,9 +226,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _batch_arguments(p) -> None:
-    p.add_argument(
-        "kind", choices=["complete", "grid", "erdos-renyi", "watts-strogatz", "copying"]
-    )
+    p.add_argument("kind", choices=KINDS)
     p.add_argument("params", nargs="*")
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)

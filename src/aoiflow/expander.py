@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-import heapq
 
 from .maxflow import shortest_delay
 from .model import Instance, Network, Rational
@@ -126,7 +125,7 @@ def build_expanded(inst: Instance, bound: int) -> ExpandedNetwork:
         raise ValueError("bound must not be negative")
     net = inst.network
     dist_s = shortest_delay(net, inst.sender)
-    dist_r = _delays_to(net, inst.receiver)
+    dist_r = shortest_delay(net, inst.receiver, reverse=True)
     links: list[ExpandedLink] = []
     width = bound + 1
     node_pos = {v: i for i, v in enumerate(net.nodes)}
@@ -151,21 +150,3 @@ def build_expanded(inst: Instance, bound: int) -> ExpandedNetwork:
         source=node_pos[inst.sender] * width,
         sink=node_pos[inst.receiver] * width + bound,
     )
-
-
-def _delays_to(net: Network, sink: str) -> dict[str, int]:
-    """Dijkstra backwards over link delays: each node's shortest delay to
-    ``sink``; nodes that cannot reach it are absent."""
-    dist = {sink: 0}
-    heap = [(0, sink)]
-    incoming = net.in_links
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist.get(v, d):
-            continue
-        for link in incoming[v]:
-            nd = d + link.delay
-            if nd < dist.get(link.tail, nd + 1):
-                dist[link.tail] = nd
-                heapq.heappush(heap, (nd, link.tail))
-    return dist

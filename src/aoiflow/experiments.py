@@ -20,8 +20,17 @@ from fractions import Fraction
 
 from .fileio import format_rational
 from .maxflow import max_flow
-from .model import Instance, ModelError, Network, Link, feasible_periods, report_for
-from .solvers import Objective, approx_solve, mmd1_exact, solve_optimal, sweep_periods
+from .mmd import min_max_delay
+from .model import (
+    AoiReport,
+    Instance,
+    ModelError,
+    Network,
+    Link,
+    feasible_periods,
+    report_for,
+)
+from .solvers import Objective, approx_solve, mmd1_exact, solve_optimal
 
 DEFAULT_DELAYS = (1, 2, 3, 4, 5)
 DEFAULT_BANDWIDTHS = (
@@ -213,38 +222,28 @@ def scaled_instance(
 class SweepRow:
     period: int
     throughput: Fraction
-    status: str  # "ok" | "infeasible"
-    delay_opt: int | None
-    peak_opt: int | None
-    avg_opt: Fraction | None
-    peak_ap: int | None
-    avg_ap: Fraction | None
+    opt: AoiReport | None  # None: this period's throughput is unsupportable
+    ap: AoiReport | None  # the steady-rate replay at the same throughput
 
 
 def run_sweep(inst: Instance, horizon: int | None = None) -> list[SweepRow]:
-    """Per-period optimal values next to the steady-rate replay's values."""
+    """Every period's optimal report next to the steady-rate replay's."""
     rows = []
-    for grid, _ in sweep_periods(inst, horizon):
-        period, throughput, opt_report = grid.period, grid.throughput, grid.report
-        if opt_report is None:
-            rows.append(
-                SweepRow(period, throughput, "infeasible", None, None, None, None, None)
-            )
+    for period in feasible_periods(inst):
+        throughput = Fraction(inst.batch, period)
+        result = min_max_delay(inst, period, horizon)
+        if result is None:
+            rows.append(SweepRow(period, throughput, None, None))
             continue
         ap = mmd1_exact(inst.network, inst.sender, inst.receiver, throughput)
         if ap is None:
             raise AssertionError("steady-rate problem infeasible at a feasible period")
-        ap_report = report_for(throughput, period, ap.max_delay + period - 1)
         rows.append(
             SweepRow(
-                period=period,
-                throughput=throughput,
-                status="ok",
-                delay_opt=opt_report.max_delay,
-                peak_opt=opt_report.peak_aoi,
-                avg_opt=opt_report.avg_aoi,
-                peak_ap=ap_report.peak_aoi,
-                avg_ap=ap_report.avg_aoi,
+                period,
+                throughput,
+                report_for(throughput, period, result.max_delay),
+                report_for(throughput, period, ap.max_delay + period - 1),
             )
         )
     return rows
@@ -268,19 +267,20 @@ def write_sweep_csv(rows: list[SweepRow], instance_id: str, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
         for row in rows:
-            writer.writerow(
-                [
-                    instance_id,
-                    row.period,
-                    format_rational(row.throughput),
-                    "" if row.delay_opt is None else row.delay_opt,
-                    "" if row.peak_opt is None else row.peak_opt,
-                    "" if row.avg_opt is None else format_rational(row.avg_opt),
-                    "" if row.peak_ap is None else row.peak_ap,
-                    "" if row.avg_ap is None else format_rational(row.avg_ap),
-                    row.status,
+            opt, ap = row.opt, row.ap
+            if opt is None:
+                values = ["", "", "", "", "", "infeasible"]
+            else:
+                values = [
+                    opt.max_delay,
+                    opt.peak_aoi,
+                    format_rational(opt.avg_aoi),
+                    ap.peak_aoi,
+                    format_rational(ap.avg_aoi),
+                    "ok",
                 ]
-            )
+            throughput = format_rational(row.throughput)
+            writer.writerow([instance_id, row.period, throughput, *values])
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,8 @@ def group_augment(exp: ExpandedNetwork, groups: Groups, target: Rational) -> Pus
             idx, forward = parent[node]
             arcs.append((idx, forward))
             node = tails[idx] if forward else heads[idx]
+        # every term is positive: a backward arc carries flow, and a group in
+        # net use has a forward arc, which the search admits only while open
         usage: dict[int, int] = defaultdict(int)
         bottleneck = target - value
         for idx, forward in arcs:
@@ -219,8 +221,6 @@ def group_augment(exp: ExpandedNetwork, groups: Groups, target: Rational) -> Pus
             if uses > 0:
                 share = group_resid[g] if uses == 1 else Fraction(group_resid[g], uses)
                 bottleneck = min(bottleneck, share)
-        if bottleneck <= 0:
-            return Push(None, None)
         for idx, forward in arcs:
             g = group_of[idx]
             if forward:

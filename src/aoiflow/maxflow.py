@@ -158,11 +158,13 @@ def quickest_bound(net: Network, source: str, sink: str, amount: Rational) -> in
 def decompose_paths(
     net: Network, flow: dict[str, Rational], source: str, sink: str
 ) -> list[tuple[tuple[str, ...], Rational]]:
-    """Split a conserving source->sink flow into simple paths with rates.
+    """Split an acyclic conserving source->sink flow into paths with rates.
 
-    Walks forward along positive links; any cycle met along the way is
-    cancelled in place, so the returned paths are all simple and their rates
-    sum to the flow value.
+    Walks forward along positive links and peels the walk's bottleneck; the
+    paths are simple and their rates sum to the flow value.  The caller,
+    `min_cost_prefixes`, passes min-cost flows on positive delays, which have
+    no positive-flow cycle; a walk longer than |V| - 1 links means a cyclic
+    input and raises instead of looping.
     """
     residual = {k: v for k, v in flow.items() if v > 0}
     outgoing = net.out_links
@@ -176,7 +178,6 @@ def decompose_paths(
 
     while True:
         walk: list[Link] = []
-        at = {source: 0}
         v = source
         while v != sink:
             link = next_link(v)
@@ -184,21 +185,8 @@ def decompose_paths(
                 break
             walk.append(link)
             v = link.head
-            if v in at:
-                # cancel the cycle just closed
-                cycle = walk[at[v] :]
-                amount = min(residual[l.id] for l in cycle)
-                for l in cycle:
-                    residual[l.id] -= amount
-                    if residual[l.id] == 0:
-                        del residual[l.id]
-                walk = walk[: at[v]]
-                at = {source: 0}
-                for i, l in enumerate(walk, start=1):
-                    at[l.head] = i
-                v = walk[-1].head if walk else source
-                continue
-            at[v] = len(walk)
+            if len(walk) >= len(net.nodes):
+                raise AssertionError("flow to decompose has a cycle")
         if v != sink:
             break
         amount = min(residual[l.id] for l in walk)
@@ -210,18 +198,23 @@ def decompose_paths(
     return paths
 
 
-def shortest_delay(net: Network, source: str) -> dict[str, int]:
-    """Dijkstra over link delays; unreachable nodes are absent."""
+def shortest_delay(net: Network, source: str, reverse: bool = False) -> dict[str, int]:
+    """Dijkstra over link delays from ``source``; unreachable nodes are absent.
+
+    With ``reverse`` the links are followed backwards, giving each node's
+    shortest delay to ``source``.
+    """
     dist = {source: 0}
     heap = [(0, source)]
-    outgoing = net.out_links
+    adjacent = net.in_links if reverse else net.out_links
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist.get(v, d):
             continue
-        for link in outgoing[v]:
+        for link in adjacent[v]:
+            w = link.tail if reverse else link.head
             nd = d + link.delay
-            if nd < dist.get(link.head, nd + 1):
-                dist[link.head] = nd
-                heapq.heappush(heap, (nd, link.head))
+            if nd < dist.get(w, nd + 1):
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
     return dist

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .maxflow import quickest_bound
-from .mmd import MmdResult, lift_path_flow, min_max_delay
+from .mmd import lift_path_flow, min_max_delay
 from .model import (
     AoiReport,
     Instance,
@@ -29,7 +29,6 @@ from .model import (
     Network,
     PeriodicSolution,
     Rational,
-    feasible_periods,
     report_for,
 )
 
@@ -52,28 +51,18 @@ class AllInfeasibleError(ModelError):
 
 
 @dataclass(frozen=True)
-class GridRow:
-    period: int
-    throughput: Fraction
-    report: AoiReport | None  # None: this period's throughput is unsupportable
-
-    @property
-    def feasible(self) -> bool:
-        return self.report is not None
-
-
-@dataclass(frozen=True)
 class SolveOutcome:
     """The objective's optimum over the period window.
 
-    ``grid`` holds only the periods the scan solved, an ascending prefix of
-    the window; `sweep_periods` solves them all.
+    ``grid`` maps each period the scan solved, an ascending prefix of the
+    window, to its report; None where the period's throughput is
+    unsupportable.
     """
 
     objective: Objective
     best: AoiReport
     solution: PeriodicSolution
-    grid: tuple[GridRow, ...]
+    grid: dict[int, AoiReport | None]
     optimal_throughputs: frozenset[Fraction]
 
 
@@ -101,24 +90,6 @@ class ApproxOutcome:
     ratio_bound: Fraction
 
 
-def _solved_row(
-    inst: Instance, period: int, horizon: int | None
-) -> tuple[GridRow, MmdResult | None]:
-    throughput = Fraction(inst.batch, period)
-    result = min_max_delay(inst, period, horizon)
-    if result is None:
-        return GridRow(period, throughput, None), None
-    report = report_for(throughput, period, result.max_delay)
-    return GridRow(period, throughput, report), result
-
-
-def sweep_periods(
-    inst: Instance, horizon: int | None = None
-) -> list[tuple[GridRow, MmdResult | None]]:
-    """Solve every candidate period once; rows ordered by ascending period."""
-    return [_solved_row(inst, period, horizon) for period in feasible_periods(inst)]
-
-
 def solve_optimal(
     inst: Instance, objective: Objective, horizon: int | None = None
 ) -> SolveOutcome:
@@ -136,33 +107,35 @@ def solve_optimal(
     belongs to the largest optimal throughput.
     """
     quickest = quickest_bound(inst.network, inst.sender, inst.receiver, inst.batch)
-    rows: list[GridRow] = []
+    grid: dict[int, AoiReport | None] = {}
     best = None
-    winners: list[tuple[GridRow, MmdResult]] = []
+    winners: list[tuple[AoiReport, PeriodicSolution]] = []
     for period in range(inst.min_period, inst.max_period + 1):
+        throughput = Fraction(inst.batch, period)
         if best is not None:
-            floor = report_for(Fraction(inst.batch, period), period, quickest)
+            floor = report_for(throughput, period, quickest)
             if objective.key(floor) > best:
                 break
-        row, result = _solved_row(inst, period, horizon)
-        rows.append(row)
+        result = min_max_delay(inst, period, horizon)
         if result is None:
+            grid[period] = None
             continue
-        value = objective.key(row.report)
+        report = grid[period] = report_for(throughput, period, result.max_delay)
+        value = objective.key(report)
         if best is None or value < best:
             best, winners = value, []
         if value == best:
-            winners.append((row, result))
+            winners.append((report, result.solution))
     if not winners:
         raise AllInfeasibleError("no candidate period is supportable")
     # largest optimal throughput = smallest optimal period, the first found
-    top_row, top_res = winners[0]
+    top, solution = winners[0]
     return SolveOutcome(
         objective=objective,
-        best=top_row.report,
-        solution=top_res.solution,
-        grid=tuple(rows),
-        optimal_throughputs=frozenset(row.throughput for row, _ in winners),
+        best=top,
+        solution=solution,
+        grid=grid,
+        optimal_throughputs=frozenset(report.throughput for report, _ in winners),
     )
 
 
@@ -251,10 +224,10 @@ def check_objective_relations(
     # each outcome's grid holds its own optima, so together they hold every
     # rate compared below
     by_rate = {
-        row.throughput: row.report
+        report.throughput: report
         for outcome in (peak, avg, delay)
-        for row in outcome.grid
-        if row.feasible
+        for report in outcome.grid.values()
+        if report is not None
     }
 
     def reports(outcome: SolveOutcome):

@@ -31,12 +31,12 @@ from aoiflow.experiments import (
     erdos_renyi,
     generate,
     grid_graph,
+    run_sweep,
     scaled_instance,
     summarize_instance,
 )
 from aoiflow.fileio import network_to_dict
 from aoiflow.lp import OPTIMAL
-from aoiflow.solvers import sweep_periods
 from conftest import (
     corpus_instance,
     make_fastslow_instance,
@@ -64,7 +64,7 @@ def _solved_pairs(instances):
 
 def _grid_reports(inst):
     """Every supportable rate's report, from a full sweep of the window."""
-    return {row.throughput: row.report for row, _ in sweep_periods(inst) if row.feasible}
+    return {row.throughput: row.opt for row in run_sweep(inst) if row.opt is not None}
 
 
 def _passed(n, detail):

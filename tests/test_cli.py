@@ -174,6 +174,19 @@ def test_sweep_csv_stable(fastslow_path, tmp_path, capsys):
     assert a.read_text().count("\n") == 5  # header + 4 periods
 
 
+def test_sweep_infeasible_at_every_period_exits_2(tmp_path, capsys):
+    net = network(["s", "r"], [("e", "s", "r", 1, 0)])
+    path = tmp_path / "dead.inst"
+    save_instance(Instance(net, "s", "r", F(2), F(1), F(2)), str(path))
+    out = tmp_path / "dead.csv"
+    assert main(["sweep", str(path), "--csv", str(out)]) == 2
+    assert capsys.readouterr().out == "infeasible at every period\n"
+    assert out.read_text().splitlines()[1:] == [
+        f"{path},1,2,,,,,,infeasible",
+        f"{path},2,1,,,,,,infeasible",
+    ]
+
+
 def test_batch_summary(tmp_path, capsys):
     out = tmp_path / "batch.csv"
     rc = main(

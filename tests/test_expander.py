@@ -9,7 +9,8 @@ from aoiflow import (
     network,
 )
 from aoiflow.expander import HOLDING, TRANSIT
-from conftest import make_fastslow_instance, make_triple_instance
+from aoiflow.maxflow import shortest_delay
+from conftest import corpus_instance, make_fastslow_instance, make_triple_instance
 
 
 def group_members(exp, period):
@@ -66,6 +67,15 @@ def test_bound_below_shortest_delay_gives_no_links():
     inst = Instance(net, "s", "r", F(1), F(1), F(1))
     assert build_expanded(inst, 6).links == ()
     assert len(build_expanded(inst, 7).links) == 1
+
+
+def test_reverse_shortest_delay_is_each_nodes_delay_to_the_receiver():
+    for seed in range(20):
+        inst = corpus_instance(seed)
+        net, receiver = inst.network, inst.receiver
+        to_receiver = {v: shortest_delay(net, v).get(receiver) for v in net.nodes}
+        want = {v: d for v, d in to_receiver.items() if d is not None}
+        assert shortest_delay(net, receiver, reverse=True) == want, seed
 
 
 def test_off_route_copies_dropped():

@@ -116,11 +116,10 @@ def test_scaled_instance_window():
 def test_run_sweep_fastslow(tmp_path):
     inst = make_fastslow_instance()
     rows = run_sweep(inst)
-    assert [r.peak_opt for r in rows] == [17, 18, 19, 19]
-    assert all(r.status == "ok" for r in rows)
+    assert [r.opt.peak_aoi for r in rows] == [17, 18, 19, 19]
     for r in rows:
-        assert r.peak_ap >= r.peak_opt
-        assert r.avg_ap >= r.avg_opt
+        assert r.ap.peak_aoi >= r.opt.peak_aoi
+        assert r.ap.avg_aoi >= r.opt.avg_aoi
     out = tmp_path / "sweep.csv"
     write_sweep_csv(rows, "fastslow", str(out))
     text = out.read_text().splitlines()
@@ -139,7 +138,7 @@ def test_sweep_marks_infeasible_rows():
     net = network(["s", "r"], [("e", "s", "r", 1, 1)])
     inst = Instance(net, "s", "r", F(6), F(1), F(3))
     rows = run_sweep(inst)
-    assert [r.status for r in rows] == ["infeasible"] * 4 + ["ok"]
+    assert [r.opt is not None for r in rows] == [False] * 4 + [True]
     assert summarize_instance("one-link", inst) == sweep_summary("one-link", rows)
 
 
@@ -155,19 +154,19 @@ def test_batch_csv_rounds_only_at_the_edge(tmp_path):
 
 def sweep_summary(instance_id, rows):
     """The batch row built from every period's sweep row."""
-    ok = [r for r in rows if r.status == "ok"]
-    peak_opt = min(r.peak_opt for r in ok)
-    avg_opt = min(r.avg_opt for r in ok)
-    last = ok[-1]  # largest feasible period = lowest throughput
+    ok = [r for r in rows if r.opt is not None]
+    peak_opt = min(r.opt.peak_aoi for r in ok)
+    avg_opt = min(r.opt.avg_aoi for r in ok)
+    last = ok[-1].ap  # largest feasible period = lowest throughput
     return BatchSummary(
         instance_id=instance_id,
         periods=len(rows),
         peak_opt=peak_opt,
-        peak_ap=last.peak_ap,
-        peak_reduction=F(last.peak_ap - peak_opt, last.peak_ap),
+        peak_ap=last.peak_aoi,
+        peak_reduction=F(last.peak_aoi - peak_opt, last.peak_aoi),
         avg_opt=avg_opt,
-        avg_ap=last.avg_ap,
-        avg_reduction=(last.avg_ap - avg_opt) / last.avg_ap,
+        avg_ap=last.avg_aoi,
+        avg_reduction=(last.avg_aoi - avg_opt) / last.avg_aoi,
     )
 
 
@@ -185,9 +184,9 @@ def test_feasible_periods_are_a_suffix_of_the_window():
     # period is feasible whenever any is: the replay at r_min is the sweep's
     # last "ok" row
     for seed in range(200):
-        statuses = [r.status for r in run_sweep(corpus_instance(seed))]
-        ok = statuses.count("ok")
-        assert statuses == ["infeasible"] * (len(statuses) - ok) + ["ok"] * ok, seed
+        feasible = [r.opt is not None for r in run_sweep(corpus_instance(seed))]
+        ok = feasible.count(True)
+        assert feasible == [False] * (len(feasible) - ok) + [True] * ok, seed
 
 
 def test_pick_endpoints_deterministic():

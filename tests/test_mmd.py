@@ -26,7 +26,7 @@ from aoiflow.experiments import (
     pick_endpoints,
     scaled_instance,
 )
-from aoiflow.maxflow import max_flow, min_cost_prefixes, quickest_bound
+from aoiflow.maxflow import decompose_paths, max_flow, min_cost_prefixes, quickest_bound
 from aoiflow.mmd import _min_max_delay_cached, lift_path_flow, repeated_value
 from aoiflow.solvers import mmd1_exact
 from conftest import corpus_instance, make_fastslow_instance, make_triple_instance
@@ -164,6 +164,24 @@ def test_oracle_probe_trail_is_ascending_scan():
 
 
 # --- decompose ----------------------------------------------------------------
+
+
+def test_decompose_paths_refuses_a_cyclic_flow():
+    # one unit s->a->r plus one circulating a->b->a: no min-cost flow on
+    # positive delays carries such a cycle, so the walk stops instead of
+    # looping round it
+    net = network(
+        ["s", "a", "b", "r"],
+        [
+            ("sa", "s", "a", 1, 2),
+            ("ab", "a", "b", 1, 2),
+            ("ba", "b", "a", 1, 2),
+            ("ar", "a", "r", 1, 2),
+        ],
+    )
+    flow = {"sa": 1, "ab": 1, "ba": 1, "ar": 1}
+    with pytest.raises(AssertionError, match="cycle"):
+        decompose_paths(net, flow, "s", "r")
 
 
 def test_decompose_zero_flow_is_empty():

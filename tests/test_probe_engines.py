@@ -55,7 +55,6 @@ from aoiflow.flowlp import (
 )
 from aoiflow.expander import HOLDING, TRANSIT
 from aoiflow.lp import violated_row
-from aoiflow.solvers import sweep_periods
 from aoiflow.maxflow import min_cost_prefixes, quickest_bound, shortest_delay
 from aoiflow.mmd import _min_max_delay_cached, min_max_delay, repeated_value
 from conftest import corpus_instance
@@ -432,11 +431,11 @@ def test_primal_snap_switched_off_keeps_reports(monkeypatch, fresh_cache):
     monkeypatch.setattr(*SWITCHES["temporally-repeated"])
     inst = complete6_seed4()
     with engine_tally(monkeypatch) as engines:
-        baseline = [row.report for row, _ in sweep_periods(inst)]
+        baseline = [row.opt for row in run_sweep(inst)]
     assert (engines["primal-snap"], engines["simplex"]) == (1, 0)
     monkeypatch.setattr(flowlp_module, "snap_primal", lambda *args: None)
     with engine_tally(monkeypatch) as engines:
-        forced = [row.report for row, _ in sweep_periods(inst)]
+        forced = [row.opt for row in run_sweep(inst)]
     assert (engines["primal-snap"], engines["simplex"]) == (0, 1)
     assert forced == baseline
 

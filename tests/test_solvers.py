@@ -15,8 +15,9 @@ from aoiflow import (
     validate_solution,
 )
 from aoiflow import solvers
-from aoiflow.experiments import generate, grid_graph, scaled_instance
-from aoiflow.solvers import sweep_periods
+from aoiflow.experiments import generate, grid_graph, run_sweep, scaled_instance
+from aoiflow.mmd import min_max_delay
+from aoiflow.model import feasible_periods, report_for
 from conftest import (
     corpus_instance,
     make_fastslow_instance,
@@ -27,11 +28,11 @@ from conftest import (
 
 
 def grid_values(inst, attr):
-    return [getattr(row.report, attr) for row, _ in sweep_periods(inst) if row.feasible]
+    return [getattr(row.opt, attr) for row in run_sweep(inst) if row.opt is not None]
 
 
 def by_rate(inst):
-    return {row.throughput: row.report for row, _ in sweep_periods(inst) if row.feasible}
+    return {row.throughput: row.opt for row in run_sweep(inst) if row.opt is not None}
 
 
 def test_fastslow_peak_grid_and_optimum():
@@ -118,7 +119,7 @@ def test_infeasible_periods_recorded_in_grid():
     net = network(["s", "r"], [("e", "s", "r", 1, 1)])
     inst = Instance(net, "s", "r", F(6), F(1), F(3))  # rate 3 and 2 unsupportable
     outcome = solve_optimal(inst, Objective.PEAK_AOI)
-    status = {row.period: row.feasible for row in outcome.grid}
+    status = {period: report is not None for period, report in outcome.grid.items()}
     assert status == {2: False, 3: False, 4: False, 5: False, 6: True}
 
 
@@ -128,13 +129,18 @@ def test_infeasible_periods_recorded_in_grid():
 def swept_optimum(inst, objective):
     """Best report, its schedule and every optimal throughput, from a full
     sweep of the window; None when no period is supportable."""
-    feasible = [(row, res) for row, res in sweep_periods(inst) if res is not None]
+    feasible = []
+    for period in feasible_periods(inst):
+        result = min_max_delay(inst, period)
+        if result is not None:
+            throughput = F(inst.batch, period)
+            feasible.append((report_for(throughput, period, result.max_delay), result))
     if not feasible:
         return None
-    best = min(objective.key(row.report) for row, _ in feasible)
-    winners = [(row, res) for row, res in feasible if objective.key(row.report) == best]
-    row, res = min(winners, key=lambda pair: pair[0].period)
-    return row.report, res.solution, frozenset(r.throughput for r, _ in winners)
+    best = min(objective.key(report) for report, _ in feasible)
+    winners = [(rep, res) for rep, res in feasible if objective.key(rep) == best]
+    report, res = min(winners, key=lambda pair: pair[0].period)
+    return report, res.solution, frozenset(rep.throughput for rep, _ in winners)
 
 
 def test_scan_matches_full_sweep():
@@ -155,7 +161,7 @@ def test_scan_matches_full_sweep():
             outcome = solve_optimal(inst, objective)
             got = (outcome.best, outcome.solution, outcome.optimal_throughputs)
             assert got == want, (inst, objective)
-            periods = [row.period for row in outcome.grid]
+            periods = list(outcome.grid)
             assert periods == list(range(inst.min_period, periods[-1] + 1))
             if objective is not Objective.MAX_DELAY:
                 solved += len(periods)
@@ -201,8 +207,7 @@ def test_wide_window_solves_a_handful_of_periods(searched):
 def test_delay_objective_solves_every_period():
     for inst in (make_fastslow_instance(), make_triple_instance(), make_knee_instance(7)):
         outcome = solve_optimal(inst, Objective.MAX_DELAY)
-        periods = [row.period for row in outcome.grid]
-        assert periods == list(range(inst.min_period, inst.max_period + 1))
+        assert list(outcome.grid) == list(range(inst.min_period, inst.max_period + 1))
 
 
 # --- steady-rate solver ---------------------------------------------------------
