@@ -4,7 +4,9 @@ Each call builds the top-level parser and the parser of the one command argv
 names; the other commands' parsers are never built.
 
 Exit codes: 0 success, 1 bad input (a usage error included), 2 infeasible
-instance.
+instance.  Exit 1 with ``error: ...`` on stderr reports bad input; a solver
+fault, such as a broken invariant, raises `AssertionError`, which `main`
+does not catch.
 """
 
 from __future__ import annotations

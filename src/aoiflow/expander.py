@@ -99,9 +99,6 @@ class ExpandedNetwork:
         idx, layer = divmod(dense, self.bound + 1)
         return self.net.nodes[idx], layer
 
-    def layer_of(self, dense: int) -> int:
-        return dense % (self.bound + 1)
-
 
 def horizon_upper_bound(inst: Instance) -> int:
     """Safe search ceiling for the minimum maximum delay at any period.

@@ -150,10 +150,16 @@ def decompose(
 ) -> PeriodicSolution:
     """Peel an expanded flow into schedule entries (min-flow link first).
 
-    Every peeled expanded path collapses to a physical path with arrival
-    offsets; holding runs become holding delay and trailing holds at the
-    receiver vanish.  A collapsed path revisiting a node is rerouted through
-    holding at that node (holding is uncapacitated), so entries are simple.
+    Every expanded link moves forward in time, so the expansion is acyclic,
+    and in a flow conserving at every node but the source and the sink each
+    link carrying flow lies on a source -> sink path of such links.  A peel
+    traces its seed back to the source and on to the sink, at each node
+    through the lowest-indexed link still carrying flow.
+
+    Every peeled path collapses to a physical path with arrival offsets;
+    holding runs become holding delay and trailing holds at the receiver
+    vanish.  A collapsed path revisiting a node is rerouted through holding
+    at that node (holding is uncapacitated), so entries are simple.
     Peeling stops once the batch is covered; entries then total exactly the
     batch.
     """
@@ -167,23 +173,7 @@ def decompose(
         imbalance[el.head] = imbalance.get(el.head, 0) - v
     for node, delta in imbalance.items():
         if node not in (source, sink) and delta != 0:
-            raise ModelError(f"flow does not conserve at expanded node {node}")
-
-    out_sup: dict[int, list[int]] = {}
-    in_sup: dict[int, list[int]] = {}
-    for idx in work:
-        el = exp.links[idx]
-        out_sup.setdefault(el.tail, []).append(idx)
-        in_sup.setdefault(el.head, []).append(idx)
-    for adj in (out_sup, in_sup):
-        for links in adj.values():
-            links.sort()
-
-    def first_positive(cands: list[int]) -> int | None:
-        for idx in cands:
-            if work.get(idx, 0) > 0:
-                return idx
-        return None
+            raise AssertionError(f"flow does not conserve at expanded node {node}")
 
     entries: list[ScheduleEntry] = []
     remaining = inst.batch
@@ -192,18 +182,13 @@ def decompose(
         path = [seed]
         node = exp.links[seed].tail
         while node != source:
-            idx = first_positive(in_sup.get(node, []))
-            if idx is None:
-                raise ModelError("flow path cannot be traced back to the sender")
-            path.insert(0, idx)
-            node = exp.links[idx].tail
+            path.append(next(idx for idx in exp.in_links[node] if idx in work))
+            node = exp.links[path[-1]].tail
+        path.reverse()
         node = exp.links[seed].head
         while node != sink:
-            idx = first_positive(out_sup.get(node, []))
-            if idx is None:
-                raise ModelError("flow path cannot be traced to the receiver")
-            path.append(idx)
-            node = exp.links[idx].head
+            path.append(next(idx for idx in exp.out_links[node] if idx in work))
+            node = exp.links[path[-1]].head
         amount = min(min(work[idx] for idx in path), remaining)
         for idx in path:
             work[idx] -= amount
@@ -216,34 +201,25 @@ def decompose(
 
 
 def _collapse(exp: ExpandedNetwork, path: list[int], amount: Rational) -> ScheduleEntry:
-    hops: list[tuple[str, int]] = []  # (physical link id, arrival layer)
+    # a hop back to a node already on the entry erases the detour since that
+    # node's first visit (chronological loop erasure): the data holds there
+    index = exp.net.link_index
+    nodes = [exp.node_of(exp.source)[0]]  # distinct, in visiting order
+    offsets = [0]  # arrival at each of nodes
+    links: list[str] = []  # links[k] arrives at nodes[k + 1]
     for idx in path:
         el = exp.links[idx]
-        if el.link_id is not None:
-            hops.append((el.link_id, exp.layer_of(el.head)))
-    start, _ = exp.node_of(exp.links[path[0]].tail)
-    nodes = [start]
-    for idx in path:
-        el = exp.links[idx]
-        if el.link_id is not None:
-            nodes.append(exp.node_of(el.head)[0])
-
-    # reroute revisits through holding: drop the detour between two visits
-    changed = True
-    while changed:
-        changed = False
-        seen: dict[str, int] = {}
-        for pos, v in enumerate(nodes):
-            if v in seen:
-                i = seen[v]
-                del hops[i:pos]
-                del nodes[i + 1 : pos + 1]
-                changed = True
-                break
-            seen[v] = pos
-
-    offsets = (0,) + tuple(layer for _, layer in hops)
-    return ScheduleEntry(tuple(h for h, _ in hops), offsets, amount)
+        if el.link_id is None:
+            continue
+        link = index[el.link_id]
+        if link.head in nodes:
+            first = nodes.index(link.head)
+            del nodes[first + 1 :], offsets[first + 1 :], links[first:]
+        else:
+            nodes.append(link.head)
+            offsets.append(el.push + link.delay)
+            links.append(link.id)
+    return ScheduleEntry(tuple(links), tuple(offsets), amount)
 
 
 def min_max_delay(

@@ -6,6 +6,7 @@ appears only where a value is not integral or a division makes one.  No
 and at 1 + 10^-30 a float bandwidth rounds away an infeasibility.
 """
 
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -163,24 +164,110 @@ TOPOLOGIES = {
 }
 
 
-@settings(max_examples=20, deadline=None)
-@given(
+# a drawn instance: topology, seed, capacity scale and window length
+DRAWN = dict(
     kind=st.sampled_from(sorted(TOPOLOGIES)),
     seed=st.integers(0, 40),
     scale=st.integers(1, 6),
     n_periods=st.integers(1, 3),
-    factor=st.sampled_from([F(3), F(1, 7)]),
 )
+
+
+def drawn_instance(kind, seed, scale, n_periods):
+    net = generate(TOPOLOGIES[kind](seed))
+    sender, receiver = pick_endpoints(net, seed)
+    return scaled_instance(net, sender, receiver, scale, n_periods)
+
+
+def delays(inst):
+    """Each period's minimum maximum delay, None when it is infeasible."""
+    results = {period: min_max_delay(inst, period) for period in feasible_periods(inst)}
+    return {period: r and r.max_delay for period, r in results.items()}
+
+
+def no_later(better, base):
+    """Every period feasible in ``base`` is feasible in ``better``, no later."""
+    for period, delay in base.items():
+        if delay is not None:
+            assert better[period] is not None and better[period] <= delay, period
+
+
+@settings(max_examples=20, deadline=None)
+@given(**DRAWN, factor=st.sampled_from([F(3), F(1, 7)]))
 def test_rescaling_leaves_every_delay(kind, seed, scale, n_periods, factor):
     """The flow program is homogeneous in bandwidths and batch, so scaling
     both, and the window with them, keeps every period's minimum maximum
     delay.  A factor of 1/7 moves an integer instance onto Fractions."""
-    net = generate(TOPOLOGIES[kind](seed))
-    sender, receiver = pick_endpoints(net, seed)
-    inst = scaled_instance(net, sender, receiver, scale, n_periods)
+    inst = drawn_instance(kind, seed, scale, n_periods)
     other = rescaled(inst, factor)
     kinds = {type(link.bandwidth) for link in other.network.links}
     assert kinds == ({int} if factor == 3 else {F})
-    for period in feasible_periods(inst):
-        base, scaled = min_max_delay(inst, period), min_max_delay(other, period)
-        assert (base and base.max_delay) == (scaled and scaled.max_delay), period
+    assert delays(other) == delays(inst)
+
+
+def renamed(inst, rng):
+    """The instance with every node and link renamed and both orders shuffled."""
+    net = inst.network
+    node_ids = rng.sample(range(len(net.nodes)), len(net.nodes))
+    name = {v: f"n{i}" for v, i in zip(net.nodes, node_ids)}
+    link_ids = rng.sample(range(len(net.links)), len(net.links))
+    links = [
+        replace(link, id=f"l{i}", tail=name[link.tail], head=name[link.head])
+        for link, i in zip(net.links, link_ids)
+    ]
+    nodes = list(name.values())
+    rng.shuffle(nodes)
+    rng.shuffle(links)
+    return replace(
+        inst,
+        network=Network(tuple(nodes), tuple(links)),
+        sender=name[inst.sender],
+        receiver=name[inst.receiver],
+    )
+
+
+def with_links(inst, links):
+    return replace(inst, network=Network(inst.network.nodes, tuple(links)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWN, shuffle=st.integers(0, 2**16))
+def test_renaming_and_shuffling_leave_every_delay(
+    kind, seed, scale, n_periods, shuffle
+):
+    """Names and orders decide link indices, tie-breaks and the peel order,
+    never a delay."""
+    inst = drawn_instance(kind, seed, scale, n_periods)
+    base = delays(inst)
+    rng = random.Random(shuffle)
+    for _ in range(2):
+        assert delays(renamed(inst, rng)) == base
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWN, which=st.integers(0, 10**6))
+def test_more_bandwidth_never_raises_a_delay(kind, seed, scale, n_periods, which):
+    """Raising one link's bandwidth by 1 only loosens the flow program."""
+    inst = drawn_instance(kind, seed, scale, n_periods)
+    links = list(inst.network.links)
+    which %= len(links)
+    links[which] = replace(links[which], bandwidth=links[which].bandwidth + 1)
+    no_later(delays(with_links(inst, links)), delays(inst))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    **DRAWN,
+    which=st.integers(0, 10**6),
+    delay=st.integers(1, 6),
+    bandwidth=st.sampled_from([1, 2, F(1, 2), F(5, 3)]),
+)
+def test_a_parallel_link_never_raises_a_delay(
+    kind, seed, scale, n_periods, which, delay, bandwidth
+):
+    """A parallel link adds capacity and copies; every old schedule stays valid."""
+    inst = drawn_instance(kind, seed, scale, n_periods)
+    links = inst.network.links
+    twin = links[which % len(links)]
+    extra = replace(twin, id="parallel", delay=delay, bandwidth=bandwidth)
+    no_later(delays(with_links(inst, (*links, extra))), delays(inst))

@@ -99,7 +99,7 @@ def test_slow_link_single_copy_at_tight_horizon():
 def test_layers_strictly_increase():
     exp = build_expanded(make_fastslow_instance(), 13)
     for el in exp.links:
-        assert exp.layer_of(el.head) > exp.layer_of(el.tail)
+        assert exp.node_of(el.head)[1] > exp.node_of(el.tail)[1]
 
 
 def test_expansion_deterministic():

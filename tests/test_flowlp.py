@@ -22,7 +22,7 @@ from aoiflow.flowlp import (
     snap_primal,
 )
 from aoiflow.lp import EQ, LE, OPTIMAL, LinearProgram
-from aoiflow.maxflow import decompose_paths, max_flow, quickest_bound, shortest_delay
+from aoiflow.maxflow import min_cost_prefixes, quickest_bound, shortest_delay
 from aoiflow.mmd import min_max_delay
 from aoiflow.model import feasible_periods
 from conftest import corpus_instance, make_fastslow_instance
@@ -391,14 +391,11 @@ def test_group_augment_matches_reference():
     for inst in instances:
         net = inst.network
         low = shortest_delay(net, inst.sender)[inst.receiver]
-        flow, _ = max_flow(net, inst.sender, inst.receiver)
-        paths = sorted(
-            (sum(net.link_index[l].delay for l in links), rate)
-            for links, rate in decompose_paths(net, flow, inst.sender, inst.receiver)
-        )
+        last = min_cost_prefixes(net, inst.sender, inst.receiver)[-1]
+        paths = sorted(zip(last.delays, (rate for _, rate in last.paths)))
         for period in feasible_periods(inst):
-            # the lifted max-flow paths carrying rate D/T, fastest first: their
-            # slowest departs at offset T - 1 and arrives at the top bound
+            # the last prefix's paths carrying rate D/T, fastest first: their
+            # slowest departs at offset T - 1 and arrives at the top bound T - 1 + d*
             carried, top = F(0), None
             for delay, rate in paths:
                 carried += rate

@@ -228,7 +228,7 @@ def test_decompose_rejects_nonconserving_flow():
     transit = next(
         i for i, el in enumerate(exp.links) if el.kind == TRANSIT and el.push == 0
     )
-    with pytest.raises(ModelError):
+    with pytest.raises(AssertionError, match="conserve"):
         decompose(exp, {transit: F(1)}, inst, 5)
 
 
