@@ -4,9 +4,10 @@
 (sender, 0) to (receiver, bound)?  So it keeps only the copies lying on such
 a route.  A physical link u -> v of delay ``d`` becomes transit copies
 (u, i) -> (v, i + d) for the push slots ``dist_s[u] <= i <= bound - d -
-dist_r[v]``, and a node v gets unit holding links (v, i) -> (v, i + 1) for
-``dist_s[v] <= i < bound - dist_r[v]``, where ``dist_s`` is the shortest
-delay from the sender and ``dist_r`` the shortest delay to the receiver.
+dist_r[v]`` (`push_slots`, which the period cut counts too), and a node v
+gets unit holding links (v, i) -> (v, i + 1) for ``dist_s[v] <= i < bound -
+dist_r[v]``, where ``dist_s`` is the shortest delay from the sender and
+``dist_r`` the shortest delay to the receiver.
 Every other copy carries zero in any conserving flow, so dropping it leaves
 the flow program's feasible flows unchanged.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .maxflow import shortest_delay
-from .model import Instance, Network, Rational
+from .model import Instance, Link, Network, Rational
 
 TRANSIT = "transit"
 HOLDING = "holding"
@@ -111,6 +112,33 @@ def horizon_upper_bound(inst: Instance) -> int:
     return len(inst.network.nodes) * (d_max + inst.max_period)
 
 
+def route_distances(inst: Instance) -> tuple[dict[str, int], dict[str, int]]:
+    """Each node's shortest delay from the sender and to the receiver.
+
+    Nodes off every sender -> receiver walk are absent from one of the two.
+    """
+    net = inst.network
+    return (
+        shortest_delay(net, inst.sender),
+        shortest_delay(net, inst.receiver, reverse=True),
+    )
+
+
+def push_slots(
+    link: Link, bound: int, dist_s: dict[str, int], dist_r: dict[str, int]
+) -> range:
+    """Push slots of the link's transit copies on a route of ``bound``.
+
+    A copy pushed at slot i lies on some (sender, 0) -> (receiver, bound)
+    route exactly when ``dist_s[tail] <= i <= bound - delay - dist_r[head]``,
+    so the link has ``bound - delay - dist_r[head] - dist_s[tail] + 1`` such
+    copies; none when that is not positive or an end is off every route.
+    """
+    if link.tail not in dist_s or link.head not in dist_r:
+        return range(0)
+    return range(dist_s[link.tail], bound - link.delay - dist_r[link.head] + 1)
+
+
 def build_expanded(inst: Instance, bound: int) -> ExpandedNetwork:
     """Expand the copies on some (sender, 0) -> (receiver, bound) route.
 
@@ -121,18 +149,14 @@ def build_expanded(inst: Instance, bound: int) -> ExpandedNetwork:
     if bound < 0:
         raise ValueError("bound must not be negative")
     net = inst.network
-    dist_s = shortest_delay(net, inst.sender)
-    dist_r = shortest_delay(net, inst.receiver, reverse=True)
+    dist_s, dist_r = route_distances(inst)
     links: list[ExpandedLink] = []
     width = bound + 1
     node_pos = {v: i for i, v in enumerate(net.nodes)}
     for link in net.links:
-        if link.tail not in dist_s or link.head not in dist_r:
-            continue
         tail = node_pos[link.tail] * width
         head = node_pos[link.head] * width + link.delay
-        last = bound - link.delay - dist_r[link.head]
-        for i in range(dist_s[link.tail], last + 1):
+        for i in push_slots(link, bound, dist_s, dist_r):
             links.append(ExpandedLink(tail + i, head + i, TRANSIT, link.id, i))
     for v in net.nodes:
         if v not in dist_s or v not in dist_r:

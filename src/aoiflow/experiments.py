@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fileio import format_rational
-from .maxflow import max_flow
+from .maxflow import max_flow, shortest_delay
 from .mmd import min_max_delay
 from .model import (
     AoiReport,
@@ -349,7 +349,15 @@ def write_batch_csv(summaries: list[BatchSummary], path: str) -> None:
 
 
 def pick_endpoints(net: Network, seed: int) -> tuple[str, str]:
-    """Uniform distinct sender/receiver pair, derived deterministically."""
+    """Uniform distinct sender/receiver pair, derived deterministically.
+
+    A pair whose receiver the sender cannot reach is redrawn from the same
+    generator; ModelError when no ordered pair is connected.
+    """
+    if not any(link.tail != link.head for link in net.links):
+        raise ModelError("no node reaches another")
     rng = random.Random(f"endpoints:{seed}")
     sender, receiver = rng.sample(list(net.nodes), 2)
+    while receiver not in shortest_delay(net, sender):
+        sender, receiver = rng.sample(list(net.nodes), 2)
     return sender, receiver

@@ -7,17 +7,21 @@ bandwidth?  That expansion already holds only the copies on such a route, so
 the program has one variable per expanded link.  The expansion also owns the
 source, the sink, the adjacency and the capacity groups
 (`ExpandedNetwork.capacity_groups`).  `probe_reaches` derives the groups
-once per probe; the program, the pusher and both cuts read that one copy.
+once per probe; the program, the pusher and the residual cut read that one
+copy.
 
 `mmd` never probes below the batch's quickest flow time, the bound at
-which even the program without shared groups falls short.  Probes are
-settled in this order, every answer certified with exact arithmetic:
+which even the program without shared groups falls short.  Past the
+temporally repeated flow (`mmd.temporally_repeated`), bounds are settled in
+this order, every answer certified with exact arithmetic:
 
 * the period cut (`period_cut`): a static max flow on the physical network
-  whose links carry the bandwidths of all their capacity groups bounds the
-  program's value from above ("no" answers, with no pushing),
-* an augmenting-path pusher on the group-capacitated residual graph (fast
-  "yes" answers with an exact witness flow),
+  whose links carry their bandwidth once per push residue among their
+  copies bounds the program's value from above ("no" answers, with no
+  expansion built at all),
+* then, on the bound's expansion (`probe_reaches`), an augmenting-path
+  pusher on the group-capacitated residual graph (fast "yes" answers with
+  an exact witness flow),
 * the residual cut of a stalled pusher: every link copy leaving the node set
   its last search reached belongs to a full capacity group, so the
   bandwidths of those groups bound the program's value ("no" answers),
@@ -31,11 +35,11 @@ settled in this order, every answer certified with exact arithmetic:
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .expander import ExpandedNetwork, Groups
+from .expander import ExpandedNetwork, Groups, push_slots, route_distances
 from .lp import (
     EQ,
     LE,
@@ -46,7 +50,7 @@ from .lp import (
     violated_row,
 )
 from .maxflow import max_flow
-from .model import Network, Rational
+from .model import Instance, Rational
 
 
 @dataclass
@@ -108,37 +112,29 @@ def extract_edge_flow(sol: LpSolution) -> dict[int, Fraction]:
 # engine 1: a cut of the physical network
 
 
-def period_cut(exp: ExpandedNetwork, groups: Groups) -> Rational:
-    """Upper bound on the program's value from the physical network's cuts.
+def period_cut(inst: Instance, period: int, bound: int) -> Rational:
+    """Upper bound on the value of the program at ``bound`` and ``period``.
 
-    Give each physical link the total bandwidth of its capacity groups in
-    ``groups`` (`capacity_groups` at period T), its bandwidth times the
-    number of its groups, min(T, its copies in the expansion); drop the
-    links without a copy, and take the static max flow from sender to
-    receiver.  Sound: for any node set S holding the sender
-    and not the receiver, every expanded route from (sender, 0) to
-    (receiver, bound) uses a transit copy of some link leaving S, while
-    holding links never leave S, since they stay at one node.  So the
-    program's value is at most the bandwidth of those links' groups, and by
-    max-flow/min-cut the least such total over all S is the static max flow.
+    Give each physical link with c > 0 transit copies on some (sender, 0)
+    -> (receiver, bound) route (`push_slots`, the copies `build_expanded`
+    emits) the capacity bandwidth * min(period, c), drop the links without
+    a copy, and take the static max flow from sender to receiver.  No
+    expansion is built.  Sound: c consecutive push slots fall in
+    min(period, c) residues mod the period, the link's capacity groups, so
+    the program moves at most that capacity over the link's copies.  For
+    any node set S holding the sender and not the receiver, every expanded
+    route uses a transit copy of some link leaving S, while holding links
+    never leave S, since they stay at one node.  So the program's value is
+    at most the capacity of the links leaving S, and by max-flow/min-cut
+    the least such total over all S is the static max flow.
     """
-    group_of, _ = groups
-    held: dict[str, set[int]] = defaultdict(set)
-    for el, g in zip(exp.links, group_of):
-        if g >= 0:
-            held[el.link_id].add(g)
-    net = exp.net
-    summed = Network(
-        nodes=net.nodes,
-        links=tuple(
-            replace(link, bandwidth=link.bandwidth * len(held[link.id]))
-            for link in net.links
-            if link.id in held
-        ),
-    )
-    sender, _ = exp.node_of(exp.source)
-    receiver, _ = exp.node_of(exp.sink)
-    return max_flow(summed, sender, receiver)[1]
+    dist_s, dist_r = route_distances(inst)
+    capacity: dict[str, Rational] = {}
+    for link in inst.network.links:
+        copies = len(push_slots(link, bound, dist_s, dist_r))
+        if copies > 0:
+            capacity[link.id] = link.bandwidth * min(period, copies)
+    return max_flow(inst.network, inst.sender, inst.receiver, capacity)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +364,14 @@ class ProbeAnswer:
 def probe_reaches(exp: ExpandedNetwork, period: int, target: Rational) -> ProbeAnswer:
     """Exact answer to "does the flow program at exp.bound reach target?".
 
-    The capacity groups are derived once and every engine reads them.  On
-    an expansion without links (the receiver is farther than the bound) no
-    engine runs past the period cut, whose summed network then reads 0.
+    `mmd` asks only once the temporally repeated flow and the period cut
+    have left the bound open.  The capacity groups are derived once and the
+    pusher, its residual cut, the float solve and the simplex run in that
+    order on them.  On an expansion without links (the receiver is farther
+    than the bound) the pusher's search reaches the source alone and the
+    residual cut reads 0.
     """
     groups = exp.capacity_groups(period)
-    if period_cut(exp, groups) < target:
-        return ProbeAnswer(False, None, "period-cut")
-
     push = group_augment(exp, groups, target)
     if push.flow is not None:
         return ProbeAnswer(True, push.flow, "augment")

@@ -11,6 +11,7 @@ int (Ford and Fulkerson's integrality), otherwise a Fraction.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from functools import lru_cache
 import heapq
 from typing import NamedTuple
@@ -19,11 +20,20 @@ from .model import Link, Network, Rational
 
 
 def max_flow(
-    net: Network, source: str, sink: str
+    net: Network,
+    source: str,
+    sink: str,
+    capacity: Mapping[str, Rational] | None = None,
 ) -> tuple[dict[str, Rational], Rational]:
-    """Edmonds-Karp with exact capacities; returns per-link flow and value."""
+    """Edmonds-Karp with exact capacities; returns per-link flow and value.
+
+    ``capacity`` maps link ids to capacities, and a link missing from it
+    carries nothing; without it every link carries its bandwidth.
+    """
     if source == sink:
         return {}, 0
+    if capacity is None:
+        capacity = {link.id: link.bandwidth for link in net.links}
     flow: dict[str, Rational] = {link.id: 0 for link in net.links}
     outgoing, incoming = net.out_links, net.in_links
 
@@ -36,7 +46,7 @@ def max_flow(
         while queue and sink not in seen:
             v = queue.popleft()
             for link in outgoing[v]:
-                if link.head not in seen and flow[link.id] < link.bandwidth:
+                if link.head not in seen and flow[link.id] < capacity.get(link.id, 0):
                     seen.add(link.head)
                     parent[link.head] = (link, True)
                     queue.append(link.head)
@@ -52,7 +62,7 @@ def max_flow(
         v = sink
         while v != source:
             link, forward = parent[v]
-            room = link.bandwidth - flow[link.id] if forward else flow[link.id]
+            room = capacity[link.id] - flow[link.id] if forward else flow[link.id]
             bottleneck = room if bottleneck is None else min(bottleneck, room)
             v = link.tail if forward else link.head
         v = sink

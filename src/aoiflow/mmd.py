@@ -29,11 +29,14 @@ the first of these engines that can:
   still arrive by M, so it meets each capacity group at most once.  When
   that delivers the batch, the schedule is written straight from the paths,
   with no expansion, no pusher and no `decompose`;
-* otherwise the bound's pruned expansion goes through the exact engines in
-  `flowlp`, in order: the period cut of the physical network, the
-  augmenting pusher, its residual cut, the float solve's snapped dual or
-  primal and the simplex, and a feasible flow is peeled into a schedule by
-  `decompose`.
+* the period cut (`flowlp.period_cut`): a static max flow on the physical
+  network, each link carrying its bandwidth once per push residue among
+  its copies on a route of M.  When that falls short of the batch, the
+  bound is infeasible, again with no expansion;
+* otherwise the bound's pruned expansion is built and goes through the
+  exact engines of `flowlp.probe_reaches`, in order: the augmenting pusher,
+  its residual cut, the float solve's snapped dual or primal and the
+  simplex, and a feasible flow is peeled into a schedule by `decompose`.
 
 Every returned schedule is validated, with its delay equal to the bound.
 The companion `min_max_delay_oracle` ignores all of that and scans
@@ -50,7 +53,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound
-from .flowlp import build_flow_lp, extract_edge_flow, probe_reaches
+from .flowlp import build_flow_lp, extract_edge_flow, period_cut, probe_reaches
 from .lp import OPTIMAL, solve_lp
 from .maxflow import Prefix, max_flow, min_cost_prefixes, quickest_bound
 from .model import (
@@ -257,7 +260,7 @@ def _min_max_delay_cached(
     # scan ends there (module docstring)
     for bound in range(bottom, horizon + 1):
         solution = temporally_repeated(inst, period, bound)
-        if solution is None:
+        if solution is None and period_cut(inst, period, bound) >= inst.batch:
             exp = build_expanded(inst, bound)
             answer = probe_reaches(exp, period, inst.batch)
             if answer.feasible:

@@ -212,6 +212,16 @@ def test_batch_summary(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_batch_redraws_disconnected_endpoints(tmp_path, capsys):
+    # seed 9 first draws an unreachable receiver; its endpoints are redrawn
+    out = tmp_path / "er.csv"
+    argv = ["batch", "erdos-renyi", "8", "8", "--count", "10", "--csv", str(out)]
+    assert main(argv) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 10
+    assert rows[-1].startswith("erdos-renyi-9,")
+
+
 @pytest.mark.parametrize(
     "options,name",
     [(["--scale", "0"], "scale"), (["--scale", "1", "--periods", "0"], "n_periods")],

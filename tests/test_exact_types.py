@@ -53,7 +53,7 @@ def solved_values(inst):
             exp = build_expanded(inst, bound)
             groups = exp.capacity_groups(period)
             values["group"] += groups[1]
-            values["cut"].append(period_cut(exp, groups))
+            values["cut"].append(period_cut(inst, period, bound))
             flow = group_augment(exp, groups, inst.batch).flow or {}
             values["push"] += flow.values()
     for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):

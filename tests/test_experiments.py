@@ -194,3 +194,18 @@ def test_pick_endpoints_deterministic():
     assert pick_endpoints(net, 42) == pick_endpoints(net, 42)
     s, r = pick_endpoints(net, 42)
     assert s != r and s in net.nodes and r in net.nodes
+
+
+def test_pick_endpoints_redraws_until_the_receiver_is_reachable():
+    # erdos-renyi 8 8 seed 9 first draws a8 -> a3, which no path joins
+    net = generate(erdos_renyi(8, 8, seed=9))
+    assert pick_endpoints(net, 9) == ("a4", "a8")
+    for seed in range(10):
+        sender, receiver = pick_endpoints(net, seed)
+        assert batch_capacity(net, sender, receiver) > 0, seed
+
+
+def test_pick_endpoints_without_a_connected_pair_raises():
+    net = generate(erdos_renyi(4, 0, seed=0))
+    with pytest.raises(ModelError, match="no node reaches another"):
+        pick_endpoints(net, 0)

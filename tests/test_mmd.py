@@ -19,6 +19,7 @@ from aoiflow import (
 )
 from aoiflow import mmd as mmd_module
 from aoiflow.expander import TRANSIT
+from aoiflow.flowlp import period_cut
 from aoiflow.experiments import (
     complete_graph,
     generate,
@@ -117,22 +118,22 @@ def test_probe_trail_is_scan_from_quickest_bound():
 
 def test_repeated_flow_settles_top_bound_without_expansion(monkeypatch):
     # at a large period the pusher's probe at the answer would be its
-    # slowest; the temporally repeated flow settles that bound, so only the
-    # bound below runs
+    # slowest; the temporally repeated flow settles that bound and the
+    # period cut the bound below, so no expansion is built
     inst = scaled_instance(generate(grid_graph(2, 2, seed=0)), "a1_1", "a2_2", 100, 1)
-    calls = []
-    probe = mmd_module.probe_reaches
+    built = []
 
-    def counting_probe(*args):
-        calls.append(args)
-        return probe(*args)
+    def recording_build(inst, bound):
+        built.append(bound)
+        return build_expanded(inst, bound)
 
-    monkeypatch.setattr(mmd_module, "probe_reaches", counting_probe)
+    monkeypatch.setattr(mmd_module, "build_expanded", recording_build)
     _min_max_delay_cached.cache_clear()
     result = min_max_delay(inst, 100)
     assert result.max_delay == 109
     assert result.probes == ((108, False), (109, True))
-    assert len(calls) == 1
+    assert period_cut(inst, 100, 108) < inst.batch
+    assert built == []
 
 
 def test_delay_matches_unit_period_delay_within_a_period():

@@ -15,13 +15,15 @@ that needs it, with the temporally repeated flow off so the stall it exists
 for happens.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from aoiflow import (
+    Network,
     Objective,
     build_expanded,
     build_flow_lp,
@@ -55,7 +57,7 @@ from aoiflow.flowlp import (
 )
 from aoiflow.expander import HOLDING, TRANSIT
 from aoiflow.lp import violated_row
-from aoiflow.maxflow import min_cost_prefixes, quickest_bound, shortest_delay
+from aoiflow.maxflow import max_flow, min_cost_prefixes, quickest_bound, shortest_delay
 from aoiflow.mmd import _min_max_delay_cached, min_max_delay, repeated_value
 from conftest import corpus_instance
 
@@ -72,7 +74,7 @@ SWITCHES = {
     "residual-cut": (flowlp_module, "residual_cut", lambda *args: float("inf")),
     "dual-certificate": (flowlp_module, "_scipy_solve", lambda flow_lp: None),
     "temporally-repeated": (mmd_module, "temporally_repeated", lambda *args: None),
-    "period-cut": (flowlp_module, "period_cut", lambda *args: float("inf")),
+    "period-cut": (mmd_module, "period_cut", lambda *args: float("inf")),
 }
 
 
@@ -83,6 +85,7 @@ def engine_tally(monkeypatch):
     engines = Counter()
     probe = mmd_module.probe_reaches
     repeated = mmd_module.temporally_repeated
+    cut = mmd_module.period_cut
 
     def counting_probe(*args):
         answer = probe(*args)
@@ -95,12 +98,20 @@ def engine_tally(monkeypatch):
             engines["temporally-repeated"] += 1
         return solution
 
+    def counting_cut(inst, period, bound):
+        value = cut(inst, period, bound)
+        if value < inst.batch:
+            engines["period-cut"] += 1
+        return value
+
     monkeypatch.setattr(mmd_module, "probe_reaches", counting_probe)
     monkeypatch.setattr(mmd_module, "temporally_repeated", counting_repeated)
+    monkeypatch.setattr(mmd_module, "period_cut", counting_cut)
     _min_max_delay_cached.cache_clear()
     yield engines
     monkeypatch.setattr(mmd_module, "probe_reaches", probe)
     monkeypatch.setattr(mmd_module, "temporally_repeated", repeated)
+    monkeypatch.setattr(mmd_module, "period_cut", cut)
 
 
 def solve_slice(monkeypatch, seeds=SLICE):
@@ -191,6 +202,68 @@ def test_grid_seed7_engine_tally(monkeypatch, fresh_cache):
     assert engines == Counter({"temporally-repeated": 2, "period-cut": 3})
 
 
+def test_grid_seed7_builds_no_expansion(monkeypatch, fresh_cache):
+    # every probe of the bench's timed grid solve is settled on the physical
+    # network: the temporally repeated flow or the period cut
+    def refuse_build(*args):
+        raise AssertionError("expansion built")
+
+    monkeypatch.setattr(mmd_module, "build_expanded", refuse_build)
+    inst = scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
+    for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
+        solve_optimal(inst, objective)
+
+
+def expansion_cut(inst, period, bound):
+    """The period cut read off the bound's expansion: each physical link
+    carries the summed bandwidths of its capacity groups there, and the
+    links without a group are dropped."""
+    exp = build_expanded(inst, bound)
+    group_of, bandwidths = exp.capacity_groups(period)
+    held = defaultdict(set)
+    for el, g in zip(exp.links, group_of):
+        if g >= 0:
+            held[el.link_id].add(g)
+    summed = Network(
+        nodes=inst.network.nodes,
+        links=tuple(
+            replace(link, bandwidth=sum(bandwidths[g] for g in held[link.id]))
+            for link in inst.network.links
+            if link.id in held
+        ),
+    )
+    return max_flow(summed, inst.sender, inst.receiver)[1]
+
+
+def test_period_cut_matches_the_expansion_cut(monkeypatch, fresh_cache):
+    # every bound the scan asks the cut about, that is every bound that
+    # neither the quickest bound nor the temporally repeated flow settles
+    cut = mmd_module.period_cut
+    asked = []
+
+    def recording_cut(inst, period, bound):
+        value = cut(inst, period, bound)
+        asked.append((inst, period, bound, value))
+        return value
+
+    monkeypatch.setattr(mmd_module, "period_cut", recording_cut)
+    instances = [corpus_instance(seed) for seed in range(200)]
+    for seed in range(30):
+        net = generate(complete_graph(6, seed))
+        instances.append(scaled_instance(net, *pick_endpoints(net, seed), 5, 10))
+    instances.append(
+        scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
+    )
+    for inst in instances:
+        for period in feasible_periods(inst):
+            min_max_delay(inst, period)
+    refuted = 0
+    for inst, period, bound, value in asked:
+        assert value == expansion_cut(inst, period, bound), (inst, period, bound)
+        refuted += value < inst.batch
+    assert 0 < refuted < len(asked)
+
+
 def test_simplex_only_stack_matches(monkeypatch, fresh_cache):
     baseline, _ = solve_slice(monkeypatch)
     for name in ("period-cut", "residual-cut", "dual-certificate", "temporally-repeated"):
@@ -242,9 +315,9 @@ def test_float_dual_settles_what_the_cut_misses():
     pytest.importorskip("scipy")
     inst = scaled_instance(generate(grid_graph(4, 4, seed=16)), "a1_1", "a4_4", 10)
     period, bound = 12, 24
+    assert period_cut(inst, period, bound) == 500 >= inst.batch == 500
     exp = build_expanded(inst, bound)
     groups = exp.capacity_groups(period)
-    assert period_cut(exp, groups) == 500 >= inst.batch == 500
     push = group_augment(exp, groups, inst.batch)
     assert push.flow is None and push.reached is not None
     assert residual_cut(exp, groups, push.reached) == 500
@@ -253,16 +326,25 @@ def test_float_dual_settles_what_the_cut_misses():
     assert probe_reaches(exp, period, inst.batch).engine == "dual-certificate"
 
 
-def test_period_cut_settles_what_the_residual_cut_misses():
+def test_period_cut_settles_what_the_residual_cut_misses(monkeypatch, fresh_cache):
     # grid seed 13 at period 10, bound 24: the stalled pusher's cut is 530,
     # above the batch of 500, and the exact simplex takes over 20 s here
     inst = scaled_instance(generate(grid_graph(4, 4, seed=13)), "a1_1", "a4_4", 10)
+    assert period_cut(inst, 10, 24) == 490 < inst.batch == 500
     exp = build_expanded(inst, 24)
     groups = exp.capacity_groups(10)
-    assert period_cut(exp, groups) == 490 < inst.batch == 500
     push = group_augment(exp, groups, inst.batch)
     assert push.flow is None and residual_cut(exp, groups, push.reached) == 530
-    assert probe_reaches(exp, 10, inst.batch).engine == "period-cut"
+    # the scan refutes bound 24 without building its expansion
+    built = []
+
+    def recording_build(inst, bound):
+        built.append(bound)
+        return build_expanded(inst, bound)
+
+    monkeypatch.setattr(mmd_module, "build_expanded", recording_build)
+    assert (24, False) in min_max_delay(inst, 10).probes
+    assert 24 not in built
 
 
 def test_period_cut_settles_large_periods_without_the_pusher(monkeypatch, fresh_cache):
@@ -287,7 +369,7 @@ def test_dual_certificates_never_contradict_exact_optimum():
             exp = build_expanded(inst, bound)
             flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
             exact = solve_lp(flow_lp.program).objective_value
-            if not exp.links:  # the period cut reads 0 here and answers first
+            if not exp.links:  # no copy lies on a route: nothing to certify
                 assert exact == 0
                 continue
             fr = _scipy_solve(flow_lp)
@@ -322,15 +404,17 @@ def test_residual_cut_never_below_exact_optimum():
 
 
 def test_period_cut_refutes_an_expansion_without_links():
-    # below the shortest delay no copy lies on a route, the summed network
-    # has no links, and the period cut answers before any other engine
+    # below the shortest delay no link has a copy on a route, so the period
+    # cut reads 0; the expansion has no links, and the pusher's search
+    # reaches the source alone, whose residual cut reads 0 as well
     for seed in range(5):
         inst = corpus_instance(seed)
         bound = shortest_delay(inst.network, inst.sender)[inst.receiver] - 1
+        assert period_cut(inst, inst.max_period, bound) == 0, seed
         exp = build_expanded(inst, bound)
         assert not exp.links
         answer = probe_reaches(exp, inst.max_period, inst.batch)
-        assert (answer.feasible, answer.engine) == (False, "period-cut"), seed
+        assert (answer.feasible, answer.engine) == (False, "residual-cut"), seed
 
 
 def test_period_cut_never_below_exact_optimum():
@@ -344,7 +428,7 @@ def test_period_cut_never_below_exact_optimum():
                 continue
             groups = exp.capacity_groups(period)
             exact = solve_lp(build_flow_lp(exp, groups).program).objective_value
-            cut = period_cut(exp, groups)
+            cut = period_cut(inst, period, bound)
             assert cut >= exact, (seed, bound)
             refuted += cut < inst.batch
     assert refuted > 0
@@ -411,7 +495,7 @@ def test_primal_snap_never_exceeds_exact_optimum():
         period = inst.max_period
         for bound in (3, 6, 9, 12):
             exp = build_expanded(inst, bound)
-            if not exp.links:  # the period cut reads 0 here and answers first
+            if not exp.links:  # no copy lies on a route: nothing to snap
                 continue
             flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
             exact = solve_lp(flow_lp.program).objective_value
