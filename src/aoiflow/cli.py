@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Each call builds the top-level parser and the parser of the one command argv
-names; the other commands' parsers are never built.
+The parser tree, the top-level parser and one subparser per command, is
+built once when the module is imported; `main` only parses with it.
 
 Exit codes: 0 success, 1 bad input (a usage error included), 2 infeasible
 instance.  Exit 1 with ``error: ...`` on stderr reports bad input; a solver
@@ -38,23 +38,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class _Command:
-    """Stand-in for one command's parser that builds it only when argv picks it.
-
-    `add_subparsers(parser_class=_Command)` makes one per command, and
-    `_SubParsersAction` calls `parse_known_args` on the chosen one alone.
-    """
-
-    def __init__(self, add_arguments, **kwargs):
-        self._add_arguments = add_arguments
-        self._kwargs = kwargs  # prog, and whatever else add_parser passes
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = _Parser(**self._kwargs)
-        self._add_arguments(parser)
-        return parser.parse_known_args(args, namespace)
 
 
 def _spec_for(kind: str, params: list[str], seed: int) -> experiments.TopologySpec:
@@ -281,14 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Periodic multi-path schedules minimizing age-of-information",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress human output")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (summary, add_arguments, _) in COMMANDS.items():
-        sub.add_parser(name, help=summary, add_arguments=add_arguments)
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     _, _, run = COMMANDS[args.command]
     try:
         return run(args)

@@ -271,3 +271,19 @@ def test_a_parallel_link_never_raises_a_delay(
     twin = links[which % len(links)]
     extra = replace(twin, id="parallel", delay=delay, bandwidth=bandwidth)
     no_later(delays(with_links(inst, (*links, extra))), delays(inst))
+
+
+@settings(max_examples=20, deadline=None)
+@given(**DRAWN, factor=st.sampled_from([F(3, 2), F(2), F(7, 3)]))
+def test_a_larger_batch_never_lowers_a_delay(kind, seed, scale, n_periods, factor):
+    """Scaling the batch and both rates by one factor keeps the window; a
+    schedule of the larger batch, scaled back, carries the smaller one."""
+    inst = drawn_instance(kind, seed, scale, n_periods)
+    larger = replace(
+        inst,
+        batch=inst.batch * factor,
+        r_min=inst.r_min * factor,
+        r_max=inst.r_max * factor,
+    )
+    assert feasible_periods(larger) == feasible_periods(inst)
+    no_later(delays(inst), delays(larger))

@@ -1,0 +1,32 @@
+"""Edmonds-Karp on a network whose maximum flow must cancel its first path."""
+
+from aoiflow import network
+from aoiflow.maxflow import max_flow
+
+
+def cancelling_network():
+    """The first shortest path s-x-y-t blocks both longer routes; a second
+    unit reaches t only by pushing back along x -> y: s-z1-z2-y, back to x,
+    then x-w-w2-t.  Every link has delay 1 and bandwidth 1."""
+    links = [
+        ("s", "x"), ("x", "y"), ("y", "t"),
+        ("x", "w"), ("w", "w2"), ("w2", "t"),
+        ("s", "z1"), ("z1", "z2"), ("z2", "y"),
+    ]
+    nodes = ["s", "x", "y", "t", "w", "w2", "z1", "z2"]
+    return network(nodes, [(f"{a}-{b}", a, b, 1, 1) for a, b in links])
+
+
+def test_max_flow_cancels_the_first_path():
+    flow, value = max_flow(cancelling_network(), "s", "t")
+    assert value == 2
+    assert flow["x-y"] == 0
+    assert all(flow[link] == 1 for link in flow if link != "x-y")
+
+
+def test_max_flow_cancels_under_a_capacity_mapping():
+    net = cancelling_network()
+    flow, value = max_flow(net, "s", "t", {link.id: 2 for link in net.links})
+    assert value == 4
+    assert flow["x-y"] == 0
+    assert all(flow[link] == 2 for link in flow if link != "x-y")
