@@ -335,11 +335,9 @@ def test_main_builds_no_parser(fastslow_path, monkeypatch):
     assert built == []
 
 
-def write_cycle_instance(tmp_path):
-    """s -> a -> r with a two-cycle a <-> b: every link delay 1, bandwidth 10.
-
-    Batch 2 with 1/2 <= R <= 1, so the period window is 2..4.
-    """
+def run_validate(tmp_path, schedule, capsys):
+    """`aoiflow validate` of ``schedule`` on s -> a -> r with a two-cycle
+    a <-> b, every link delay 1 and bandwidth 10, batch 2 and periods 2..4."""
     net = network(
         ["s", "a", "b", "r"],
         [
@@ -349,16 +347,11 @@ def write_cycle_instance(tmp_path):
             ("ar", "a", "r", 1, 10),
         ],
     )
-    path = tmp_path / "cycle.inst"
-    save_instance(Instance(net, "s", "r", F(2), F(1, 2), F(1)), str(path))
-    return str(path)
-
-
-def run_validate(tmp_path, schedule, capsys):
-    inst = write_cycle_instance(tmp_path)
+    inst = tmp_path / "cycle.inst"
+    save_instance(Instance(net, "s", "r", F(2), F(1, 2), F(1)), str(inst))
     sol = tmp_path / "hand.sol"
     sol.write_text(schedule)
-    code = main(["validate", inst, str(sol)])
+    code = main(["validate", str(inst), str(sol)])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
