@@ -1,22 +1,23 @@
 """Layered time expansion of a network, pruned to the routes of one bound.
 
-`build_expanded(inst, bound)` serves one question: can the batch travel from
-(sender, 0) to (receiver, bound)?  So it keeps only the copies lying on such
-a route.  A physical link u -> v of delay ``d`` becomes transit copies
-(u, i) -> (v, i + d) for the push slots ``dist_s[u] <= i <= bound - d -
-dist_r[v]`` (`push_slots`, which the period cut counts too), and a node v
-gets unit holding links (v, i) -> (v, i + 1) for ``dist_s[v] <= i < bound -
-dist_r[v]``, where ``dist_s`` is the shortest delay from the sender and
-``dist_r`` the shortest delay to the receiver.
+`build_expanded(inst, bound, period)` serves one question: can the batch
+travel from (sender, 0) to (receiver, bound) at this period?  So it keeps
+only the copies lying on such a route.  A physical link u -> v of delay
+``d`` becomes transit copies (u, i) -> (v, i + d) for the push slots
+``dist_s[u] <= i <= bound - d - dist_r[v]`` (`push_slots`, which the period
+cut counts too), and a node v gets unit holding links (v, i) -> (v, i + 1)
+for ``dist_s[v] <= i < bound - dist_r[v]``, where ``dist_s`` is the shortest
+delay from the sender and ``dist_r`` the shortest delay to the receiver.
 Every other copy carries zero in any conserving flow, so dropping it leaves
 the flow program's feasible flows unchanged.
 
 The expansion owns the facts every probe engine reads: its source (sender,
 0) and sink (receiver, bound), each node's outgoing and incoming links, and
-`ExpandedNetwork.capacity_groups`.  Transit copies of a link whose push
-slots agree mod the period share that link's bandwidth; those residue
-classes are the capacity groups.  The solver derives them only here; the
-validator (`model.residue_loads`) keeps its own copy to stay independent.
+the capacity groups.  Transit copies of a link whose push slots agree mod
+the period share that link's bandwidth; those residue classes are the
+capacity groups, numbered by `build_expanded` as it emits the copies
+(`ExpandedLink.group`, `ExpandedNetwork.bandwidths`).  The validator
+(`model.residue_loads`) keeps its own copy of the rule to stay independent.
 
 Node ids are dense ints, ``node_index * (bound + 1) + layer``, so identical
 inputs always yield identical link orderings.
@@ -30,20 +31,13 @@ from functools import cached_property
 from .maxflow import shortest_delay
 from .model import Instance, Link, Network, Rational
 
-TRANSIT = "transit"
-HOLDING = "holding"
-
-# each expanded link's capacity group (-1 for holding), each group's bandwidth
-Groups = tuple[list[int], list[Rational]]
-
-
 @dataclass(frozen=True)
 class ExpandedLink:
     tail: int
     head: int
-    kind: str
     link_id: str | None  # physical link for transit copies, None for holding
     push: int  # push slot for transit, start layer for holding
+    group: int  # capacity group for transit, -1 for holding
 
 
 @dataclass(frozen=True)
@@ -53,6 +47,7 @@ class ExpandedNetwork:
     links: tuple[ExpandedLink, ...]
     source: int  # (sender, 0)
     sink: int  # (receiver, bound)
+    bandwidths: tuple[Rational, ...]  # by capacity group
 
     @cached_property
     def out_links(self) -> dict[int, list[int]]:
@@ -69,29 +64,6 @@ class ExpandedNetwork:
         for idx, el in enumerate(self.links):
             adj.setdefault(getattr(el, end), []).append(idx)
         return adj
-
-    def capacity_groups(self, period: int) -> Groups:
-        """Each link's capacity group (-1 for holding) and each group's bandwidth.
-
-        Transit copies of one physical link whose push slots agree mod
-        ``period`` form a group.  Groups are numbered link by link, residues
-        ascending, which is the order of the flow program's capacity rows.
-        Both lists are new on every call.
-        """
-        if period < 1:
-            raise ValueError("period must be a positive integer")
-        classes: dict[tuple[str, int], list[int]] = {}
-        for idx, el in enumerate(self.links):
-            if el.kind == TRANSIT:
-                classes.setdefault((el.link_id, el.push % period), []).append(idx)
-        order = {link.id: i for i, link in enumerate(self.net.links)}
-        group_of = [-1] * len(self.links)
-        bandwidths: list[Rational] = []
-        for key in sorted(classes, key=lambda k: (order[k[0]], k[1])):
-            for idx in classes[key]:
-                group_of[idx] = len(bandwidths)
-            bandwidths.append(self.net.link_index[key[0]].bandwidth)
-        return group_of, bandwidths
 
     def node_id(self, node: str, layer: int) -> int:
         return self.net.nodes.index(node) * (self.bound + 1) + layer
@@ -139,35 +111,48 @@ def push_slots(
     return range(dist_s[link.tail], bound - link.delay - dist_r[link.head] + 1)
 
 
-def build_expanded(inst: Instance, bound: int) -> ExpandedNetwork:
+def build_expanded(inst: Instance, bound: int, period: int) -> ExpandedNetwork:
     """Expand the copies on some (sender, 0) -> (receiver, bound) route.
 
     Links come in a deterministic order: transit copies link by link, then
-    holding links node by node, each by ascending slot.  The expansion has
-    no links exactly when the receiver is farther than ``bound``.
+    holding links node by node, each by ascending slot.  Transit copies of
+    one link whose push slots agree mod ``period`` share a capacity group;
+    groups are numbered link by link, residues ascending, which is the order
+    of the flow program's capacity rows.  The expansion has no links exactly
+    when the receiver is farther than ``bound``.
     """
     if bound < 0:
         raise ValueError("bound must not be negative")
+    if period < 1:
+        raise ValueError("period must be a positive integer")
     net = inst.network
     dist_s, dist_r = route_distances(inst)
     links: list[ExpandedLink] = []
+    bandwidths: list[Rational] = []
     width = bound + 1
     node_pos = {v: i for i, v in enumerate(net.nodes)}
     for link in net.links:
         tail = node_pos[link.tail] * width
         head = node_pos[link.head] * width + link.delay
-        for i in push_slots(link, bound, dist_s, dist_r):
-            links.append(ExpandedLink(tail + i, head + i, TRANSIT, link.id, i))
+        slots = push_slots(link, bound, dist_s, dist_r)
+        # the link's residues, ascending, take the next group numbers
+        residues = sorted({i % period for i in slots[:period]})
+        group = {r: len(bandwidths) + k for k, r in enumerate(residues)}
+        bandwidths += [link.bandwidth] * len(residues)
+        for i in slots:
+            el = ExpandedLink(tail + i, head + i, link.id, i, group[i % period])
+            links.append(el)
     for v in net.nodes:
         if v not in dist_s or v not in dist_r:
             continue
         base = node_pos[v] * width
         for i in range(dist_s[v], bound - dist_r[v]):
-            links.append(ExpandedLink(base + i, base + i + 1, HOLDING, None, i))
+            links.append(ExpandedLink(base + i, base + i + 1, None, i, -1))
     return ExpandedNetwork(
         net=net,
         bound=bound,
         links=tuple(links),
         source=node_pos[inst.sender] * width,
         sink=node_pos[inst.receiver] * width + bound,
+        bandwidths=tuple(bandwidths),
     )

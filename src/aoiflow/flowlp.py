@@ -5,10 +5,9 @@ The core question answered here: can at least ``target`` units travel from
 capacity group (one physical link, one push-residue class) stays within its
 bandwidth?  That expansion already holds only the copies on such a route, so
 the program has one variable per expanded link.  The expansion also owns the
-source, the sink, the adjacency and the capacity groups
-(`ExpandedNetwork.capacity_groups`).  `probe_reaches` derives the groups
-once per probe; the program, the pusher and the residual cut read that one
-copy.
+source, the sink, the adjacency and the capacity groups, which
+`build_expanded` numbers for the probe's period as it emits the copies; the
+program, the pusher and the residual cut all read them there.
 
 `mmd` never probes below the batch's quickest flow time, the bound at
 which even the program without shared groups falls short.  Past the
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .expander import ExpandedNetwork, Groups, push_slots, route_distances
+from .expander import ExpandedNetwork, push_slots, route_distances
 from .lp import (
     EQ,
     LE,
@@ -60,14 +59,13 @@ class FlowLp:
     program: LinearProgram
 
 
-def build_flow_lp(exp: ExpandedNetwork, groups: Groups) -> FlowLp:
+def build_flow_lp(exp: ExpandedNetwork) -> FlowLp:
     """Max-throughput program over layers 0..exp.bound.
 
     One variable per expanded link; the objective is total outflow of the
     source; source outflow equals sink inflow; flow conserves everywhere
-    else; each capacity group in ``groups`` (`capacity_groups` at the
-    period), in their order, is limited by its link bandwidth.  Holding
-    links are uncapacitated.
+    else; each of the expansion's capacity groups, in their order, is
+    limited by its link bandwidth.  Holding links are uncapacitated.
     """
     out_at, in_at = exp.out_links, exp.in_links
     n = len(exp.links)
@@ -92,12 +90,11 @@ def build_flow_lp(exp: ExpandedNetwork, groups: Groups) -> FlowLp:
             coeffs[j] = coeffs.get(j, Fraction(0)) - 1
         lp.add_row(coeffs, Fraction(0), EQ)
 
-    group_of, bandwidths = groups
-    members: list[dict[int, Fraction]] = [{} for _ in bandwidths]
-    for j, g in enumerate(group_of):
-        if g >= 0:
-            members[g][j] = Fraction(1)
-    for coeffs, cap in zip(members, bandwidths):
+    members: list[dict[int, Fraction]] = [{} for _ in exp.bandwidths]
+    for j, el in enumerate(exp.links):
+        if el.group >= 0:
+            members[el.group][j] = Fraction(1)
+    for coeffs, cap in zip(members, exp.bandwidths):
         lp.add_row(coeffs, cap, LE)
 
     return FlowLp(program=lp)
@@ -148,7 +145,7 @@ class Push(NamedTuple):
     reached: set[int] | None  # nodes the last search reached, when it missed the sink
 
 
-def group_augment(exp: ExpandedNetwork, groups: Groups, target: Rational) -> Push:
+def group_augment(exp: ExpandedNetwork, target: Rational) -> Push:
     """Push exactly ``target`` units with augmenting paths.
 
     Residual capacity of a transit copy is its whole group's remaining
@@ -166,8 +163,8 @@ def group_augment(exp: ExpandedNetwork, groups: Groups, target: Rational) -> Pus
     links = exp.links
     heads = [el.head for el in links]
     tails = [el.tail for el in links]
-    group_of, bandwidths = groups
-    group_resid = list(bandwidths)  # the caller's groups stay as they were
+    group_of = [el.group for el in links]
+    group_resid = list(exp.bandwidths)
     open_group = [r > 0 for r in group_resid]
 
     flow: dict[int, Rational] = {}  # positive entries only
@@ -237,7 +234,7 @@ def group_augment(exp: ExpandedNetwork, groups: Groups, target: Rational) -> Pus
     return Push(None, None)
 
 
-def residual_cut(exp: ExpandedNetwork, groups: Groups, reached: set[int]) -> Rational:
+def residual_cut(exp: ExpandedNetwork, reached: set[int]) -> Rational:
     """Upper bound on the program's value from a source-side node set.
 
     ``reached`` holds the source and not the sink, so every feasible flow's
@@ -246,13 +243,10 @@ def residual_cut(exp: ExpandedNetwork, groups: Groups, reached: set[int]) -> Rat
     Precondition: no uncapacitated holding link leaves ``reached``, as in
     the set `group_augment` hands over: its search follows every one.
     """
-    group_of, bandwidths = groups
     full = {
-        group_of[idx]
-        for idx, el in enumerate(exp.links)
-        if el.tail in reached and el.head not in reached
+        el.group for el in exp.links if el.tail in reached and el.head not in reached
     }
-    return sum(bandwidths[g] for g in full)
+    return sum(exp.bandwidths[g] for g in full)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +279,6 @@ def _scipy_solve(flow_lp: FlowLp):
 
     def arrays(sense):
         rows = [(coeffs, rhs) for coeffs, rhs, s in lp.rows if s == sense]
-        if not rows:
-            return None, None
         data, ri, ci = [], [], []
         for i, (coeffs, _) in enumerate(rows):
             for j, c in coeffs.items():
@@ -317,8 +309,6 @@ def certify_value_below(flow_lp: FlowLp, target: Fraction, float_result) -> bool
     For max c.x with A_eq x = b_eq, A_ub x <= b_ub, x >= 0: any y (free),
     z >= 0 with A_eq'y + A_ub'z >= c bounds the optimum by y.b_eq + z.b_ub.
     """
-    if float_result is None:
-        return False
     lp = flow_lp.program
     clamped = [sense == LE for _, _, sense in lp.rows]
     for duals in _snaps(float_result["duals"], clamped):
@@ -356,29 +346,26 @@ def snap_primal(
 
 @dataclass
 class ProbeAnswer:
-    feasible: bool
-    flow: dict[int, Rational] | None  # value-target witness when feasible
+    flow: dict[int, Rational] | None  # a value-target witness; None when refuted
     engine: str
 
 
-def probe_reaches(exp: ExpandedNetwork, period: int, target: Rational) -> ProbeAnswer:
+def probe_reaches(exp: ExpandedNetwork, target: Rational) -> ProbeAnswer:
     """Exact answer to "does the flow program at exp.bound reach target?".
 
     `mmd` asks only once the temporally repeated flow and the period cut
-    have left the bound open.  The capacity groups are derived once and the
-    pusher, its residual cut, the float solve and the simplex run in that
-    order on them.  On an expansion without links (the receiver is farther
-    than the bound) the pusher's search reaches the source alone and the
-    residual cut reads 0.
+    have left the bound open.  The pusher, its residual cut, the float solve
+    and the simplex run in that order on the expansion's capacity groups.
+    On an expansion without links (the receiver is farther than the bound)
+    the pusher's search reaches the source alone, whose residual cut is 0.
     """
-    groups = exp.capacity_groups(period)
-    push = group_augment(exp, groups, target)
+    push = group_augment(exp, target)
     if push.flow is not None:
-        return ProbeAnswer(True, push.flow, "augment")
-    if push.reached is not None and residual_cut(exp, groups, push.reached) < target:
-        return ProbeAnswer(False, None, "residual-cut")
+        return ProbeAnswer(push.flow, "augment")
+    if push.reached is not None and residual_cut(exp, push.reached) < target:
+        return ProbeAnswer(None, "residual-cut")
 
-    flow_lp = build_flow_lp(exp, groups)
+    flow_lp = build_flow_lp(exp)
 
     # one float solve settles most stalls either way, once its snapped dual
     # or primal passes an exact check, without an exact optimality proof
@@ -386,15 +373,15 @@ def probe_reaches(exp: ExpandedNetwork, period: int, target: Rational) -> ProbeA
     if float_result is not None:
         if float_result["value"] < float(target) - 1e-6:
             if certify_value_below(flow_lp, target, float_result):
-                return ProbeAnswer(False, None, "dual-certificate")
+                return ProbeAnswer(None, "dual-certificate")
         else:
             flow = snap_primal(flow_lp, target, float_result)
             if flow is not None:
-                return ProbeAnswer(True, flow, "primal-snap")
+                return ProbeAnswer(flow, "primal-snap")
 
     sol = solve_lp(flow_lp.program)
     if sol.status != OPTIMAL:  # zero flow is always feasible, caps are finite
         raise AssertionError(f"flow program reported {sol.status}")
     if sol.objective_value >= target:
-        return ProbeAnswer(True, extract_edge_flow(sol), "simplex")
-    return ProbeAnswer(False, None, "simplex")
+        return ProbeAnswer(extract_edge_flow(sol), "simplex")
+    return ProbeAnswer(None, "simplex")

@@ -261,9 +261,9 @@ def _min_max_delay_cached(
     for bound in range(bottom, horizon + 1):
         solution = temporally_repeated(inst, period, bound)
         if solution is None and period_cut(inst, period, bound) >= inst.batch:
-            exp = build_expanded(inst, bound)
-            answer = probe_reaches(exp, period, inst.batch)
-            if answer.feasible:
+            exp = build_expanded(inst, bound, period)
+            answer = probe_reaches(exp, inst.batch)
+            if answer.flow is not None:
                 solution = decompose(exp, answer.flow, inst, period)
         probes.append((bound, solution is not None))
         if solution is not None:
@@ -298,8 +298,8 @@ def min_max_delay_oracle(
         return None
     probes: list[tuple[int, bool]] = []
     for bound in range(0, mu + 1):
-        exp = build_expanded(inst, bound)
-        flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
+        exp = build_expanded(inst, bound, period)
+        flow_lp = build_flow_lp(exp)
         sol = solve_lp(flow_lp.program)
         feasible = sol.status == OPTIMAL and sol.objective_value >= inst.batch
         probes.append((bound, feasible))

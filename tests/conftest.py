@@ -1,13 +1,17 @@
 """Shared helpers: the three hand-analyzed parallel-link instances whose
-optimal values are known exactly, plus a seeded generator of small random
-instances used by the property suites."""
+optimal values are known exactly, a seeded generator of small random
+instances used by the property suites, and the period cut recomputed from an
+expansion's capacity groups."""
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction as F
 
-from aoiflow import Instance, network
+from aoiflow import Instance, Network, build_expanded, network
+from aoiflow.maxflow import max_flow
 
 
 def make_fastslow_network():
@@ -81,3 +85,23 @@ def corpus_instance(seed: int) -> Instance:
     t_min = max(1, t_max - rng.randint(0, 2))
     batch = F(rng.choice([2, 3, 4, 6]))
     return Instance(net, sender, receiver, batch, F(batch, t_max), F(batch, t_min))
+
+
+def expansion_cut(inst, period, bound):
+    """The period cut read off the bound's expansion: each physical link
+    carries the summed bandwidths of its capacity groups there, and the
+    links without a group are dropped."""
+    exp = build_expanded(inst, bound, period)
+    held = defaultdict(set)
+    for el in exp.links:
+        if el.group >= 0:
+            held[el.link_id].add(el.group)
+    summed = Network(
+        nodes=inst.network.nodes,
+        links=tuple(
+            replace(link, bandwidth=sum(exp.bandwidths[g] for g in held[link.id]))
+            for link in inst.network.links
+            if link.id in held
+        ),
+    )
+    return max_flow(summed, inst.sender, inst.receiver)[1]

@@ -169,8 +169,7 @@ def test_criterion_5_feasibility_equivalence():
     # reverse side: a validated schedule's (period, delay) makes the
     # reference program carry the batch
     for inst, period, result in pairs[:: max(1, len(pairs) // 50)]:
-        exp = build_expanded(inst, result.max_delay)
-        flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
+        flow_lp = build_flow_lp(build_expanded(inst, result.max_delay, period))
         sol = solve_lp(flow_lp.program)
         assert sol.status == OPTIMAL and sol.objective_value >= inst.batch
         checked_reverse += 1

@@ -25,6 +25,15 @@ def triple_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def dead_path(tmp_path):
+    """An instance whose one link has zero bandwidth: no period is feasible."""
+    net = network(["s", "r"], [("e", "s", "r", 1, 0)])
+    path = tmp_path / "dead.inst"
+    save_instance(Instance(net, "s", "r", F(2), F(1), F(2)), str(path))
+    return str(path)
+
+
 def test_solve_mpa_fastslow(fastslow_path, tmp_path, capsys):
     sol = tmp_path / "fastslow.sol"
     assert main(["solve", "mpa", fastslow_path, "--sol", str(sol)]) == 0
@@ -46,12 +55,8 @@ def test_solve_then_validate_roundtrip_triple(triple_path, tmp_path, capsys):
     assert "ok M=5 peak=9 avg=7" in second
 
 
-def test_solve_infeasible_exits_2(tmp_path, capsys):
-    net = network(["s", "r"], [("e", "s", "r", 1, 0)])
-    inst = Instance(net, "s", "r", F(2), F(1), F(2))
-    path = tmp_path / "dead.inst"
-    save_instance(inst, str(path))
-    assert main(["solve", "mpa", str(path)]) == 2
+def test_solve_infeasible_exits_2(dead_path, capsys):
+    assert main(["solve", "mpa", dead_path]) == 2
     assert capsys.readouterr() == ("infeasible at every period\n", "")
 
 
@@ -116,6 +121,18 @@ def test_string_nodes_exit_1(tmp_path, capsys):
     assert "nodes must be an array" in capsys.readouterr().err
 
 
+def test_repeated_node_exits_1(tmp_path, capsys):
+    data = instance_to_dict(make_fastslow_instance())
+    data["nodes"].append("s")
+    path = tmp_path / "ill.inst"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "mpa", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: invalid network: duplicate-node: nodes (repeated node id)\n",
+    )
+
+
 def test_validate_detects_batch_mismatch(fastslow_path, tmp_path, capsys):
     sol = tmp_path / "s.sol"
     assert main(["solve", "mpa", fastslow_path, "--sol", str(sol)]) == 0
@@ -136,6 +153,11 @@ def test_approx_alpha_below_one_exits_1(fastslow_path, capsys):
     captured = capsys.readouterr()
     assert "ratio_bound" not in captured.out
     assert "alpha must be at least 1" in captured.err
+
+
+def test_approx_infeasible_exits_2(dead_path, capsys):
+    assert main(["approx", "mpa", dead_path]) == 2
+    assert capsys.readouterr() == ("infeasible at every period\n", "")
 
 
 def test_mmd_at_period(fastslow_path, capsys):
@@ -174,16 +196,13 @@ def test_sweep_csv_stable(fastslow_path, tmp_path, capsys):
     assert a.read_text().count("\n") == 5  # header + 4 periods
 
 
-def test_sweep_infeasible_at_every_period_exits_2(tmp_path, capsys):
-    net = network(["s", "r"], [("e", "s", "r", 1, 0)])
-    path = tmp_path / "dead.inst"
-    save_instance(Instance(net, "s", "r", F(2), F(1), F(2)), str(path))
+def test_sweep_infeasible_at_every_period_exits_2(dead_path, tmp_path, capsys):
     out = tmp_path / "dead.csv"
-    assert main(["sweep", str(path), "--csv", str(out)]) == 2
+    assert main(["sweep", dead_path, "--csv", str(out)]) == 2
     assert capsys.readouterr().out == "infeasible at every period\n"
     assert out.read_text().splitlines()[1:] == [
-        f"{path},1,2,,,,,,infeasible",
-        f"{path},2,1,,,,,,infeasible",
+        f"{dead_path},1,2,,,,,,infeasible",
+        f"{dead_path},2,1,,,,,,infeasible",
     ]
 
 
@@ -267,6 +286,22 @@ def test_bad_generator_parameter_exits_1(command, params, message, tmp_path, cap
     err = capsys.readouterr().err
     assert f"error: {params[0]} " in err and message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        (["grid", "4"], "bad parameters for grid: ['4']"),
+        (["complete", "x"], "bad parameters for complete: ['x']"),
+        (["watts-strogatz", "4", "4", "0.5"], "ring too small for the requested degree"),
+        (["copying", "1", "0.5"], "copying model needs at least 2 nodes"),
+    ],
+)
+def test_gen_unbuildable_topology_exits_1(params, message, tmp_path, capsys):
+    out = tmp_path / "o.inst"
+    assert main(["gen", *params, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 

@@ -104,7 +104,7 @@ def test_decompose_matches_reference_on_random_walk_flows():
         if low is None:
             continue
         for _ in range(8):
-            exp = build_expanded(inst, low + rng.randint(0, 8))
+            exp = build_expanded(inst, low + rng.randint(0, 8), inst.min_period)
             flow = {}
             for _ in range(rng.randint(1, 5)):
                 walk = random_walk(exp, rng)
@@ -132,7 +132,7 @@ def test_decompose_erases_nested_detours():
     hops += [("cb", "c", "b"), ("ba", "b", "a"), ("ar", "a", "r")]
     net = network(["s", "a", "b", "c", "r"], [(i, t, h, 1, 1) for i, t, h in hops])
     inst = Instance(net, "s", "r", F(1), F(1, 6), F(1, 6))
-    exp = build_expanded(inst, 6)
+    exp = build_expanded(inst, 6, 6)
     by_key = {(el.link_id, el.push): i for i, el in enumerate(exp.links)}
     flow = {by_key[(link_id, push)]: 1 for push, (link_id, _, _) in enumerate(hops)}
     sol = decompose(exp, flow, inst, 6)

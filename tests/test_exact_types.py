@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from aoiflow import Instance, Network, network
 from aoiflow.cli import main
-from aoiflow.expander import ExpandedLink, ExpandedNetwork, TRANSIT, build_expanded
+from aoiflow.expander import ExpandedLink, ExpandedNetwork, build_expanded
 from aoiflow.experiments import (
     complete_graph,
     generate,
@@ -24,11 +24,11 @@ from aoiflow.experiments import (
 )
 from aoiflow.fileio import save_instance
 from aoiflow.flowlp import group_augment, period_cut
-from aoiflow.maxflow import min_cost_prefixes
+from aoiflow.maxflow import min_cost_prefixes, quickest_bound
 from aoiflow.mmd import min_max_delay
 from aoiflow.model import exact, feasible_periods
 from aoiflow.solvers import Objective, solve_optimal
-from conftest import corpus_instance
+from conftest import corpus_instance, expansion_cut
 
 
 def solved_values(inst):
@@ -50,11 +50,10 @@ def solved_values(inst):
             continue
         values["amount"] += [e.amount for e in result.solution.entries]
         for bound, _ in result.probes:
-            exp = build_expanded(inst, bound)
-            groups = exp.capacity_groups(period)
-            values["group"] += groups[1]
+            exp = build_expanded(inst, bound, period)
+            values["group"] += exp.bandwidths
             values["cut"].append(period_cut(inst, period, bound))
-            flow = group_augment(exp, groups, inst.batch).flow or {}
+            flow = group_augment(exp, inst.batch).flow or {}
             values["push"] += flow.values()
     for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
         solution = solve_optimal(inst, objective).solution
@@ -96,16 +95,23 @@ def test_pusher_splits_a_twice_used_group_exactly():
     """The first path crosses one group twice, so it takes half of its
     integer bandwidth; the second path brings the rest."""
     net = network(["s", "r"], [("e", "s", "r", 1, 1), ("f", "s", "r", 1, 1)])
-    hops = [(0, 1, "e"), (1, 2, "e"), (0, 3, "f"), (3, 4, "f"), (4, 2, "f")]
+    # (tail, head, link, group): both copies of e share group 0
+    hops = [
+        (0, 1, "e", 0),
+        (1, 2, "e", 0),
+        (0, 3, "f", 1),
+        (3, 4, "f", 2),
+        (4, 2, "f", 3),
+    ]
     exp = ExpandedNetwork(
         net=net,
         bound=4,
-        links=tuple(ExpandedLink(t, h, TRANSIT, link, 0) for t, h, link in hops),
+        links=tuple(ExpandedLink(t, h, link, 0, g) for t, h, link, g in hops),
         source=0,
         sink=2,
+        bandwidths=(1, 1, 1, 1),
     )
-    groups = ([0, 0, 1, 2, 3], [1, 1, 1, 1])
-    flow = group_augment(exp, groups, 1).flow
+    flow = group_augment(exp, 1).flow
     assert flow == {idx: F(1, 2) for idx in range(5)}
     assert {type(v) for v in flow.values()} == {F}
 
@@ -287,3 +293,17 @@ def test_a_larger_batch_never_lowers_a_delay(kind, seed, scale, n_periods, facto
     )
     assert feasible_periods(larger) == feasible_periods(inst)
     no_later(delays(inst), delays(larger))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWN)
+def test_period_cut_counts_the_expansions_groups(kind, seed, scale, n_periods):
+    """The period cut gives each link its bandwidth once per capacity group
+    among the copies `build_expanded` emits, from the quickest bound to 3
+    above it; an off-by-one in the cut's copy count breaks the equality."""
+    inst = drawn_instance(kind, seed, scale, n_periods)
+    bottom = quickest_bound(inst.network, inst.sender, inst.receiver, inst.batch)
+    for period in feasible_periods(inst):
+        for bound in range(bottom, bottom + 4):
+            want = expansion_cut(inst, period, bound)
+            assert period_cut(inst, period, bound) == want, (period, bound)

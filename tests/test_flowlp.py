@@ -11,7 +11,6 @@ from aoiflow import (
     network,
     solve_lp,
 )
-from aoiflow.expander import HOLDING, TRANSIT
 from aoiflow.experiments import complete_graph, generate, scaled_instance
 from aoiflow.flowlp import (
     FlowLp,
@@ -29,20 +28,19 @@ from conftest import corpus_instance, make_fastslow_instance
 
 
 def optimum(inst, period, bound):
-    exp = build_expanded(inst, bound)
-    flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
+    exp = build_expanded(inst, bound, period)
+    flow_lp = build_flow_lp(exp)
     sol = solve_lp(flow_lp.program)
     assert sol.status == OPTIMAL
     return flow_lp, sol
 
 
-def assert_groups_within_bandwidth(exp, period, flow):
-    group_of, bandwidths = exp.capacity_groups(period)
-    loads = [F(0)] * len(bandwidths)
+def assert_groups_within_bandwidth(exp, flow):
+    loads = [F(0)] * len(exp.bandwidths)
     for idx, v in flow.items():
-        if group_of[idx] >= 0:
-            loads[group_of[idx]] += v
-    assert all(load <= cap for load, cap in zip(loads, bandwidths))
+        if exp.links[idx].group >= 0:
+            loads[exp.links[idx].group] += v
+    assert all(load <= cap for load, cap in zip(loads, exp.bandwidths))
 
 
 def test_fastslow_t7_m11_carries_batch():
@@ -73,7 +71,7 @@ def test_extract_flow_conserves_and_totals():
     inst = make_fastslow_instance()
     _, sol = optimum(inst, 10, 10)
     assert sol.objective_value >= 10
-    exp = build_expanded(inst, 10)
+    exp = build_expanded(inst, 10, 10)
     flow = extract_edge_flow(sol)
     balance = {}
     for idx, v in flow.items():
@@ -94,11 +92,11 @@ def test_extract_flow_conserves_and_totals():
 def test_group_loads_within_bandwidth():
     inst = make_fastslow_instance()
     _, sol = optimum(inst, 7, 11)
-    assert_groups_within_bandwidth(build_expanded(inst, 11), 7, extract_edge_flow(sol))
+    assert_groups_within_bandwidth(build_expanded(inst, 11, 7), extract_edge_flow(sol))
 
 
 def test_capacity_groups_pin_rule_and_row_order():
-    """`capacity_groups` partitions the transit copies exactly by (link, push
+    """`build_expanded` partitions the transit copies exactly by (link, push
     slot mod period) and numbers the groups link by link, residues
     ascending; the program's capacity rows come in that order, each capped
     by its link's bandwidth.  HiGHS's and the simplex's flows depend on that
@@ -110,25 +108,24 @@ def test_capacity_groups_pin_rule_and_row_order():
         for period in range(1, inst.max_period + 2)
     ]
     for inst, bound, period in cases:
-        exp = build_expanded(inst, bound)
-        group_of, bandwidths = exp.capacity_groups(period)
+        exp = build_expanded(inst, bound, period)
         classes = {}
         for idx, el in enumerate(exp.links):
-            if el.kind == TRANSIT:
+            if el.link_id is not None:
                 classes.setdefault((el.link_id, el.push % period), []).append(idx)
             else:
-                assert group_of[idx] == -1
+                assert el.group == -1
         order = [link.id for link in inst.network.links]
         keys = sorted(classes, key=lambda k: (order.index(k[0]), k[1]))
-        members = [[] for _ in bandwidths]
-        for idx, g in enumerate(group_of):
-            if g >= 0:
-                members[g].append(idx)
+        members = [[] for _ in exp.bandwidths]
+        for idx, el in enumerate(exp.links):
+            if el.group >= 0:
+                members[el.group].append(idx)
         assert members == [classes[k] for k in keys]
         index = inst.network.link_index
         caps = [index[lid].bandwidth for lid, _ in keys]
-        assert bandwidths == caps
-        rows = build_flow_lp(exp, exp.capacity_groups(period)).program.rows
+        assert list(exp.bandwidths) == caps
+        rows = build_flow_lp(exp).program.rows
         senses = [sense for _, _, sense in rows]
         assert senses == sorted(senses, key=lambda sense: sense == LE)
         assert [(c, rhs) for c, rhs, sense in rows if sense == LE] == [
@@ -174,13 +171,13 @@ def test_quickest_bound_is_least_bound_without_sharing():
     is plain augmenting paths."""
 
     def lp_reaches(inst, bound, amount):
-        exp = build_expanded(inst, bound)
-        sol = solve_lp(build_flow_lp(exp, exp.capacity_groups(bound + 1)).program)
+        exp = build_expanded(inst, bound, bound + 1)
+        sol = solve_lp(build_flow_lp(exp).program)
         assert sol.status == OPTIMAL
         return sol.objective_value >= amount
 
     def pusher_reaches(inst, bound, amount):
-        exp = build_expanded(inst, bound)
+        exp = build_expanded(inst, bound, bound + 1)
         return reference_group_augment(exp, inst, bound + 1, amount) is not None
 
     for seed in range(40):
@@ -217,11 +214,11 @@ def _route_copies(inst, bound):
     bound) route uses, found by propagating forward and backward."""
     net = inst.network
     copies = [
-        ((TRANSIT, link.id, i), (link.tail, i), (link.head, i + link.delay))
+        ((link.id, link.tail, i), (link.tail, i), (link.head, i + link.delay))
         for link in net.links
         for i in range(bound - link.delay + 1)
     ] + [
-        ((HOLDING, v, i), (v, i), (v, i + 1)) for v in net.nodes for i in range(bound)
+        ((None, v, i), (v, i), (v, i + 1)) for v in net.nodes for i in range(bound)
     ]
     ahead = {(inst.sender, 0)}
     for _, tail, head in sorted(copies, key=lambda c: c[1][1]):
@@ -238,11 +235,11 @@ def test_expansion_keeps_exactly_the_route_copies():
     for seed in range(40):
         inst = corpus_instance(seed)
         for bound in (0, 3, 6, 10, 14):
-            exp = build_expanded(inst, bound)
+            exp = build_expanded(inst, bound, 1)
             kept = []
             for el in exp.links:
                 tail, head = exp.node_of(el.tail), exp.node_of(el.head)
-                kept.append(((el.kind, el.link_id or tail[0], el.push), tail, head))
+                kept.append(((el.link_id, tail[0], el.push), tail, head))
             assert len(kept) == len(set(kept))
             assert set(kept) == _route_copies(inst, bound), (seed, bound)
 
@@ -250,10 +247,10 @@ def test_expansion_keeps_exactly_the_route_copies():
 def test_group_augment_agrees_with_lp_when_it_succeeds():
     inst = make_fastslow_instance()
     for period, bound in [(7, 11), (10, 10), (8, 12)]:
-        exp = build_expanded(inst, bound)
-        flow = group_augment(exp, exp.capacity_groups(period), inst.batch).flow
+        exp = build_expanded(inst, bound, period)
+        flow = group_augment(exp, inst.batch).flow
         assert flow is not None
-        assert_groups_within_bandwidth(exp, period, flow)
+        assert_groups_within_bandwidth(exp, flow)
         source = exp.node_id("s", 0)
         total = sum(v for idx, v in flow.items() if exp.links[idx].tail == source)
         assert total == inst.batch
@@ -295,10 +292,10 @@ def test_probe_matches_reference_lp_on_corpus():
         inst = corpus_instance(seed)
         period = inst.max_period
         for bound in range(1, 13, 3):
-            exp = build_expanded(inst, bound)
-            probe = probe_reaches(exp, period, inst.batch)
+            exp = build_expanded(inst, bound, period)
+            probe = probe_reaches(exp, inst.batch)
             flow_lp, sol = optimum(inst, period, bound)
-            assert probe.feasible == (sol.objective_value >= inst.batch)
+            assert (probe.flow is not None) == (sol.objective_value >= inst.batch)
 
 
 def reference_group_augment(exp, inst, period, target):
@@ -315,7 +312,7 @@ def reference_group_augment(exp, inst, period, target):
     for idx, el in enumerate(exp.links):
         out_adj[el.tail].append(idx)
         in_adj[el.head].append(idx)
-        if el.kind == TRANSIT:
+        if el.link_id is not None:
             g = (el.link_id, el.push % period)
             group_of[idx] = g
             group_resid.setdefault(g, bandwidth[el.link_id].bandwidth)
@@ -405,8 +402,8 @@ def test_group_augment_matches_reference():
             if top is None:
                 continue
             for bound in range(low, top + 1):
-                exp = build_expanded(inst, bound)
-                got = group_augment(exp, exp.capacity_groups(period), inst.batch).flow
+                exp = build_expanded(inst, bound, period)
+                got = group_augment(exp, inst.batch).flow
                 want = reference_group_augment(exp, inst, period, inst.batch)
                 if want is not None:
                     want = {idx: v for idx, v in want.items() if v > 0}

@@ -92,8 +92,7 @@ def random_programs(seed, count):
 
 def fastslow_flow_program():
     inst = make_fastslow_instance()
-    exp = build_expanded(inst, 11)
-    return build_flow_lp(exp, exp.capacity_groups(7)).program
+    return build_flow_lp(build_expanded(inst, 11, 7)).program
 
 
 def test_single_bound():
@@ -258,8 +257,8 @@ def corpus_flow_calls():
     for seed in range(40):
         inst = corpus_instance(seed)
         for bound in (4, 8, 12):
-            exp = build_expanded(inst, bound)
-            program = build_flow_lp(exp, exp.capacity_groups(inst.max_period)).program
+            exp = build_expanded(inst, bound, inst.max_period)
+            program = build_flow_lp(exp).program
             calls.append(lambda p=program: solve_lp(p))
     return calls
 

@@ -18,7 +18,6 @@ from aoiflow import (
     validate_solution,
 )
 from aoiflow import mmd as mmd_module
-from aoiflow.expander import TRANSIT
 from aoiflow.flowlp import period_cut
 from aoiflow.experiments import (
     complete_graph,
@@ -89,9 +88,9 @@ def test_expansion_sized_to_the_bracket(monkeypatch):
     inst = Instance(net, "s", "r", F(1), F(1, 20000), F(1))
     bounds = []
 
-    def recording_build(inst, bound):
+    def recording_build(inst, bound, period):
         bounds.append(bound)
-        return build_expanded(inst, bound)
+        return build_expanded(inst, bound, period)
 
     monkeypatch.setattr(mmd_module, "build_expanded", recording_build)
     _min_max_delay_cached.cache_clear()
@@ -123,9 +122,9 @@ def test_repeated_flow_settles_top_bound_without_expansion(monkeypatch):
     inst = scaled_instance(generate(grid_graph(2, 2, seed=0)), "a1_1", "a2_2", 100, 1)
     built = []
 
-    def recording_build(inst, bound):
+    def recording_build(inst, bound, period):
         built.append(bound)
-        return build_expanded(inst, bound)
+        return build_expanded(inst, bound, period)
 
     monkeypatch.setattr(mmd_module, "build_expanded", recording_build)
     _min_max_delay_cached.cache_clear()
@@ -187,15 +186,15 @@ def test_decompose_paths_refuses_a_cyclic_flow():
 
 def test_decompose_zero_flow_is_empty():
     inst = make_triple_instance()
-    exp = build_expanded(inst, 12)
+    exp = build_expanded(inst, 12, 5)
     sol = decompose(exp, {}, inst, 5)
     assert sol.entries == ()
 
 
 def test_decompose_triple_unit_rate_flow():
     inst = make_triple_instance()
-    exp = build_expanded(inst, 5)
-    flow_lp = build_flow_lp(exp, exp.capacity_groups(5))
+    exp = build_expanded(inst, 5, 5)
+    flow_lp = build_flow_lp(exp)
     lp_sol = solve_lp(flow_lp.program)
     assert lp_sol.objective_value >= 5
     flow = extract_edge_flow(lp_sol)
@@ -213,8 +212,8 @@ def test_decompose_triple_unit_rate_flow():
 
 def test_decompose_fastslow_t7_respects_caps():
     inst = make_fastslow_instance()
-    exp = build_expanded(inst, 11)
-    flow_lp = build_flow_lp(exp, exp.capacity_groups(7))
+    exp = build_expanded(inst, 11, 7)
+    flow_lp = build_flow_lp(exp)
     lp_sol = solve_lp(flow_lp.program)
     flow = extract_edge_flow(lp_sol)
     sol = normalize_holding(inst.network, decompose(exp, flow, inst, 7))
@@ -225,9 +224,9 @@ def test_decompose_fastslow_t7_respects_caps():
 
 def test_decompose_rejects_nonconserving_flow():
     inst = make_triple_instance()
-    exp = build_expanded(inst, 12)
+    exp = build_expanded(inst, 12, 5)
     transit = next(
-        i for i, el in enumerate(exp.links) if el.kind == TRANSIT and el.push == 0
+        i for i, el in enumerate(exp.links) if el.link_id is not None and el.push == 0
     )
     with pytest.raises(AssertionError, match="conserve"):
         decompose(exp, {transit: F(1)}, inst, 5)
@@ -245,11 +244,11 @@ def test_decompose_reroutes_node_revisit_through_holding():
         ],
     )
     inst = Instance(net, "s", "r", F(1), F(1, 4), F(1, 4))
-    exp = build_expanded(inst, 4)
+    exp = build_expanded(inst, 4, 4)
     by_key = {
         (el.link_id, el.push): i
         for i, el in enumerate(exp.links)
-        if el.kind == TRANSIT
+        if el.link_id is not None
     }
     flow = {
         by_key[("sa", 0)]: F(1),

@@ -15,15 +15,13 @@ that needs it, with the temporally repeated flow off so the stall it exists
 for happens.
 """
 
-from collections import Counter, defaultdict
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from aoiflow import (
-    Network,
     Objective,
     build_expanded,
     build_flow_lp,
@@ -55,11 +53,10 @@ from aoiflow.flowlp import (
     residual_cut,
     snap_primal,
 )
-from aoiflow.expander import HOLDING, TRANSIT
 from aoiflow.lp import violated_row
-from aoiflow.maxflow import max_flow, min_cost_prefixes, quickest_bound, shortest_delay
+from aoiflow.maxflow import min_cost_prefixes, quickest_bound, shortest_delay
 from aoiflow.mmd import _min_max_delay_cached, min_max_delay, repeated_value
-from conftest import corpus_instance
+from conftest import corpus_instance, expansion_cut
 
 SLICE = range(20, 32)
 
@@ -214,27 +211,6 @@ def test_grid_seed7_builds_no_expansion(monkeypatch, fresh_cache):
         solve_optimal(inst, objective)
 
 
-def expansion_cut(inst, period, bound):
-    """The period cut read off the bound's expansion: each physical link
-    carries the summed bandwidths of its capacity groups there, and the
-    links without a group are dropped."""
-    exp = build_expanded(inst, bound)
-    group_of, bandwidths = exp.capacity_groups(period)
-    held = defaultdict(set)
-    for el, g in zip(exp.links, group_of):
-        if g >= 0:
-            held[el.link_id].add(g)
-    summed = Network(
-        nodes=inst.network.nodes,
-        links=tuple(
-            replace(link, bandwidth=sum(bandwidths[g] for g in held[link.id]))
-            for link in inst.network.links
-            if link.id in held
-        ),
-    )
-    return max_flow(summed, inst.sender, inst.receiver)[1]
-
-
 def test_period_cut_matches_the_expansion_cut(monkeypatch, fresh_cache):
     # every bound the scan asks the cut about, that is every bound that
     # neither the quickest bound nor the temporally repeated flow settles
@@ -316,14 +292,13 @@ def test_float_dual_settles_what_the_cut_misses():
     inst = scaled_instance(generate(grid_graph(4, 4, seed=16)), "a1_1", "a4_4", 10)
     period, bound = 12, 24
     assert period_cut(inst, period, bound) == 500 >= inst.batch == 500
-    exp = build_expanded(inst, bound)
-    groups = exp.capacity_groups(period)
-    push = group_augment(exp, groups, inst.batch)
+    exp = build_expanded(inst, bound, period)
+    push = group_augment(exp, inst.batch)
     assert push.flow is None and push.reached is not None
-    assert residual_cut(exp, groups, push.reached) == 500
-    flow_lp = build_flow_lp(exp, groups)
+    assert residual_cut(exp, push.reached) == 500
+    flow_lp = build_flow_lp(exp)
     assert certify_value_below(flow_lp, inst.batch, _scipy_solve(flow_lp))
-    assert probe_reaches(exp, period, inst.batch).engine == "dual-certificate"
+    assert probe_reaches(exp, inst.batch).engine == "dual-certificate"
 
 
 def test_period_cut_settles_what_the_residual_cut_misses(monkeypatch, fresh_cache):
@@ -331,16 +306,15 @@ def test_period_cut_settles_what_the_residual_cut_misses(monkeypatch, fresh_cach
     # above the batch of 500, and the exact simplex takes over 20 s here
     inst = scaled_instance(generate(grid_graph(4, 4, seed=13)), "a1_1", "a4_4", 10)
     assert period_cut(inst, 10, 24) == 490 < inst.batch == 500
-    exp = build_expanded(inst, 24)
-    groups = exp.capacity_groups(10)
-    push = group_augment(exp, groups, inst.batch)
-    assert push.flow is None and residual_cut(exp, groups, push.reached) == 530
+    exp = build_expanded(inst, 24, 10)
+    push = group_augment(exp, inst.batch)
+    assert push.flow is None and residual_cut(exp, push.reached) == 530
     # the scan refutes bound 24 without building its expansion
     built = []
 
-    def recording_build(inst, bound):
+    def recording_build(inst, bound, period):
         built.append(bound)
-        return build_expanded(inst, bound)
+        return build_expanded(inst, bound, period)
 
     monkeypatch.setattr(mmd_module, "build_expanded", recording_build)
     assert (24, False) in min_max_delay(inst, 10).probes
@@ -366,8 +340,8 @@ def test_dual_certificates_never_contradict_exact_optimum():
         inst = corpus_instance(seed)
         period = inst.max_period
         for bound in (3, 6, 9, 12):
-            exp = build_expanded(inst, bound)
-            flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
+            exp = build_expanded(inst, bound, period)
+            flow_lp = build_flow_lp(exp)
             exact = solve_lp(flow_lp.program).objective_value
             if not exp.links:  # no copy lies on a route: nothing to certify
                 assert exact == 0
@@ -385,21 +359,20 @@ def test_residual_cut_never_below_exact_optimum():
         inst = corpus_instance(seed)
         period = inst.max_period
         for bound in (3, 6, 9, 12):
-            exp = build_expanded(inst, bound)
+            exp = build_expanded(inst, bound, period)
             if not exp.links:
                 continue
-            groups = exp.capacity_groups(period)
-            push = group_augment(exp, groups, inst.batch)
+            push = group_augment(exp, inst.batch)
             if push.reached is None:
                 continue
             stalls += 1
-            flow_lp = build_flow_lp(exp, groups)
+            flow_lp = build_flow_lp(exp)
             exact = solve_lp(flow_lp.program).objective_value
             reached = push.reached
             leaving = [el for el in exp.links if el.tail in reached and el.head not in reached]
             # residual_cut's precondition: no holding link leaves the set
-            assert all(el.kind == TRANSIT for el in leaving), (seed, bound)
-            assert residual_cut(exp, groups, reached) >= exact, (seed, bound)
+            assert all(el.link_id is not None for el in leaving), (seed, bound)
+            assert residual_cut(exp, reached) >= exact, (seed, bound)
     assert stalls > 0
 
 
@@ -411,10 +384,10 @@ def test_period_cut_refutes_an_expansion_without_links():
         inst = corpus_instance(seed)
         bound = shortest_delay(inst.network, inst.sender)[inst.receiver] - 1
         assert period_cut(inst, inst.max_period, bound) == 0, seed
-        exp = build_expanded(inst, bound)
+        exp = build_expanded(inst, bound, inst.max_period)
         assert not exp.links
-        answer = probe_reaches(exp, inst.max_period, inst.batch)
-        assert (answer.feasible, answer.engine) == (False, "residual-cut"), seed
+        answer = probe_reaches(exp, inst.batch)
+        assert (answer.flow, answer.engine) == (None, "residual-cut"), seed
 
 
 def test_period_cut_never_below_exact_optimum():
@@ -423,11 +396,10 @@ def test_period_cut_never_below_exact_optimum():
         inst = corpus_instance(seed)
         period = inst.max_period
         for bound in (3, 6, 9, 12):
-            exp = build_expanded(inst, bound)
+            exp = build_expanded(inst, bound, period)
             if not exp.links:
                 continue
-            groups = exp.capacity_groups(period)
-            exact = solve_lp(build_flow_lp(exp, groups).program).objective_value
+            exact = solve_lp(build_flow_lp(exp).program).objective_value
             cut = period_cut(inst, period, bound)
             assert cut >= exact, (seed, bound)
             refuted += cut < inst.batch
@@ -450,19 +422,18 @@ def test_primal_snap_settles_the_stall_it_exists_for():
     pytest.importorskip("scipy")
     inst = complete6_seed4()
     period, bound = 5, 11
-    exp = build_expanded(inst, bound)
-    groups = exp.capacity_groups(period)
-    push = group_augment(exp, groups, inst.batch)
+    exp = build_expanded(inst, bound, period)
+    push = group_augment(exp, inst.batch)
     assert push.flow is None and push.reached is not None
-    assert residual_cut(exp, groups, push.reached) == 660 >= inst.batch == 650
-    flow_lp = build_flow_lp(exp, groups)
+    assert residual_cut(exp, push.reached) == 660 >= inst.batch == 650
+    flow_lp = build_flow_lp(exp)
     flow = snap_primal(flow_lp, inst.batch, _scipy_solve(flow_lp))
     assert flow is not None
     values = [flow.get(j, F(0)) for j in range(flow_lp.program.n_vars)]
     assert violated_row(flow_lp.program, values) is None
     assert flow_value(flow_lp, values) >= inst.batch
 
-    answer = probe_reaches(exp, period, inst.batch)
+    answer = probe_reaches(exp, inst.batch)
     assert answer.engine == "primal-snap"
     raw = decompose(exp, answer.flow, inst, period)
     solution = normalize_holding(inst.network, raw)
@@ -494,10 +465,10 @@ def test_primal_snap_never_exceeds_exact_optimum():
         inst = corpus_instance(seed)
         period = inst.max_period
         for bound in (3, 6, 9, 12):
-            exp = build_expanded(inst, bound)
+            exp = build_expanded(inst, bound, period)
             if not exp.links:  # no copy lies on a route: nothing to snap
                 continue
-            flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
+            flow_lp = build_flow_lp(exp)
             exact = solve_lp(flow_lp.program).objective_value
             fr = _scipy_solve(flow_lp)
             flow = snap_primal(flow_lp, exact, fr)
@@ -530,8 +501,7 @@ def expanded_flow(exp, solution):
     receiver from its arrival to the bound."""
     index = {}
     for j, el in enumerate(exp.links):
-        name = el.link_id if el.kind == TRANSIT else exp.node_of(el.tail)[0]
-        index[el.kind, name, el.push] = j
+        index[el.link_id, exp.node_of(el.tail)[0], el.push] = j
     flow = {}
 
     def carry(key, amount):
@@ -543,9 +513,9 @@ def expanded_flow(exp, solution):
         pushes = entry.push_offsets(net) + (exp.bound,)
         for hop, node in enumerate(nodes):
             for layer in range(entry.offsets[hop], pushes[hop]):
-                carry((HOLDING, node, layer), entry.amount)
+                carry((None, node, layer), entry.amount)
             if hop < len(entry.links):
-                carry((TRANSIT, entry.links[hop], pushes[hop]), entry.amount)
+                carry((entry.links[hop], node, pushes[hop]), entry.amount)
     return [flow.get(j, F(0)) for j in range(len(exp.links))]
 
 
@@ -577,8 +547,8 @@ def test_temporally_repeated_flows_pass_every_program_row(monkeypatch, fresh_cac
     written = repeated_schedules(corpus + complete6, monkeypatch)
     assert len(written) > 400
     for inst, period, bound, solution in written:
-        exp = build_expanded(inst, bound)
-        flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
+        exp = build_expanded(inst, bound, period)
+        flow_lp = build_flow_lp(exp)
         values = expanded_flow(exp, solution)
         assert violated_row(flow_lp.program, values) is None, (inst, period, bound)
         assert flow_value(flow_lp, values) == inst.batch == solution.total_amount
@@ -597,8 +567,8 @@ def test_repeated_value_never_above_exact_optimum():
                 continue
             for bound in range(bottom, result.max_delay + 1):
                 value = max(repeated_value(p, period, bound) for p in prefixes)
-                exp = build_expanded(inst, bound)
-                flow_lp = build_flow_lp(exp, exp.capacity_groups(period))
+                exp = build_expanded(inst, bound, period)
+                flow_lp = build_flow_lp(exp)
                 exact = solve_lp(flow_lp.program).objective_value
                 assert value <= exact, (seed, period, bound)
                 checked += 1
