@@ -1,12 +1,13 @@
 """Exact rational linear programming.
 
-A small two-phase simplex over exact rationals.  The tableau is stored as
-dense rows, but a pivot updates only the pivot row's nonzero columns, and
-the artificial variables of phase one are basis indices with no stored
-column.  gmpy2.mpq is used for tableau arithmetic when available (it is
-noticeably faster), with fractions.Fraction as a drop-in fallback; inputs
-and outputs are always Fraction.  `solve_lp` is the one entry point, and
-phase two has no early exit.
+A small two-phase simplex over exact rationals.  Each tableau row, the
+objective row too, is a list of Python int numerators over one positive int
+denominator, kept reduced by their gcd, with the right-hand side as the last
+column.  A pivot is integer-preserving elimination (Bareiss 1968, Edmonds
+1967): cross-multiplied numerators, then exact division by the row's gcd,
+never a rational.  The artificial variables of phase one are basis indices with no
+stored column.  Inputs and outputs are Fraction.  `solve_lp` is the one
+entry point, and phase two has no early exit.
 
 Pivoting: largest-reduced-cost (Dantzig) during a bounded warm phase, then
 smallest-index (Bland) which guarantees termination.  An iteration budget of
@@ -18,11 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpq = Fraction
+from math import gcd, lcm
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -34,9 +31,6 @@ LE = "le"
 BUDGET_FACTOR = 4
 WARM_PIVOTS = 400
 STALL_LIMIT = 30
-
-_ZERO = _mpq(0)
-_ONE = _mpq(1)
 
 
 class SimplexBudgetExceeded(RuntimeError):
@@ -108,78 +102,88 @@ def _assert_satisfies(lp: LinearProgram, values: list[Fraction]) -> None:
             raise AssertionError(f"negative value on x{j}")
 
 
-class _Tableau:
-    """Simplex tableau: dense rows of mpq, basis tracked by index.
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """The row over its least denominator; `den` is positive."""
+    g = den if den == 1 else gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [a // g for a in row], den // g
 
-    Columns are structural then slack/surplus.  A row whose start needs an
-    artificial variable gets a basis index from ``cols`` on, but no stored
-    column: nothing prices or reads an artificial column, and a pivot
-    updates only the pivot row's nonzero columns.
+
+class _Tableau:
+    """Simplex tableau: int rows over a positive int denominator each.
+
+    Entry j of row i is ``rows[i][j] / dens[i]``; the last column holds the
+    rhs.  ``rows[n_rows]`` is the objective row, whose last column holds
+    the objective value.  Columns are structural then slack/surplus.  A row
+    whose start needs an artificial variable gets a basis index from
+    ``cols`` on, but no stored column: nothing prices or reads an
+    artificial column.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = lp.n_vars
-        n_slack = sum(1 for _, _, sense in lp.rows if sense == LE)
-        self.n_struct = n
-        self.cols = n + n_slack
-        self.matrix: list[list] = []
-        self.rhs: list = []
+        n = self.n_struct = lp.n_vars
+        self.cols = cols = n + sum(1 for _, _, sense in lp.rows if sense == LE)
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
         self.basis: list[int] = []
         self.artificial_rows: list[int] = []
 
         slack_at = n
         for coeffs, rhs, sense in lp.rows:
             flip = -1 if rhs < 0 else 1
-            row = [_ZERO] * self.cols
+            den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+            row = [0] * (cols + 1)
             for j, c in coeffs.items():
-                row[j] = _mpq(flip * c)
+                row[j] = flip * c.numerator * (den // c.denominator)
+            row[cols] = flip * rhs.numerator * (den // rhs.denominator)
             if sense == LE:
-                row[slack_at] = _mpq(flip)
+                row[slack_at] = flip * den
                 slack_at += 1
             if sense == LE and flip > 0:
                 self.basis.append(slack_at - 1)
             else:
-                self.basis.append(self.cols + len(self.artificial_rows))
-                self.artificial_rows.append(len(self.matrix))
-            self.matrix.append(row)
-            self.rhs.append(_mpq(flip * rhs))
+                self.basis.append(cols + len(self.artificial_rows))
+                self.artificial_rows.append(len(self.rows))
+            row, den = _reduced(row, den)
+            self.rows.append(row)
+            self.dens.append(den)
 
-        self.n_rows = len(self.matrix)
-        n_cols = self.cols + len(self.artificial_rows)
+        self.n_rows = len(self.rows)
+        self.rows.append([0] * (cols + 1))
+        self.dens.append(1)
+        n_cols = cols + len(self.artificial_rows)
         self.budget = BUDGET_FACTOR * (self.n_rows + n_cols) ** 2 + 1000
         self.pivots = 0
 
     # -- pivoting core ------------------------------------------------------
 
     def _pivot(self, r: int, c: int) -> None:
-        # only the pivot row's nonzero columns change in any other row
-        matrix, rhs = self.matrix, self.rhs
-        prow = matrix[r]
-        inv = _ONE / prow[c]
-        nonzero = [j for j, a in enumerate(prow) if a != 0]
-        if inv != 1:
-            for j in nonzero:
-                prow[j] *= inv
-            rhs[r] *= inv
-        pairs = [(j, prow[j]) for j in nonzero]
-        b = rhs[r]
-        for i in range(self.n_rows):
-            if i == r:
+        rows, dens = self.rows, self.dens
+        prow = rows[r]
+        p = prow[c]
+        if p < 0:
+            prow, p = [-a for a in prow], -p
+        # the pivot row over p, reduced: its entry at c then equals its denominator
+        prow, e = _reduced(prow, p)
+        rows[r], dens[r] = prow, e
+        if e == 1:
+            nonzero = [(j, a) for j, a in enumerate(prow) if a]
+        for i, row in enumerate(rows):
+            q = row[c]
+            if q == 0 or i == r:
                 continue
-            row = matrix[i]
-            f = row[c]
-            if f == 0:
-                continue
-            for j, a in pairs:
-                row[j] -= f * a
-            rhs[i] -= f * b
-        obj = self.objrow
-        f = obj[c]
-        if f != 0:
-            for j, a in pairs:
-                obj[j] -= f * a
-            self.objval -= f * b
+            d = dens[i]
+            if e == 1:
+                # only the pivot row's nonzero columns change
+                for j, a in nonzero:
+                    row[j] -= q * a
+                if d != 1:
+                    rows[i], dens[i] = _reduced(row, d)
+            else:
+                row = [e * b - q * a for b, a in zip(row, prow)]
+                rows[i], dens[i] = _reduced(row, d * e)
         self.basis[r] = c
         self.pivots += 1
         if self.pivots > self.budget:
@@ -189,51 +193,46 @@ class _Tableau:
             )
 
     def _ratio_row(self, c: int) -> int | None:
+        # rhs_i / a_i is the same over any row denominator: cross-multiply
+        cols, basis = self.cols, self.basis
         best_r = None
-        best = None
         for i in range(self.n_rows):
-            a = self.matrix[i][c]
+            row = self.rows[i]
+            a = row[c]
             if a > 0:
-                ratio = self.rhs[i] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and self.basis[i] < self.basis[best_r])
+                b = row[cols]
+                if best_r is None or b * best_a < best_b * a or (
+                    b * best_a == best_b * a and basis[i] < basis[best_r]
                 ):
-                    best = ratio
-                    best_r = i
+                    best_r, best_a, best_b = i, a, b
         return best_r
 
     def _run(self) -> str:
-        """Maximize the current objrow; returns OPTIMAL or UNBOUNDED."""
+        """Maximize the objective row; returns OPTIMAL or UNBOUNDED."""
+        # the row's denominator is positive: numerators order its reduced costs
+        cols, obj_at = self.cols, self.n_rows
         stall = 0
         bland = False
         while True:
-            obj = self.objrow
+            obj = self.rows[obj_at]
             enter = -1
             if not bland:
-                best = _ZERO
-                for j in range(self.cols):
-                    v = obj[j]
-                    if v < best:
-                        best = v
-                        enter = j
+                best = min(obj[:cols], default=0)
+                if best < 0:
+                    enter = obj.index(best)
                 if self.pivots > WARM_PIVOTS or stall > STALL_LIMIT:
                     bland = True
             if bland:
-                enter = -1
-                for j in range(self.cols):
-                    if obj[j] < 0:
-                        enter = j
-                        break
+                enter = next((j for j in range(cols) if obj[j] < 0), -1)
             if enter < 0:
                 return OPTIMAL
             leave = self._ratio_row(enter)
             if leave is None:
                 return UNBOUNDED
-            before = self.objval
+            before, before_den = obj[cols], self.dens[obj_at]
             self._pivot(leave, enter)
-            stall = stall + 1 if self.objval == before else 0
+            after, after_den = self.rows[obj_at][cols], self.dens[obj_at]
+            stall = stall + 1 if after * before_den == before * after_den else 0
 
     # -- phases ---------------------------------------------------------------
 
@@ -241,17 +240,17 @@ class _Tableau:
         if not self.artificial_rows:
             self._load_objective()
             return True
-        # maximize -(sum of artificials); its objrow is minus the sum of their rows
-        objrow = [_ZERO] * self.cols
-        self.objval = _ZERO
+        # maximize -(sum of artificials); its row is minus the sum of their rows
+        den = lcm(*(self.dens[r] for r in self.artificial_rows))
+        obj = [0] * (self.cols + 1)
         for r in self.artificial_rows:
-            for j, a in enumerate(self.matrix[r]):
-                if a != 0:
-                    objrow[j] -= a
-            self.objval -= self.rhs[r]
-        self.objrow = objrow
+            m = den // self.dens[r]
+            for j, a in enumerate(self.rows[r]):
+                if a:
+                    obj[j] -= m * a
+        self.rows[self.n_rows], self.dens[self.n_rows] = _reduced(obj, den)
         self._run()
-        if self.objval != 0:
+        if self.rows[self.n_rows][self.cols] != 0:
             return False
         self._drive_out_artificials()
         self._load_objective()
@@ -261,7 +260,7 @@ class _Tableau:
         for r in range(self.n_rows):
             if self.basis[r] < self.cols:
                 continue
-            row = self.matrix[r]
+            row = self.rows[r]
             for j in range(self.cols):
                 if row[j] != 0:
                     self._pivot(r, j)
@@ -270,31 +269,29 @@ class _Tableau:
             # and stays inert: no later pivot can change its rhs.
 
     def _load_objective(self) -> None:
-        c = [_mpq(v) for v in self.lp.objective] + [_ZERO] * (
-            self.cols - self.n_struct
-        )
-        obj = [-v for v in c]
-        val = _ZERO
+        cost = self.lp.objective
         # an inert row whose basic variable is still artificial costs 0
         real = [(r, b) for r, b in enumerate(self.basis) if b < self.cols]
-        for r, b in real:
-            cb = c[b]
-            if cb == 0:
-                continue
-            for j, a in enumerate(self.matrix[r]):
-                if a != 0:
-                    obj[j] += cb * a
-            val += cb * self.rhs[r]
-        # objrow stores reduced costs z_j - c_j; basic columns read exactly 0
+        terms = [(r, cost[b]) for r, b in real if b < self.n_struct and cost[b]]
+        den = lcm(
+            *(v.denominator for v in cost),
+            *(self.dens[r] * v.denominator for r, v in terms),
+        )
+        obj = [-v.numerator * (den // v.denominator) for v in cost]
+        obj += [0] * (self.cols + 1 - self.n_struct)
+        for r, v in terms:
+            m = v.numerator * (den // (self.dens[r] * v.denominator))
+            for j, a in enumerate(self.rows[r]):
+                if a:
+                    obj[j] += m * a
+        # the row stores reduced costs z_j - c_j; basic columns read exactly 0
         for _, b in real:
-            obj[b] = _ZERO
-        self.objrow = obj
-        self.objval = val
+            obj[b] = 0
+        self.rows[self.n_rows], self.dens[self.n_rows] = _reduced(obj, den)
 
     def structural_values(self) -> list[Fraction]:
         values = [Fraction(0)] * self.n_struct
         for r, b in enumerate(self.basis):
             if b < self.n_struct:
-                q = self.rhs[r]
-                values[b] = Fraction(q.numerator, q.denominator)
+                values[b] = Fraction(self.rows[r][self.cols], self.dens[r])
         return values

