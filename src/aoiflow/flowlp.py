@@ -49,7 +49,7 @@ from .lp import (
     violated_row,
 )
 from .maxflow import max_flow
-from .model import Instance, Rational
+from .model import Instance, Rational, exact
 
 
 @dataclass
@@ -69,38 +69,34 @@ def build_flow_lp(exp: ExpandedNetwork) -> FlowLp:
     """
     out_at, in_at = exp.out_links, exp.in_links
     n = len(exp.links)
-    objective = [Fraction(0)] * n
-    for j in out_at.get(exp.source, []):
-        objective[j] = Fraction(1)
+    balance = {j: 1 for j in out_at.get(exp.source, [])}
+    lp = LinearProgram(n_vars=n, objective=[balance.get(j, 0) for j in range(n)])
 
-    lp = LinearProgram(n_vars=n, objective=objective)
-
-    balance = {j: Fraction(1) for j in out_at.get(exp.source, [])}
     for j in in_at.get(exp.sink, []):
-        balance[j] = balance.get(j, Fraction(0)) - 1
-    lp.add_row(balance, Fraction(0), EQ)
+        balance[j] = balance.get(j, 0) - 1
+    lp.add_row(balance, 0, EQ)
 
     for node in sorted(set(out_at) | set(in_at)):
         if node == exp.source or node == exp.sink:
             continue
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int] = {}
         for j in out_at.get(node, []):
-            coeffs[j] = coeffs.get(j, Fraction(0)) + 1
+            coeffs[j] = coeffs.get(j, 0) + 1
         for j in in_at.get(node, []):
-            coeffs[j] = coeffs.get(j, Fraction(0)) - 1
-        lp.add_row(coeffs, Fraction(0), EQ)
+            coeffs[j] = coeffs.get(j, 0) - 1
+        lp.add_row(coeffs, 0, EQ)
 
-    members: list[dict[int, Fraction]] = [{} for _ in exp.bandwidths]
+    members: list[dict[int, int]] = [{} for _ in exp.bandwidths]
     for j, el in enumerate(exp.links):
         if el.group >= 0:
-            members[el.group][j] = Fraction(1)
+            members[el.group][j] = 1
     for coeffs, cap in zip(members, exp.bandwidths):
         lp.add_row(coeffs, cap, LE)
 
     return FlowLp(program=lp)
 
 
-def extract_edge_flow(sol: LpSolution) -> dict[int, Fraction]:
+def extract_edge_flow(sol: LpSolution) -> dict[int, Rational]:
     """Map a solved program back onto expanded links (nonzero flow only)."""
     return {j: v for j, v in enumerate(sol.values) if v > 0}
 
@@ -151,9 +147,9 @@ def group_augment(exp: ExpandedNetwork, target: Rational) -> Push:
     Residual capacity of a transit copy is its whole group's remaining
     bandwidth, so a path using several copies of one group is throttled by
     the group's residual divided by the number of uses, a `Fraction` unless
-    there is one use.  Shared capacities mean a stall does not prove
-    infeasibility; when the stall is a search that missed the sink, the
-    nodes it reached feed `residual_cut`.
+    there is one use; the flow is handed on through `exact`.  Shared
+    capacities mean a stall does not prove infeasibility; when the stall is
+    a search that missed the sink, the nodes it reached feed `residual_cut`.
     """
     source, sink = exp.source, exp.sink
     out_adj, in_adj = exp.out_links, exp.in_links
@@ -172,7 +168,7 @@ def group_augment(exp: ExpandedNetwork, target: Rational) -> Push:
     max_rounds = 3 * len(links) + 64
     for _ in range(max_rounds):
         if value >= target:
-            return Push(flow, None)
+            return Push({j: exact(v) for j, v in flow.items()}, None)
         parent: dict[int, tuple[int, bool]] = {source: (-1, True)}
         queue = deque([source])
         while queue and sink not in parent:
@@ -261,10 +257,10 @@ def _snaps(values, clamped):
     is not finite."""
     for denom in _SNAP_DENOMINATORS:
         try:
-            snapped = [Fraction(v).limit_denominator(denom) for v in values]
+            snapped = [exact(Fraction(v).limit_denominator(denom)) for v in values]
         except (ValueError, OverflowError):
             return
-        yield [max(Fraction(0), v) if c else v for v, c in zip(snapped, clamped)]
+        yield [max(0, v) if c else v for v, c in zip(snapped, clamped)]
 
 
 def _scipy_solve(flow_lp: FlowLp):
@@ -303,7 +299,7 @@ def _scipy_solve(flow_lp: FlowLp):
     return {"value": -res.fun, "x": list(res.x), "duals": duals}
 
 
-def certify_value_below(flow_lp: FlowLp, target: Fraction, float_result) -> bool:
+def certify_value_below(flow_lp: FlowLp, target: Rational, float_result) -> bool:
     """Try to prove optimum < target from snapped float duals, exactly.
 
     For max c.x with A_eq x = b_eq, A_ub x <= b_ub, x >= 0: any y (free),
@@ -312,8 +308,8 @@ def certify_value_below(flow_lp: FlowLp, target: Fraction, float_result) -> bool
     lp = flow_lp.program
     clamped = [sense == LE for _, _, sense in lp.rows]
     for duals in _snaps(float_result["duals"], clamped):
-        lhs = [Fraction(0)] * lp.n_vars
-        bound = Fraction(0)
+        lhs = [0] * lp.n_vars
+        bound = 0
         for (coeffs, rhs, _), y in zip(lp.rows, duals):
             if y:
                 bound += y * rhs
@@ -325,8 +321,8 @@ def certify_value_below(flow_lp: FlowLp, target: Fraction, float_result) -> bool
 
 
 def snap_primal(
-    flow_lp: FlowLp, target: Fraction, float_result
-) -> dict[int, Fraction] | None:
+    flow_lp: FlowLp, target: Rational, float_result
+) -> dict[int, Rational] | None:
     """A flow worth at least target from the snapped float primal, or None.
 
     Negative entries clamp to zero; the first denominator whose snap passes
@@ -334,7 +330,7 @@ def snap_primal(
     """
     lp = flow_lp.program
     for x in _snaps(float_result["x"], [True] * lp.n_vars):
-        value = sum((x[j] * c for j, c in enumerate(lp.objective) if c), Fraction(0))
+        value = sum(x[j] * c for j, c in enumerate(lp.objective) if c)
         if value >= target and violated_row(lp, x) is None:
             return {j: v for j, v in enumerate(x) if v > 0}
     return None

@@ -5,9 +5,9 @@ objective row too, is a list of Python int numerators over one positive int
 denominator, kept reduced by their gcd, with the right-hand side as the last
 column.  A pivot is integer-preserving elimination (Bareiss 1968, Edmonds
 1967): cross-multiplied numerators, then exact division by the row's gcd,
-never a rational.  The artificial variables of phase one are basis indices with no
-stored column.  Inputs and outputs are Fraction.  `solve_lp` is the one
-entry point, and phase two has no early exit.
+never a rational.  Phase one's artificials are basis indices with no stored
+column.  Values in and out follow `model.exact`: int when integral, else
+Fraction.  `solve_lp` is the one entry point; phase two has no early exit.
 
 Pivoting: largest-reduced-cost (Dantzig) during a bounded warm phase, then
 smallest-index (Bland) which guarantees termination.  An iteration budget of
@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+
+from .model import Rational, exact
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -41,28 +43,30 @@ class SimplexBudgetExceeded(RuntimeError):
 class LinearProgram:
     """maximize objective . x subject to rows, x >= 0.
 
-    Rows are (coeffs, rhs, sense) with sparse coeffs {var index: Fraction}
-    and sense "eq" or "le".
+    Rows are (coeffs, rhs, sense): sparse exact coeffs {var index: value}
+    kept as given, the rhs as `model.exact` makes it, sense "eq" or "le".
     """
 
     n_vars: int
-    objective: list[Fraction]
-    rows: list[tuple[dict[int, Fraction], Fraction, str]] = field(default_factory=list)
+    objective: list[Rational]
+    rows: list[tuple[dict[int, Rational], Rational, str]] = field(default_factory=list)
 
-    def add_row(self, coeffs: dict[int, Fraction], rhs, sense: str) -> None:
+    def add_row(self, coeffs: dict[int, Rational], rhs, sense: str) -> None:
         if sense not in (EQ, LE):
             raise ValueError(f"unknown row sense {sense!r}")
         for j in coeffs:
             if not 0 <= j < self.n_vars:
                 raise ValueError(f"row references undeclared variable {j}")
-        self.rows.append((dict(coeffs), Fraction(rhs), sense))
+        self.rows.append((dict(coeffs), exact(rhs), sense))
 
 
 @dataclass
 class LpSolution:
+    """Values and objective as `model.exact` makes them: int when integral."""
+
     status: str
-    values: list[Fraction]
-    objective_value: Fraction
+    values: list[Rational]
+    objective_value: Rational
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -73,19 +77,19 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """
     tab = _Tableau(lp)
     if not tab.phase_one():
-        return LpSolution(INFEASIBLE, [Fraction(0)] * lp.n_vars, Fraction(0))
+        return LpSolution(INFEASIBLE, [0] * lp.n_vars, 0)
     status = tab._run()
     values = tab.structural_values()
     if status == OPTIMAL:
         _assert_satisfies(lp, values)
-    objective = sum((values[j] * c for j, c in enumerate(lp.objective)), Fraction(0))
+    objective = exact(sum(values[j] * c for j, c in enumerate(lp.objective)))
     return LpSolution(status, values, objective)
 
 
-def violated_row(lp: LinearProgram, values: list[Fraction]) -> str | None:
+def violated_row(lp: LinearProgram, values: list[Rational]) -> str | None:
     """The first row the values break, described; None when all rows hold."""
     for coeffs, rhs, sense in lp.rows:
-        lhs = sum((values[j] * c for j, c in coeffs.items()), Fraction(0))
+        lhs = sum(values[j] * c for j, c in coeffs.items())
         if sense == EQ and lhs != rhs:
             return f"equality row violated: {lhs} != {rhs}"
         if sense == LE and lhs > rhs:
@@ -93,7 +97,7 @@ def violated_row(lp: LinearProgram, values: list[Fraction]) -> str | None:
     return None
 
 
-def _assert_satisfies(lp: LinearProgram, values: list[Fraction]) -> None:
+def _assert_satisfies(lp: LinearProgram, values: list[Rational]) -> None:
     violation = violated_row(lp, values)
     if violation is not None:
         raise AssertionError(violation)
@@ -289,9 +293,10 @@ class _Tableau:
             obj[b] = 0
         self.rows[self.n_rows], self.dens[self.n_rows] = _reduced(obj, den)
 
-    def structural_values(self) -> list[Fraction]:
-        values = [Fraction(0)] * self.n_struct
+    def structural_values(self) -> list[Rational]:
+        # a reduced row's denominator may still divide its rhs
+        values: list[Rational] = [0] * self.n_struct
         for r, b in enumerate(self.basis):
             if b < self.n_struct:
-                values[b] = Fraction(self.rows[r][self.cols], self.dens[r])
+                values[b] = exact(Fraction(self.rows[r][self.cols], self.dens[r]))
         return values

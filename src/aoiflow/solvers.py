@@ -145,7 +145,6 @@ def mmd1_exact(net: Network, sender: str, receiver: str, rate: Fraction) -> Path
     Streams ``rate`` units every slot over paths whose largest delay is
     minimal; None when the network cannot sustain the rate at any delay.
     """
-    rate = Fraction(rate)
     if rate <= 0:
         raise ModelError("rate must be positive")
     inst = Instance(

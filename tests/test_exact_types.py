@@ -23,12 +23,13 @@ from aoiflow.experiments import (
     scaled_instance,
 )
 from aoiflow.fileio import save_instance
-from aoiflow.flowlp import group_augment, period_cut
+from aoiflow.flowlp import build_flow_lp, extract_edge_flow, group_augment, period_cut
+from aoiflow.lp import solve_lp
 from aoiflow.maxflow import min_cost_prefixes, quickest_bound
-from aoiflow.mmd import min_max_delay
+from aoiflow.mmd import min_max_delay, min_max_delay_oracle
 from aoiflow.model import exact, feasible_periods
 from aoiflow.solvers import Objective, solve_optimal
-from conftest import corpus_instance, expansion_cut
+from conftest import corpus_instance, expansion_cut, make_fastslow_instance
 
 
 def solved_values(inst):
@@ -81,8 +82,46 @@ def test_half_bandwidths_stay_fractions():
     for kind, found in values.items():
         assert all(type(v) in (int, F) for v in found), kind
     # what the model stores is canonical: int exactly when integral
-    for kind in ("bandwidth", "batch", "amount"):
+    for kind in ("bandwidth", "batch", "group", "cut", "push", "amount"):
         assert all(type(v) is type(exact(v)) for v in values[kind]), kind
+
+
+def program_values(inst, period, bound):
+    """The flow program's values at (period, bound), its exact optimum and
+    the flow `extract_edge_flow` hands `decompose`, by kind."""
+    program = build_flow_lp(build_expanded(inst, bound, period)).program
+    sol = solve_lp(program)
+    return {
+        "objective": program.objective,
+        "coefficient": [c for coeffs, _, _ in program.rows for c in coeffs.values()],
+        "rhs": [rhs for _, rhs, _ in program.rows],
+        "value": sol.values,
+        "optimum": [sol.objective_value],
+        "flow": list(extract_edge_flow(sol).values()),
+    }
+
+
+def test_integer_flow_program_stays_int():
+    """Bandwidths 1 and 10, batch 10, at T=7, M=11: the program, the
+    simplex's optimum and the flow the simplex fallback and the oracle hand
+    `decompose` are all int."""
+    values = program_values(make_fastslow_instance(), 7, 11)
+    assert values["optimum"] == [17]
+    for kind, found in values.items():
+        assert found and {type(v) for v in found} == {int}, kind
+
+
+def test_half_bandwidth_flow_program_is_canonical():
+    """At every bound the oracle probes, each value of the program, its
+    optimum and its flow is an int exactly when it is integral."""
+    inst = corpus_instance(20)  # bandwidths 2, 3/2, 3/2
+    kinds = set()
+    for period in feasible_periods(inst):
+        for bound, _ in min_max_delay_oracle(inst, period).probes:
+            for kind, found in program_values(inst, period, bound).items():
+                assert all(type(v) is type(exact(v)) for v in found), (bound, kind)
+                kinds |= {(kind, type(v)) for v in found}
+    assert {("rhs", F), ("flow", F), ("value", int)} <= kinds
 
 
 def test_exact_canonicalises():
@@ -91,9 +130,9 @@ def test_exact_canonicalises():
     assert exact(F(3, 6)) == F(1, 2) and exact("3/6") == F(1, 2)
 
 
-def test_pusher_splits_a_twice_used_group_exactly():
-    """The first path crosses one group twice, so it takes half of its
-    integer bandwidth; the second path brings the rest."""
+def twice_used_group(bandwidth):
+    """An expansion whose shorter route crosses group 0, of ``bandwidth``,
+    twice; the longer route crosses three groups of bandwidth 1."""
     net = network(["s", "r"], [("e", "s", "r", 1, 1), ("f", "s", "r", 1, 1)])
     # (tail, head, link, group): both copies of e share group 0
     hops = [
@@ -103,17 +142,30 @@ def test_pusher_splits_a_twice_used_group_exactly():
         (3, 4, "f", 2),
         (4, 2, "f", 3),
     ]
-    exp = ExpandedNetwork(
+    return ExpandedNetwork(
         net=net,
         bound=4,
         links=tuple(ExpandedLink(t, h, link, 0, g) for t, h, link, g in hops),
         source=0,
         sink=2,
-        bandwidths=(1, 1, 1, 1),
+        bandwidths=(bandwidth, 1, 1, 1),
     )
-    flow = group_augment(exp, 1).flow
+
+
+def test_pusher_splits_a_twice_used_group_exactly():
+    """The first path crosses one group twice, so it takes half of its
+    integer bandwidth; the second path brings the rest."""
+    flow = group_augment(twice_used_group(1), 1).flow
     assert flow == {idx: F(1, 2) for idx in range(5)}
     assert {type(v) for v in flow.values()} == {F}
+
+
+def test_pusher_hands_on_integral_shares_as_int():
+    """The first path takes the share 4/2 of the twice-used group, the
+    second the third unit; the integral share is handed on as int."""
+    flow = group_augment(twice_used_group(4), 3).flow
+    assert flow == {0: 2, 1: 2, 2: 1, 3: 1, 4: 1}
+    assert {type(v) for v in flow.values()} == {int}
 
 
 def test_huge_delay_keeps_an_exact_ceiling(tmp_path, capsys):
@@ -165,6 +217,7 @@ TOPOLOGIES = {
     "grid3x3": lambda seed: grid_graph(3, 3, seed),
     "grid3x4": lambda seed: grid_graph(3, 4, seed),
     "grid4x4": lambda seed: grid_graph(4, 4, seed),
+    "grid5x5": lambda seed: grid_graph(5, 5, seed),
     "complete5": lambda seed: complete_graph(5, seed),
     "complete6": lambda seed: complete_graph(6, seed),
 }

@@ -429,6 +429,7 @@ def test_primal_snap_settles_the_stall_it_exists_for():
     flow_lp = build_flow_lp(exp)
     flow = snap_primal(flow_lp, inst.batch, _scipy_solve(flow_lp))
     assert flow is not None
+    assert {type(v) for v in flow.values()} == {int}
     values = [flow.get(j, F(0)) for j in range(flow_lp.program.n_vars)]
     assert violated_row(flow_lp.program, values) is None
     assert flow_value(flow_lp, values) >= inst.batch
