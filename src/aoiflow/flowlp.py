@@ -1,4 +1,4 @@
-"""The expanded-network flow program and fast feasibility probes.
+"""The expanded-network flow program and the rungs that settle its probes.
 
 The core question answered here: can at least ``target`` units travel from
 (sender, 0) to (receiver, M) in the expansion built for bound M while every
@@ -9,26 +9,27 @@ source, the sink, the adjacency and the capacity groups, which
 `build_expanded` numbers for the probe's period as it emits the copies; the
 program, the pusher and the residual cut all read them there.
 
-`mmd` never probes below the batch's quickest flow time, the bound at
-which even the program without shared groups falls short.  Past the
-temporally repeated flow (`mmd.temporally_repeated`), bounds are settled in
-this order, every answer certified with exact arithmetic:
+`mmd.settle` runs the rungs in order, each answer certified with exact
+arithmetic:
 
 * the period cut (`period_cut`): a static max flow on the physical network
   whose links carry their bandwidth once per push residue among their
   copies bounds the program's value from above ("no" answers, with no
   expansion built at all),
-* then, on the bound's expansion (`probe_reaches`), an augmenting-path
-  pusher on the group-capacitated residual graph (fast "yes" answers with
-  an exact witness flow),
-* the residual cut of a stalled pusher: every link copy leaving the node set
-  its last search reached belongs to a full capacity group, so the
-  bandwidths of those groups bound the program's value ("no" answers),
-* one float LP solve (scipy/HiGHS), snapped to small rationals and
-  re-verified exactly: its dual certifies "no" answers, and its primal,
-  when every row and the target hold exactly, is a "yes" witness flow,
-* the exact rational simplex `lp.solve_lp`, which is the reference
-  semantics and the fallback whenever the quick engines cannot certify.
+* then, on the bound's expansion, an augmenting-path pusher on the
+  group-capacitated residual graph (`group_augment`: fast "yes" answers
+  with an exact witness flow),
+* the residual cut of a stalled pusher (`residual_cut`): every link copy
+  leaving the node set its last search reached belongs to a full capacity
+  group, so the bandwidths of those groups bound the program's value ("no"
+  answers),
+* one float LP solve (`_scipy_solve`), snapped to small rationals and
+  re-verified exactly: its dual certifies "no" answers
+  (`certify_value_below`), and its primal, when every row and the target
+  hold exactly, is a "yes" witness flow (`snap_primal`).
+
+The exact rational simplex `lp.solve_lp` on `build_flow_lp`'s program is the
+reference semantics and the last rung.
 """
 
 from __future__ import annotations
@@ -39,15 +40,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .expander import ExpandedNetwork, push_slots, route_distances
-from .lp import (
-    EQ,
-    LE,
-    OPTIMAL,
-    LinearProgram,
-    LpSolution,
-    solve_lp,
-    violated_row,
-)
+from .lp import EQ, LE, LinearProgram, LpSolution, violated_row
 from .maxflow import max_flow
 from .model import Instance, Rational, exact
 
@@ -334,50 +327,3 @@ def snap_primal(
         if value >= target and violated_row(lp, x) is None:
             return {j: v for j, v in enumerate(x) if v > 0}
     return None
-
-
-# ---------------------------------------------------------------------------
-# combined probe
-
-
-@dataclass
-class ProbeAnswer:
-    flow: dict[int, Rational] | None  # a value-target witness; None when refuted
-    engine: str
-
-
-def probe_reaches(exp: ExpandedNetwork, target: Rational) -> ProbeAnswer:
-    """Exact answer to "does the flow program at exp.bound reach target?".
-
-    `mmd` asks only once the temporally repeated flow and the period cut
-    have left the bound open.  The pusher, its residual cut, the float solve
-    and the simplex run in that order on the expansion's capacity groups.
-    On an expansion without links (the receiver is farther than the bound)
-    the pusher's search reaches the source alone, whose residual cut is 0.
-    """
-    push = group_augment(exp, target)
-    if push.flow is not None:
-        return ProbeAnswer(push.flow, "augment")
-    if push.reached is not None and residual_cut(exp, push.reached) < target:
-        return ProbeAnswer(None, "residual-cut")
-
-    flow_lp = build_flow_lp(exp)
-
-    # one float solve settles most stalls either way, once its snapped dual
-    # or primal passes an exact check, without an exact optimality proof
-    float_result = _scipy_solve(flow_lp)
-    if float_result is not None:
-        if float_result["value"] < float(target) - 1e-6:
-            if certify_value_below(flow_lp, target, float_result):
-                return ProbeAnswer(None, "dual-certificate")
-        else:
-            flow = snap_primal(flow_lp, target, float_result)
-            if flow is not None:
-                return ProbeAnswer(flow, "primal-snap")
-
-    sol = solve_lp(flow_lp.program)
-    if sol.status != OPTIMAL:  # zero flow is always feasible, caps are finite
-        raise AssertionError(f"flow program reported {sol.status}")
-    if sol.objective_value >= target:
-        return ProbeAnswer(extract_edge_flow(sol), "simplex")
-    return ProbeAnswer(None, "simplex")

@@ -5,7 +5,9 @@ a sender/receiver pair), feasibility screening, the successive min-cost
 flows behind the quickest flow time of a batch and its temporally repeated
 schedules, and decomposing conserving flows into simple paths.
 Everything is exact: on integer bandwidths every flow, rate and cost is an
-int (Ford and Fulkerson's integrality), otherwise a Fraction.
+int (Ford and Fulkerson's integrality), otherwise a Fraction, and the
+min-cost prefixes hand on their rates, costs and path rates through
+`model.exact`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 import heapq
 from typing import NamedTuple
 
-from .model import Link, Network, Rational
+from .model import Link, Network, Rational, exact
 
 
 def max_flow(
@@ -133,14 +135,16 @@ def min_cost_prefixes(net: Network, source: str, sink: str) -> tuple[Prefix, ...
             link, forward = parent[v]
             path.append((link, forward))
             v = link.tail if forward else link.head
-        delta = min(
-            link.bandwidth - flow[link.id] if forward else flow[link.id]
-            for link, forward in path
+        delta = exact(
+            min(
+                link.bandwidth - flow[link.id] if forward else flow[link.id]
+                for link, forward in path
+            )
         )
         for link, forward in path:
             flow[link.id] += delta if forward else -delta
-        rate += delta
-        cost += delta * length
+        rate = exact(rate + delta)
+        cost = exact(cost + delta * length)
         paths = tuple(decompose_paths(net, flow, source, sink))
         delays = tuple(sum(index[l].delay for l in links) for links, _ in paths)
         prefixes.append(Prefix(length, rate, cost, paths, delays))
@@ -199,7 +203,7 @@ def decompose_paths(
                 raise AssertionError("flow to decompose has a cycle")
         if v != sink:
             break
-        amount = min(residual[l.id] for l in walk)
+        amount = exact(min(residual[l.id] for l in walk))
         for l in walk:
             residual[l.id] -= amount
             if residual[l.id] == 0:

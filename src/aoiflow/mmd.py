@@ -21,27 +21,31 @@ and why it ends:
   repeated flow below delivers at least the batch there (`repeated_value`),
   and that bound is settled without an expansion.
 
-A ``horizon`` caps the scan as a search ceiling.  Every bound is settled by
-the first of these engines that can:
+A ``horizon`` caps the scan as a search ceiling.  `settle` settles every
+bound with the first of these engines that can, and the result names it in
+``engines``, one per probe:
 
-* the temporally repeated flow (`temporally_repeated`): each path of one of
+* ``temporally-repeated`` (`temporally_repeated`): each path of one of
   those min-cost flows departs at up to T consecutive offsets, as many as
   still arrive by M, so it meets each capacity group at most once.  When
   that delivers the batch, the schedule is written straight from the paths,
   with no expansion, no pusher and no `decompose`;
-* the period cut (`flowlp.period_cut`): a static max flow on the physical
+* ``period-cut`` (`flowlp.period_cut`): a static max flow on the physical
   network, each link carrying its bandwidth once per push residue among
   its copies on a route of M.  When that falls short of the batch, the
   bound is infeasible, again with no expansion;
-* otherwise the bound's pruned expansion is built and goes through the
-  exact engines of `flowlp.probe_reaches`, in order: the augmenting pusher,
-  its residual cut, the float solve's snapped dual or primal and the
-  simplex, and a feasible flow is peeled into a schedule by `decompose`.
+* otherwise the bound's pruned expansion is built and the exact rungs of
+  `flowlp` run on it in order: the augmenting pusher (``augment``), its
+  residual cut (``residual-cut``), the float solve's snapped dual
+  (``dual-certificate``) or primal (``primal-snap``), and the reference
+  simplex (``simplex``).  A feasible flow is peeled into a schedule by
+  `decompose`.
 
 Every returned schedule is validated, with its delay equal to the bound.
 The companion `min_max_delay_oracle` ignores all of that and scans
 M = 0, 1, 2, ... up to the safe horizon, solving each bound's program with
-the reference simplex; tests hold the two to equal answers.
+the reference simplex, so its ``engines`` read ``simplex`` throughout;
+tests hold the two to equal answers.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
+from . import flowlp
 from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound
-from .flowlp import build_flow_lp, extract_edge_flow, period_cut, probe_reaches
 from .lp import OPTIMAL, solve_lp
 from .maxflow import Prefix, max_flow, min_cost_prefixes, quickest_bound
 from .model import (
@@ -74,6 +78,7 @@ class MmdResult:
     max_delay: int
     solution: PeriodicSolution
     probes: tuple[tuple[int, bool], ...]
+    engines: tuple[str, ...]  # the engine that settled each probe
 
 
 def lift_path_flow(
@@ -143,6 +148,51 @@ def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolu
     if best is None or value < inst.batch:
         return None
     return lift_path_flow(net, best.paths, period, bound, inst.batch)
+
+
+def settle(inst: Instance, period: int, bound: int) -> tuple[str, PeriodicSolution | None]:
+    """The engine that settles ``bound`` at ``period``, and its schedule.
+
+    The engines run in the module docstring's order, and the first to
+    certify either answer names it; the schedule, None when the bound is
+    infeasible, is not yet normalized.  `flowlp`'s rungs are looked up on
+    that module, so a test switches one off there.
+    """
+    batch = inst.batch
+    solution = temporally_repeated(inst, period, bound)
+    if solution is not None:
+        return "temporally-repeated", solution
+    if flowlp.period_cut(inst, period, bound) < batch:
+        return "period-cut", None
+
+    exp = build_expanded(inst, bound, period)
+    push = flowlp.group_augment(exp, batch)
+    if push.flow is not None:
+        return "augment", decompose(exp, push.flow, inst, period)
+    # on an expansion without links the search reaches the source alone,
+    # whose residual cut is 0
+    if push.reached is not None and flowlp.residual_cut(exp, push.reached) < batch:
+        return "residual-cut", None
+
+    flow_lp = flowlp.build_flow_lp(exp)
+    # one float solve settles most stalls either way, once its snapped dual
+    # or primal passes an exact check, without an exact optimality proof
+    float_result = flowlp._scipy_solve(flow_lp)
+    if float_result is not None:
+        if float_result["value"] < float(batch) - 1e-6:
+            if flowlp.certify_value_below(flow_lp, batch, float_result):
+                return "dual-certificate", None
+        else:
+            flow = flowlp.snap_primal(flow_lp, batch, float_result)
+            if flow is not None:
+                return "primal-snap", decompose(exp, flow, inst, period)
+
+    sol = solve_lp(flow_lp.program)
+    if sol.status != OPTIMAL:  # zero flow is always feasible, caps are finite
+        raise AssertionError(f"flow program reported {sol.status}")
+    if sol.objective_value < batch:
+        return "simplex", None
+    return "simplex", decompose(exp, flowlp.extract_edge_flow(sol), inst, period)
 
 
 def decompose(
@@ -255,19 +305,17 @@ def _min_max_delay_cached(
     if not prefixes or prefixes[-1].rate * period < inst.batch:
         return None
     probes: list[tuple[int, bool]] = []
+    engines: list[str] = []
     bottom = quickest_bound(net, inst.sender, inst.receiver, inst.batch)
     # the temporally repeated flow settles T - 1 + d* at the latest, so the
     # scan ends there (module docstring)
     for bound in range(bottom, horizon + 1):
-        solution = temporally_repeated(inst, period, bound)
-        if solution is None and period_cut(inst, period, bound) >= inst.batch:
-            exp = build_expanded(inst, bound, period)
-            answer = probe_reaches(exp, inst.batch)
-            if answer.flow is not None:
-                solution = decompose(exp, answer.flow, inst, period)
+        engine, solution = settle(inst, period, bound)
         probes.append((bound, solution is not None))
+        engines.append(engine)
         if solution is not None:
-            return MmdResult(period, bound, _checked(inst, solution, bound), tuple(probes))
+            solution = _checked(inst, solution, bound)
+            return MmdResult(period, bound, solution, tuple(probes), tuple(engines))
     return None
 
 
@@ -299,11 +347,12 @@ def min_max_delay_oracle(
     probes: list[tuple[int, bool]] = []
     for bound in range(0, mu + 1):
         exp = build_expanded(inst, bound, period)
-        flow_lp = build_flow_lp(exp)
-        sol = solve_lp(flow_lp.program)
+        sol = solve_lp(flowlp.build_flow_lp(exp).program)
         feasible = sol.status == OPTIMAL and sol.objective_value >= inst.batch
         probes.append((bound, feasible))
         if feasible:
-            raw = decompose(exp, extract_edge_flow(sol), inst, period)
-            return MmdResult(period, bound, _checked(inst, raw, bound), tuple(probes))
+            raw = decompose(exp, flowlp.extract_edge_flow(sol), inst, period)
+            solution = _checked(inst, raw, bound)
+            engines = ("simplex",) * len(probes)
+            return MmdResult(period, bound, solution, tuple(probes), engines)
     return None

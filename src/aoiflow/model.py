@@ -39,7 +39,7 @@ def exact(value) -> Rational:
     """``value`` as an exact rational: an int when integral, else a Fraction."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    value = value if type(value) is Fraction else Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 

@@ -77,12 +77,11 @@ def test_half_bandwidths_stay_fractions():
     assert {type(v) for v in values["bandwidth"]} == {int, F}
     for kind in ("prefix", "group"):
         assert values[kind] and F in {type(v) for v in values[kind]}, kind
-    assert {type(v) for v in values["prefix"]} == {F}
     assert values["amount"] == [F(3, 2)] * len(values["amount"])
     for kind, found in values.items():
         assert all(type(v) in (int, F) for v in found), kind
     # what the model stores is canonical: int exactly when integral
-    for kind in ("bandwidth", "batch", "group", "cut", "push", "amount"):
+    for kind in ("bandwidth", "batch", "prefix", "group", "cut", "push", "amount"):
         assert all(type(v) is type(exact(v)) for v in values[kind]), kind
 
 
@@ -128,6 +127,8 @@ def test_exact_canonicalises():
     assert type(exact(F(6, 3))) is int and exact(F(6, 3)) == 2
     assert type(exact(7)) is int and type(exact(True)) is int
     assert exact(F(3, 6)) == F(1, 2) and exact("3/6") == F(1, 2)
+    half = F(1, 2)
+    assert exact(half) is half  # a canonical Fraction is handed back as is
 
 
 def twice_used_group(bandwidth):

@@ -17,12 +17,11 @@ from aoiflow.flowlp import (
     _scipy_solve,
     certify_value_below,
     group_augment,
-    probe_reaches,
     snap_primal,
 )
 from aoiflow.lp import EQ, LE, OPTIMAL, LinearProgram
 from aoiflow.maxflow import min_cost_prefixes, quickest_bound, shortest_delay
-from aoiflow.mmd import min_max_delay
+from aoiflow.mmd import min_max_delay, settle
 from aoiflow.model import feasible_periods
 from conftest import corpus_instance, make_fastslow_instance
 
@@ -293,10 +292,9 @@ def test_probe_matches_reference_lp_on_corpus():
         inst = corpus_instance(seed)
         period = inst.max_period
         for bound in range(1, 13, 3):
-            exp = build_expanded(inst, bound, period)
-            probe = probe_reaches(exp, inst.batch)
-            flow_lp, sol = optimum(inst, period, bound)
-            assert (probe.flow is not None) == (sol.objective_value >= inst.batch)
+            _, solution = settle(inst, period, bound)
+            _, sol = optimum(inst, period, bound)
+            assert (solution is not None) == (sol.objective_value >= inst.batch)
 
 
 def reference_group_augment(exp, inst, period, target):

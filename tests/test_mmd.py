@@ -161,6 +161,7 @@ def test_oracle_probe_trail_is_ascending_scan():
     result = min_max_delay_oracle(make_triple_instance(), 5)
     assert [m for m, _ in result.probes] == list(range(result.max_delay + 1))
     assert [feas for _, feas in result.probes] == [False] * result.max_delay + [True]
+    assert result.engines == ("simplex",) * len(result.probes)
 
 
 # --- decompose ----------------------------------------------------------------

@@ -12,11 +12,12 @@ With the pusher off as well, every probe falls to the exact simplex.  The
 corpus never reaches the float solve, so its snapped primal, the one "yes"
 certificate from the float solve, is switched off on the complete-6 sweep
 that needs it, with the temporally repeated flow off so the stall it exists
-for happens.
+for happens.  The engine that settled each probe is read from
+`MmdResult.engines`, and the engine tables of the corpus and complete-6 are
+pinned.
 """
 
 from collections import Counter
-from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +26,6 @@ from aoiflow import (
     Objective,
     build_expanded,
     build_flow_lp,
-    decompose,
     feasible_periods,
     normalize_holding,
     solve_lp,
@@ -49,13 +49,12 @@ from aoiflow.flowlp import (
     certify_value_below,
     group_augment,
     period_cut,
-    probe_reaches,
     residual_cut,
     snap_primal,
 )
 from aoiflow.lp import violated_row
 from aoiflow.maxflow import min_cost_prefixes, quickest_bound, shortest_delay
-from aoiflow.mmd import _min_max_delay_cached, min_max_delay, repeated_value
+from aoiflow.mmd import _min_max_delay_cached, min_max_delay, repeated_value, settle
 from conftest import corpus_instance, expansion_cut
 
 SLICE = range(20, 32)
@@ -71,56 +70,31 @@ SWITCHES = {
     "residual-cut": (flowlp_module, "residual_cut", lambda *args: float("inf")),
     "dual-certificate": (flowlp_module, "_scipy_solve", lambda flow_lp: None),
     "temporally-repeated": (mmd_module, "temporally_repeated", lambda *args: None),
-    "period-cut": (mmd_module, "period_cut", lambda *args: float("inf")),
+    "period-cut": (flowlp_module, "period_cut", lambda *args: float("inf")),
 }
 
 
-@contextmanager
-def engine_tally(monkeypatch):
-    """Count the engine that settles each probe `mmd` runs, from a cold
-    cache."""
-    engines = Counter()
-    probe = mmd_module.probe_reaches
-    repeated = mmd_module.temporally_repeated
-    cut = mmd_module.period_cut
+def complete6(seed):
+    """The `aoiflow batch` instance of complete-6 at ``seed``."""
+    net = generate(complete_graph(6, seed))
+    return scaled_instance(net, *pick_endpoints(net, seed), 5, 10)
 
-    def counting_probe(*args):
-        answer = probe(*args)
-        engines[answer.engine] += 1
-        return answer
 
-    def counting_repeated(*args):
-        solution = repeated(*args)
-        if solution is not None:
-            engines["temporally-repeated"] += 1
-        return solution
+def tally(results):
+    """How many probes each engine settled, read from the results."""
+    return Counter(engine for r in results if r is not None for engine in r.engines)
 
-    def counting_cut(inst, period, bound):
-        value = cut(inst, period, bound)
-        if value < inst.batch:
-            engines["period-cut"] += 1
-        return value
 
-    monkeypatch.setattr(mmd_module, "probe_reaches", counting_probe)
-    monkeypatch.setattr(mmd_module, "temporally_repeated", counting_repeated)
-    monkeypatch.setattr(mmd_module, "period_cut", counting_cut)
+def solve_slice(seeds=SLICE):
+    """Delay, schedule and probe trail per (seed, period) from a cold cache,
+    and the engines that settled the probes."""
     _min_max_delay_cached.cache_clear()
-    yield engines
-    monkeypatch.setattr(mmd_module, "probe_reaches", probe)
-    monkeypatch.setattr(mmd_module, "temporally_repeated", repeated)
-    monkeypatch.setattr(mmd_module, "period_cut", cut)
-
-
-def solve_slice(monkeypatch, seeds=SLICE):
-    """Delay, schedule and probe trail per (seed, period), and the engines
-    that ran."""
-    with engine_tally(monkeypatch) as engines:
-        out = {}
-        for seed in seeds:
-            inst = corpus_instance(seed)
-            for period in feasible_periods(inst):
-                out[seed, period] = min_max_delay(inst, period)
-    return out, engines
+    out = {}
+    for seed in seeds:
+        inst = corpus_instance(seed)
+        for period in feasible_periods(inst):
+            out[seed, period] = min_max_delay(inst, period)
+    return out, tally(out.values())
 
 
 def view(out, *fields):
@@ -150,7 +124,7 @@ def fresh_cache():
     ids="+".join,
 )
 def test_certificate_switched_off_keeps_answers(off, monkeypatch, fresh_cache):
-    baseline, base_engines = solve_slice(monkeypatch)
+    baseline, base_engines = solve_slice()
     assert base_engines["period-cut"] > 0
     assert base_engines["temporally-repeated"] > 0
     switched = set(off)
@@ -158,7 +132,7 @@ def test_certificate_switched_off_keeps_answers(off, monkeypatch, fresh_cache):
         switched.add("period-cut")
     for name in switched:
         monkeypatch.setattr(*SWITCHES[name])
-    forced, engines = solve_slice(monkeypatch)
+    forced, engines = solve_slice()
     fields = ["max_delay", "solution", "probes"]
     if "quickest-bound" in off:  # the search starts lower, so trails differ
         assert sum(engines.values()) > sum(base_engines.values())
@@ -179,24 +153,63 @@ def test_certificate_switched_off_keeps_answers(off, monkeypatch, fresh_cache):
 
 def test_temporally_repeated_switched_off_keeps_corpus_trails(monkeypatch, fresh_cache):
     corpus = range(200)
-    baseline, base_engines = solve_slice(monkeypatch, corpus)
+    baseline, base_engines = solve_slice(corpus)
     monkeypatch.setattr(*SWITCHES["temporally-repeated"])
-    forced, engines = solve_slice(monkeypatch, corpus)
+    forced, engines = solve_slice(corpus)
     assert view(forced, "max_delay", "probes") == view(baseline, "max_delay", "probes")
     assert base_engines["temporally-repeated"] > 0 == engines["temporally-repeated"]
     assert engines["augment"] > base_engines["augment"]
 
 
-def test_grid_seed7_engine_tally(monkeypatch, fresh_cache):
+def test_grid_seed7_engine_tally(fresh_cache):
     # the bench's timed grid solve: the temporally repeated flow settles
     # every "yes" probe, the period cut every "no", so the pusher never runs;
     # both solves stop after periods 10 and 11, and the average solve reuses
     # the peak solve's cached answers
     inst = scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
-    with engine_tally(monkeypatch) as engines:
-        for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
-            solve_optimal(inst, objective)
+    periods = set()
+    for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
+        periods |= set(solve_optimal(inst, objective).grid)
+    assert periods == {10, 11}
+    assert _min_max_delay_cached.cache_info().misses == 2
+    engines = tally(min_max_delay(inst, period) for period in periods)
     assert engines == Counter({"temporally-repeated": 2, "period-cut": 3})
+
+
+def window_tally(instances):
+    """The engines that settled every probe of every feasible period."""
+    results = [
+        min_max_delay(inst, period)
+        for inst in instances
+        for period in feasible_periods(inst)
+    ]
+    for result in filter(None, results):
+        assert len(result.engines) == len(result.probes)
+    return tally(results)
+
+
+def test_engine_table_on_the_corpus(fresh_cache):
+    # no probe of the acceptance corpus reaches the float solve
+    engines = window_tally(corpus_instance(seed) for seed in range(200))
+    assert engines == Counter(
+        {"temporally-repeated": 244, "period-cut": 19, "augment": 7, "residual-cut": 1}
+    )
+    assert sum(engines.values()) == 271
+
+
+def test_engine_table_on_complete6(fresh_cache):
+    pytest.importorskip("scipy")
+    engines = window_tally([complete6(seed) for seed in range(30)])
+    assert engines == Counter(
+        {
+            "temporally-repeated": 286,
+            "period-cut": 65,
+            "augment": 12,
+            "residual-cut": 30,
+            "primal-snap": 2,
+        }
+    )
+    assert sum(engines.values()) == 395
 
 
 def test_grid_seed7_builds_no_expansion(monkeypatch, fresh_cache):
@@ -214,7 +227,7 @@ def test_grid_seed7_builds_no_expansion(monkeypatch, fresh_cache):
 def test_period_cut_matches_the_expansion_cut(monkeypatch, fresh_cache):
     # every bound the scan asks the cut about, that is every bound that
     # neither the quickest bound nor the temporally repeated flow settles
-    cut = mmd_module.period_cut
+    cut = flowlp_module.period_cut
     asked = []
 
     def recording_cut(inst, period, bound):
@@ -222,11 +235,9 @@ def test_period_cut_matches_the_expansion_cut(monkeypatch, fresh_cache):
         asked.append((inst, period, bound, value))
         return value
 
-    monkeypatch.setattr(mmd_module, "period_cut", recording_cut)
+    monkeypatch.setattr(flowlp_module, "period_cut", recording_cut)
     instances = [corpus_instance(seed) for seed in range(200)]
-    for seed in range(30):
-        net = generate(complete_graph(6, seed))
-        instances.append(scaled_instance(net, *pick_endpoints(net, seed), 5, 10))
+    instances += [complete6(seed) for seed in range(30)]
     instances.append(
         scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
     )
@@ -241,13 +252,13 @@ def test_period_cut_matches_the_expansion_cut(monkeypatch, fresh_cache):
 
 
 def test_simplex_only_stack_matches(monkeypatch, fresh_cache):
-    baseline, _ = solve_slice(monkeypatch)
+    baseline, _ = solve_slice()
     for name in ("period-cut", "residual-cut", "dual-certificate", "temporally-repeated"):
         monkeypatch.setattr(*SWITCHES[name])
     monkeypatch.setattr(
         flowlp_module, "group_augment", lambda *args, **kwargs: Push(None, None)
     )
-    forced, engines = solve_slice(monkeypatch)
+    forced, engines = solve_slice()
     # same delays and trails; the simplex's flows make other schedules
     assert view(forced, "max_delay", "probes") == view(baseline, "max_delay", "probes")
     assert set(engines) == {"simplex"}
@@ -281,8 +292,8 @@ def test_scipy_never_called_on_batch_complete6_seed4(monkeypatch, fresh_cache):
     # the temporally repeated flow settles the period-5 stall the snapped
     # primal used to, so scipy is never imported
     monkeypatch.setattr(flowlp_module, "_scipy_solve", refuse_float_solve)
-    summarize_instance("complete-4", complete6_seed4())
-    run_sweep(complete6_seed4())
+    summarize_instance("complete-4", complete6(4))
+    run_sweep(complete6(4))
 
 
 def test_float_dual_settles_what_the_cut_misses():
@@ -298,7 +309,7 @@ def test_float_dual_settles_what_the_cut_misses():
     assert residual_cut(exp, push.reached) == 500
     flow_lp = build_flow_lp(exp)
     assert certify_value_below(flow_lp, inst.batch, _scipy_solve(flow_lp))
-    assert probe_reaches(exp, inst.batch).engine == "dual-certificate"
+    assert settle(inst, period, bound) == ("dual-certificate", None)
 
 
 def test_period_cut_settles_what_the_residual_cut_misses(monkeypatch, fresh_cache):
@@ -386,8 +397,8 @@ def test_period_cut_refutes_an_expansion_without_links():
         assert period_cut(inst, inst.max_period, bound) == 0, seed
         exp = build_expanded(inst, bound, inst.max_period)
         assert not exp.links
-        answer = probe_reaches(exp, inst.batch)
-        assert (answer.flow, answer.engine) == (None, "residual-cut"), seed
+        push = group_augment(exp, inst.batch)
+        assert push.flow is None and residual_cut(exp, push.reached) == 0, seed
 
 
 def test_period_cut_never_below_exact_optimum():
@@ -406,21 +417,16 @@ def test_period_cut_never_below_exact_optimum():
     assert refuted > 0
 
 
-def complete6_seed4():
-    """The `aoiflow batch` instance of complete-6 seed 4."""
-    net = generate(complete_graph(6, 4))
-    return scaled_instance(net, *pick_endpoints(net, 4), 5, 10)
-
-
 def flow_value(flow_lp, values):
     return sum(v * c for v, c in zip(values, flow_lp.program.objective))
 
 
-def test_primal_snap_settles_the_stall_it_exists_for():
+def test_primal_snap_settles_the_stall_it_exists_for(monkeypatch):
     # complete-6 seed 4 at period 5, bound 11: the pusher stalls short of the
     # batch, the cut cannot refute it, and HiGHS's primal snaps to a flow
     pytest.importorskip("scipy")
-    inst = complete6_seed4()
+    monkeypatch.setattr(*SWITCHES["temporally-repeated"])
+    inst = complete6(4)
     period, bound = 5, 11
     exp = build_expanded(inst, bound, period)
     push = group_augment(exp, inst.batch)
@@ -434,13 +440,30 @@ def test_primal_snap_settles_the_stall_it_exists_for():
     assert violated_row(flow_lp.program, values) is None
     assert flow_value(flow_lp, values) >= inst.batch
 
-    answer = probe_reaches(exp, inst.batch)
-    assert answer.engine == "primal-snap"
-    raw = decompose(exp, answer.flow, inst, period)
+    engine, raw = settle(inst, period, bound)
+    assert engine == "primal-snap"
     solution = normalize_holding(inst.network, raw)
     ok, max_delay, violations = validate_solution(inst, solution)
     assert ok, violations
     assert max_delay == bound
+
+
+def test_float_solver_moves_only_the_snapped_schedules(monkeypatch, fresh_cache):
+    # the two probes of complete-6 that HiGHS's snapped primal settles: with
+    # no float solve the simplex settles them instead, at the same bound and
+    # after the same trail, with another valid schedule
+    pytest.importorskip("scipy")
+    cases = [(complete6(5), 6), (complete6(11), 5)]
+    snapped = [min_max_delay(inst, period) for inst, period in cases]
+    monkeypatch.setattr(flowlp_module, "_scipy_solve", lambda flow_lp: None)
+    _min_max_delay_cached.cache_clear()
+    exact = [min_max_delay(inst, period) for inst, period in cases]
+    for (inst, _), a, b in zip(cases, snapped, exact):
+        assert (a.max_delay, a.probes) == (b.max_delay, b.probes)
+        assert (a.engines[-1], b.engines[-1]) == ("primal-snap", "simplex")
+        for result in (a, b):
+            ok, max_delay, violations = validate_solution(inst, result.solution)
+            assert ok and max_delay == result.max_delay, violations
 
 
 def refuse_simplex(*args):
@@ -451,7 +474,7 @@ def test_simplex_never_called_on_grid_seed0(monkeypatch, fresh_cache):
     # two probes at period 10, bound 29 stall the pusher; the exact simplex
     # took over 20 s on them, the snapped primal settles both
     pytest.importorskip("scipy")
-    monkeypatch.setattr(flowlp_module, "solve_lp", refuse_simplex)
+    monkeypatch.setattr(mmd_module, "solve_lp", refuse_simplex)
     inst = scaled_instance(generate(grid_graph(4, 4, seed=0)), "a1_1", "a4_4", 10)
     for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
         best = solve_optimal(inst, objective).best
@@ -485,13 +508,14 @@ def test_primal_snap_never_exceeds_exact_optimum():
 def test_primal_snap_switched_off_keeps_reports(monkeypatch, fresh_cache):
     pytest.importorskip("scipy")
     monkeypatch.setattr(*SWITCHES["temporally-repeated"])
-    inst = complete6_seed4()
-    with engine_tally(monkeypatch) as engines:
-        baseline = [row.opt for row in run_sweep(inst)]
+    inst = complete6(4)
+    baseline = [row.opt for row in run_sweep(inst)]
+    engines = window_tally([inst])
     assert (engines["primal-snap"], engines["simplex"]) == (1, 0)
     monkeypatch.setattr(flowlp_module, "snap_primal", lambda *args: None)
-    with engine_tally(monkeypatch) as engines:
-        forced = [row.opt for row in run_sweep(inst)]
+    _min_max_delay_cached.cache_clear()
+    forced = [row.opt for row in run_sweep(inst)]
+    engines = window_tally([inst])
     assert (engines["primal-snap"], engines["simplex"]) == (0, 1)
     assert forced == baseline
 
@@ -540,12 +564,9 @@ def repeated_schedules(instances, monkeypatch):
 
 
 def test_temporally_repeated_flows_pass_every_program_row(monkeypatch, fresh_cache):
-    complete6 = []
-    for seed in range(30):
-        net = generate(complete_graph(6, seed))
-        complete6.append(scaled_instance(net, *pick_endpoints(net, seed), 5, 10))
     corpus = [corpus_instance(seed) for seed in range(200)]
-    written = repeated_schedules(corpus + complete6, monkeypatch)
+    complete = [complete6(seed) for seed in range(30)]
+    written = repeated_schedules(corpus + complete, monkeypatch)
     assert len(written) > 400
     for inst, period, bound, solution in written:
         exp = build_expanded(inst, bound, period)
