@@ -18,7 +18,6 @@ from .model import (
     aoi_from_max_delay,
     feasible_periods,
     network,
-    normalize_holding,
     report_for,
     residue_loads,
     simulate_aoi,
@@ -61,7 +60,6 @@ __all__ = [
     "aoi_from_max_delay",
     "feasible_periods",
     "network",
-    "normalize_holding",
     "report_for",
     "residue_loads",
     "simulate_aoi",

@@ -38,14 +38,14 @@ bound with the first of these engines that can, and the result names it in
   `flowlp` run on it in order: the augmenting pusher (``augment``), its
   residual cut (``residual-cut``), the float solve's snapped dual
   (``dual-certificate``) or primal (``primal-snap``), and the reference
-  simplex (``simplex``).  A feasible flow is peeled into a schedule by
-  `decompose`.
+  simplex (``simplex``, `_simplex_schedule`).  `decompose` peels a feasible
+  flow into the final schedule, each hold shorter than the period.
 
 Every returned schedule is validated, with its delay equal to the bound.
 The companion `min_max_delay_oracle` ignores all of that and scans
-M = 0, 1, 2, ... up to the safe horizon, solving each bound's program with
-the reference simplex, so its ``engines`` read ``simplex`` throughout;
-tests hold the two to equal answers.
+M = 0, 1, 2, ... up to the safe horizon, settling each bound with the same
+simplex rung, so its ``engines`` read ``simplex`` throughout; tests hold
+the two to equal answers.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from itertools import accumulate
 
 from . import flowlp
 from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound
-from .lp import OPTIMAL, solve_lp
+from .lp import OPTIMAL, LinearProgram, solve_lp
 from .maxflow import Prefix, max_flow, min_cost_prefixes, quickest_bound
 from .model import (
     Instance,
@@ -67,7 +67,6 @@ from .model import (
     PeriodicSolution,
     Rational,
     ScheduleEntry,
-    normalize_holding,
     validate_solution,
 )
 
@@ -154,9 +153,9 @@ def settle(inst: Instance, period: int, bound: int) -> tuple[str, PeriodicSoluti
     """The engine that settles ``bound`` at ``period``, and its schedule.
 
     The engines run in the module docstring's order, and the first to
-    certify either answer names it; the schedule, None when the bound is
-    infeasible, is not yet normalized.  `flowlp`'s rungs are looked up on
-    that module, so a test switches one off there.
+    certify either answer names it, with the schedule, None when the bound
+    is infeasible.  `flowlp`'s rungs are looked up on that module, so a test
+    switches one off there.
     """
     batch = inst.batch
     solution = temporally_repeated(inst, period, bound)
@@ -169,8 +168,8 @@ def settle(inst: Instance, period: int, bound: int) -> tuple[str, PeriodicSoluti
     push = flowlp.group_augment(exp, batch)
     if push.flow is not None:
         return "augment", decompose(exp, push.flow, inst, period)
-    # on an expansion without links the search reaches the source alone,
-    # whose residual cut is 0
+    # ``push.reached`` is None only when the pusher runs out of rounds; on an
+    # expansion without links its search reaches the source alone, cut 0
     if push.reached is not None and flowlp.residual_cut(exp, push.reached) < batch:
         return "residual-cut", None
 
@@ -187,12 +186,20 @@ def settle(inst: Instance, period: int, bound: int) -> tuple[str, PeriodicSoluti
             if flow is not None:
                 return "primal-snap", decompose(exp, flow, inst, period)
 
-    sol = solve_lp(flow_lp.program)
+    return "simplex", _simplex_schedule(exp, flow_lp.program, inst, period)
+
+
+def _simplex_schedule(
+    exp: ExpandedNetwork, program: LinearProgram, inst: Instance, period: int
+) -> PeriodicSolution | None:
+    """The reference simplex on the bound's flow program: its flow peeled
+    into a schedule, or None when the optimum falls short of the batch."""
+    sol = solve_lp(program)
     if sol.status != OPTIMAL:  # zero flow is always feasible, caps are finite
         raise AssertionError(f"flow program reported {sol.status}")
-    if sol.objective_value < batch:
-        return "simplex", None
-    return "simplex", decompose(exp, flowlp.extract_edge_flow(sol), inst, period)
+    if sol.objective_value < inst.batch:
+        return None
+    return decompose(exp, flowlp.extract_edge_flow(sol), inst, period)
 
 
 def decompose(
@@ -201,7 +208,7 @@ def decompose(
     inst: Instance,
     period: int,
 ) -> PeriodicSolution:
-    """Peel an expanded flow into schedule entries (min-flow link first).
+    """Peel an expanded flow into the final schedule (min-flow link first).
 
     Every expanded link moves forward in time, so the expansion is acyclic,
     and in a flow conserving at every node but the source and the sink each
@@ -212,7 +219,9 @@ def decompose(
     Every peeled path collapses to a physical path with arrival offsets;
     holding runs become holding delay and trailing holds at the receiver
     vanish.  A collapsed path revisiting a node is rerouted through holding
-    at that node (holding is uncapacitated), so entries are simple.
+    at that node (holding is uncapacitated), so entries are simple.  A
+    hop held a full period or more is pushed whole periods earlier, in the
+    same push-residue class, so every hold is shorter than the period.
     Peeling stops once the batch is covered; entries then total exactly the
     batch.
     """
@@ -247,31 +256,39 @@ def decompose(
             work[idx] -= amount
             if work[idx] == 0:
                 del work[idx]
-        entries.append(_collapse(exp, path, amount))
+        entries.append(_collapse(exp, path, amount, period))
         remaining -= amount
 
     return PeriodicSolution(period, tuple(entries))
 
 
-def _collapse(exp: ExpandedNetwork, path: list[int], amount: Rational) -> ScheduleEntry:
+def _collapse(
+    exp: ExpandedNetwork, path: list[int], amount: Rational, period: int
+) -> ScheduleEntry:
     # a hop back to a node already on the entry erases the detour since that
     # node's first visit (chronological loop erasure): the data holds there
     index = exp.net.link_index
     nodes = [exp.node_of(exp.source)[0]]  # distinct, in visiting order
-    offsets = [0]  # arrival at each of nodes
-    links: list[str] = []  # links[k] arrives at nodes[k + 1]
+    links: list[str] = []  # links[k] leaves nodes[k] for nodes[k + 1]
+    pushes: list[int] = []  # the slot each of links is pushed at
     for idx in path:
         el = exp.links[idx]
         if el.link_id is None:
             continue
-        link = index[el.link_id]
-        if link.head in nodes:
-            first = nodes.index(link.head)
-            del nodes[first + 1 :], offsets[first + 1 :], links[first:]
+        head = index[el.link_id].head
+        if head in nodes:
+            first = nodes.index(head)
+            del nodes[first + 1 :], links[first:], pushes[first:]
         else:
-            nodes.append(link.head)
-            offsets.append(el.push + link.delay)
-            links.append(link.id)
+            nodes.append(head)
+            links.append(el.link_id)
+            pushes.append(el.push)
+    # each hop then pushes at the first slot of its residue class once the
+    # data is there: holds fall below the period, and no group gains load
+    offsets = [0]  # arrival at each of nodes
+    for link_id, push in zip(links, pushes):
+        hold = (push - offsets[-1]) % period
+        offsets.append(offsets[-1] + hold + index[link_id].delay)
     return ScheduleEntry(tuple(links), tuple(offsets), amount)
 
 
@@ -280,7 +297,7 @@ def min_max_delay(
 ) -> MmdResult | None:
     """Smallest delay bound M admitting a full-batch schedule at this period.
 
-    Returns the result with a validated, normalized schedule achieving M and
+    Returns the result with a validated schedule achieving M and
     the (bound, feasible) probe trail; None when the period's throughput is
     not supportable at all, or needs a delay above ``horizon``.
     """
@@ -319,9 +336,8 @@ def _min_max_delay_cached(
     return None
 
 
-def _checked(inst: Instance, raw: PeriodicSolution, bound: int) -> PeriodicSolution:
-    """``raw`` with holding normalized, once it is valid with delay ``bound``."""
-    solution = normalize_holding(inst.network, raw)
+def _checked(inst: Instance, solution: PeriodicSolution, bound: int) -> PeriodicSolution:
+    """``solution``, the final schedule, once it is valid with delay ``bound``."""
     ok, max_delay, violations = validate_solution(inst, solution)
     if not ok:
         raise AssertionError(f"schedule at bound {bound} invalid: {violations}")
@@ -335,7 +351,7 @@ def _checked(inst: Instance, raw: PeriodicSolution, bound: int) -> PeriodicSolut
 def min_max_delay_oracle(
     inst: Instance, period: int, horizon: int | None = None
 ) -> MmdResult | None:
-    """Ascending scan M = 0, 1, 2, ... with plain reference LP solves.
+    """Ascending scan M = 0, 1, 2, ... with plain reference simplex solves.
 
     Slow but structurally independent of the fast scan and its probe
     shortcuts; used for verification.
@@ -347,12 +363,10 @@ def min_max_delay_oracle(
     probes: list[tuple[int, bool]] = []
     for bound in range(0, mu + 1):
         exp = build_expanded(inst, bound, period)
-        sol = solve_lp(flowlp.build_flow_lp(exp).program)
-        feasible = sol.status == OPTIMAL and sol.objective_value >= inst.batch
-        probes.append((bound, feasible))
-        if feasible:
-            raw = decompose(exp, flowlp.extract_edge_flow(sol), inst, period)
-            solution = _checked(inst, raw, bound)
+        solution = _simplex_schedule(exp, flowlp.build_flow_lp(exp).program, inst, period)
+        probes.append((bound, solution is not None))
+        if solution is not None:
+            solution = _checked(inst, solution, bound)
             engines = ("simplex",) * len(probes)
             return MmdResult(period, bound, solution, tuple(probes), engines)
     return None

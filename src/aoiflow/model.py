@@ -322,31 +322,6 @@ def aoi_from_max_delay(max_delay: int, period: int) -> tuple[int, Fraction]:
     return peak, avg
 
 
-def normalize_holding(net: Network, sol: PeriodicSolution) -> PeriodicSolution:
-    """Shift offsets down by whole periods wherever a hop holds >= T slots.
-
-    Shifting a suffix of the offset vector by a multiple of the period leaves
-    every push-residue class unchanged, so feasibility and amounts are
-    preserved while the delivery offset can only move earlier.
-    """
-    period = sol.period
-    index = net.link_index
-    out_entries = []
-    for entry in sol.entries:
-        offsets = list(entry.offsets)
-        for i, link_id in enumerate(entry.links, start=1):
-            delay = index[link_id].delay
-            holding = offsets[i] - delay - offsets[i - 1]
-            if holding >= period:
-                shift = (holding // period) * period
-                for j in range(i, len(offsets)):
-                    offsets[j] -= shift
-        if offsets != list(entry.offsets):  # some hop held a full period
-            entry = ScheduleEntry(entry.links, tuple(offsets), entry.amount)
-        out_entries.append(entry)
-    return PeriodicSolution(period, tuple(out_entries))
-
-
 def residue_loads(
     net: Network, sol: PeriodicSolution
 ) -> dict[tuple[str, int], Rational]:

@@ -13,12 +13,12 @@ from aoiflow import (
     min_max_delay,
     min_max_delay_oracle,
     network,
-    normalize_holding,
     solve_lp,
     validate_solution,
 )
 from aoiflow import mmd as mmd_module
 from aoiflow.flowlp import period_cut
+from aoiflow.lp import UNBOUNDED, LpSolution
 from aoiflow.experiments import (
     complete_graph,
     generate,
@@ -164,6 +164,18 @@ def test_oracle_probe_trail_is_ascending_scan():
     assert result.engines == ("simplex",) * len(result.probes)
 
 
+def test_oracle_refuses_a_non_optimal_status(monkeypatch):
+    # zero flow is always feasible and every cap is finite, so any status
+    # but optimal is a solver fault: the oracle stops, as the fast scan's
+    # simplex rung does, instead of reading the bound as infeasible
+    def unbounded(program):
+        return LpSolution(UNBOUNDED, [], 0)
+
+    monkeypatch.setattr(mmd_module, "solve_lp", unbounded)
+    with pytest.raises(AssertionError, match="unbounded"):
+        min_max_delay_oracle(make_fastslow_instance(), 7)
+
+
 # --- decompose ----------------------------------------------------------------
 
 
@@ -199,7 +211,7 @@ def test_decompose_triple_unit_rate_flow():
     lp_sol = solve_lp(flow_lp.program)
     assert lp_sol.objective_value >= 5
     flow = extract_edge_flow(lp_sol)
-    sol = normalize_holding(inst.network, decompose(exp, flow, inst, 5))
+    sol = decompose(exp, flow, inst, 5)
     ok, max_delay, violations = validate_solution(inst, sol)
     assert ok and max_delay == 5
     assert sol.total_amount == 5
@@ -217,7 +229,7 @@ def test_decompose_fastslow_t7_respects_caps():
     flow_lp = build_flow_lp(exp)
     lp_sol = solve_lp(flow_lp.program)
     flow = extract_edge_flow(lp_sol)
-    sol = normalize_holding(inst.network, decompose(exp, flow, inst, 7))
+    sol = decompose(exp, flow, inst, 7)
     ok, max_delay, _ = validate_solution(inst, sol)
     assert ok and max_delay <= 11
     assert len(sol.entries) <= len(exp.links)

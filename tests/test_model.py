@@ -12,7 +12,6 @@ from aoiflow import (
     aoi_from_max_delay,
     feasible_periods,
     network,
-    normalize_holding,
     residue_loads,
     simulate_aoi,
     validate_network,
@@ -101,74 +100,6 @@ def test_knee_period_window():
 )
 def test_aoi_closed_form(max_delay, period, peak, avg):
     assert aoi_from_max_delay(max_delay, period) == (peak, avg)
-
-
-# --- normalize_holding -------------------------------------------------------
-
-
-def single_link_net(delay=1, bandwidth=10):
-    return network(["s", "r"], [("e", "s", "r", delay, bandwidth)])
-
-
-def test_normalize_shifts_long_sender_hold():
-    net = single_link_net()
-    sol = PeriodicSolution(3, (ScheduleEntry(("e",), (0, 5), F(1)),))
-    out = normalize_holding(net, sol)
-    assert out.entries[0].offsets == (0, 2)
-    assert out.entries[0].amount == 1
-
-
-def test_normalize_identity_when_within_bound():
-    net = single_link_net()
-    sol = PeriodicSolution(3, (ScheduleEntry(("e",), (0, 3), F(1)),))
-    assert normalize_holding(net, sol) == sol
-
-
-def test_normalize_keeps_entries_that_hold_less_than_a_period():
-    net = single_link_net()
-    kept = ScheduleEntry(("e",), (0, 3), F(1))
-    moved = ScheduleEntry(("e",), (0, 4), F(2))
-    out = normalize_holding(net, PeriodicSolution(3, (kept, moved)))
-    assert out.entries[0] is kept
-    assert out.entries[1].offsets == (0, 1)
-
-
-def test_normalize_two_hop_double_shift():
-    net = network(["s", "m", "r"], [("e1", "s", "m", 1, 1), ("e2", "m", "r", 1, 1)])
-    sol = PeriodicSolution(2, (ScheduleEntry(("e1", "e2"), (0, 1, 6), F(1)),))
-    out = normalize_holding(net, sol)
-    assert out.entries[0].offsets == (0, 1, 2)
-    inst = Instance(net, "s", "r", F(1), F(1, 2), F(1, 2))
-    ok, max_delay, violations = validate_solution(inst, out)
-    assert ok and max_delay == 2
-
-
-@given(
-    delay=st.integers(1, 5),
-    hold1=st.integers(0, 40),
-    hold2=st.integers(0, 40),
-    period=st.integers(1, 8),
-)
-@settings(max_examples=80, deadline=None)
-def test_normalize_idempotent_and_never_worse(delay, hold1, hold2, period):
-    net = network(
-        ["s", "m", "r"],
-        [("e1", "s", "m", delay, 10), ("e2", "m", "r", delay, 10)],
-    )
-    u1 = hold1 + delay
-    u2 = u1 + hold2 + delay
-    sol = PeriodicSolution(period, (ScheduleEntry(("e1", "e2"), (0, u1, u2), F(2)),))
-    once = normalize_holding(net, sol)
-    assert normalize_holding(net, once) == once
-    assert once.max_delay <= sol.max_delay
-    for entry in once.entries:
-        offs = entry.offsets
-        assert offs[1] - delay - offs[0] <= period - 1
-        assert offs[2] - delay - offs[1] <= period - 1
-    # push residues are preserved, so feasibility carries over
-    assert {k: v for k, v in residue_loads(net, once).items()} == {
-        k: v for k, v in residue_loads(net, sol).items()
-    }
 
 
 # --- validate_solution -------------------------------------------------------

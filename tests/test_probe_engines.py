@@ -27,7 +27,6 @@ from aoiflow import (
     build_expanded,
     build_flow_lp,
     feasible_periods,
-    normalize_holding,
     solve_lp,
     solve_optimal,
     validate_solution,
@@ -440,9 +439,8 @@ def test_primal_snap_settles_the_stall_it_exists_for(monkeypatch):
     assert violated_row(flow_lp.program, values) is None
     assert flow_value(flow_lp, values) >= inst.batch
 
-    engine, raw = settle(inst, period, bound)
+    engine, solution = settle(inst, period, bound)
     assert engine == "primal-snap"
-    solution = normalize_holding(inst.network, raw)
     ok, max_delay, violations = validate_solution(inst, solution)
     assert ok, violations
     assert max_delay == bound
