@@ -89,10 +89,6 @@ def reference_collapse(exp, path, amount):
     return ScheduleEntry(tuple(h for h, _ in hops), offsets, amount)
 
 
-def holds(net, entry):
-    return tuple(p - u for p, u in zip(entry.push_offsets(net), entry.offsets))
-
-
 def assert_same_up_to_holds(net, got, raw):
     # the same links and amount, the same push residues and every hold
     # below the period fix an entry's offsets uniquely, so this is exactly
@@ -101,9 +97,9 @@ def assert_same_up_to_holds(net, got, raw):
     assert period == raw.period and len(got.entries) == len(raw.entries)
     for a, b in zip(got.entries, raw.entries):
         assert (a.links, a.amount) == (b.links, b.amount)
-        residues = [[p % period for p in e.push_offsets(net)] for e in (a, b)]
-        assert residues[0] == residues[1]
-        assert all(0 <= hold < period for hold in holds(net, a))
+        pushes = a.push_offsets(net)
+        assert [p % period for p in pushes] == [p % period for p in b.push_offsets(net)]
+        assert all(0 <= p - u < period for p, u in zip(pushes, a.offsets))
 
 
 def random_walk(exp, rng):
