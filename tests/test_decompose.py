@@ -196,6 +196,14 @@ def test_decompose_shortens_a_long_sender_hold():
 
 
 def test_decompose_keeps_a_hold_below_the_period():
+    # held 2 slots at period 3: no earlier slot of its residue class exists
+    inst = single_link_instance(3)
+    exp = build_expanded(inst, 5, 3)
+    sol = decompose(exp, held_walk(exp, [("e", 2)], F(1)), inst, 3)
+    assert sol.entries == (ScheduleEntry(("e",), (0, 3), F(1)),)
+
+
+def test_decompose_keeps_a_held_entry_beside_a_shortened_one():
     # one entry held 2 slots keeps its offsets, while the other, held 3,
     # comes down a whole period
     inst = single_link_instance(3)
