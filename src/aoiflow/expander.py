@@ -25,8 +25,10 @@ inputs always yield identical link orderings.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .maxflow import shortest_delay
 from .model import Instance, Link, Network, Rational
@@ -84,20 +86,23 @@ def horizon_upper_bound(inst: Instance) -> int:
     return len(inst.network.nodes) * (d_max + inst.max_period)
 
 
-def route_distances(inst: Instance) -> tuple[dict[str, int], dict[str, int]]:
+@lru_cache(maxsize=256)
+def route_distances(inst: Instance) -> tuple[Mapping[str, int], Mapping[str, int]]:
     """Each node's shortest delay from the sender and to the receiver.
 
     Nodes off every sender -> receiver walk are absent from one of the two.
+    Cached per instance, since every probe's period cut and expansion read
+    them; the mappings are read-only.
     """
     net = inst.network
     return (
-        shortest_delay(net, inst.sender),
-        shortest_delay(net, inst.receiver, reverse=True),
+        MappingProxyType(shortest_delay(net, inst.sender)),
+        MappingProxyType(shortest_delay(net, inst.receiver, reverse=True)),
     )
 
 
 def push_slots(
-    link: Link, bound: int, dist_s: dict[str, int], dist_r: dict[str, int]
+    link: Link, bound: int, dist_s: Mapping[str, int], dist_r: Mapping[str, int]
 ) -> range:
     """Push slots of the link's transit copies on a route of ``bound``.
 

@@ -15,7 +15,10 @@ arithmetic:
 * the period cut (`period_cut`): a static max flow on the physical network
   whose links carry their bandwidth once per push residue among their
   copies bounds the program's value from above ("no" answers, with no
-  expansion built at all),
+  expansion built at all).  Capacities only grow with the bound, so a
+  period's scan carries the cut in a `PeriodCut`: each bound's max flow
+  starts from the last bound's, a feasible flow within the new capacities,
+  and only a lower bound starts again from zero,
 * then, on the bound's expansion, an augmenting-path pusher on the
   group-capacitated residual graph (`group_augment`: fast "yes" answers
   with an exact witness flow),
@@ -112,15 +115,43 @@ def period_cut(inst: Instance, period: int, bound: int) -> Rational:
     route uses a transit copy of some link leaving S, while holding links
     never leave S, since they stay at one node.  So the program's value is
     at most the capacity of the links leaving S, and by max-flow/min-cut
-    the least such total over all S is the static max flow.
+    the least such total over all S is the static max flow.  This one
+    starts its max flow from zero; a period's scan asks a `PeriodCut`.
     """
-    dist_s, dist_r = route_distances(inst)
-    capacity: dict[str, Rational] = {}
-    for link in inst.network.links:
-        copies = len(push_slots(link, bound, dist_s, dist_r))
-        if copies > 0:
-            capacity[link.id] = link.bandwidth * min(period, copies)
-    return max_flow(inst.network, inst.sender, inst.receiver, capacity)[1]
+    return PeriodCut(inst, period).at(bound)
+
+
+class PeriodCut:
+    """`period_cut` at one period, asked bound after bound.
+
+    A link's copy count c never falls as the bound rises, and neither does
+    its capacity bandwidth * min(period, c), so a max flow at one bound is a
+    feasible flow at any bound no lower.  Each max flow therefore continues
+    from the last one's flow, and starts from zero only at a bound lower
+    than the last.  A max flow's value is unique, so every value is
+    `period_cut`'s.
+    """
+
+    def __init__(self, inst: Instance, period: int):
+        self.inst = inst
+        self.period = period
+        self.bound = -1  # the last bound asked
+        self.flow: dict[str, Rational] | None = None  # its max flow
+
+    def at(self, bound: int) -> Rational:
+        inst = self.inst
+        dist_s, dist_r = route_distances(inst)
+        capacity: dict[str, Rational] = {}
+        for link in inst.network.links:
+            copies = len(push_slots(link, bound, dist_s, dist_r))
+            if copies > 0:
+                capacity[link.id] = link.bandwidth * min(self.period, copies)
+        start = self.flow if bound >= self.bound else None
+        self.flow, value = max_flow(
+            inst.network, inst.sender, inst.receiver, capacity, start
+        )
+        self.bound = bound
+        return value
 
 
 # ---------------------------------------------------------------------------

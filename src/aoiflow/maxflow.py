@@ -26,20 +26,34 @@ def max_flow(
     source: str,
     sink: str,
     capacity: Mapping[str, Rational] | None = None,
+    start: Mapping[str, Rational] | None = None,
 ) -> tuple[dict[str, Rational], Rational]:
     """Edmonds-Karp with exact capacities; returns per-link flow and value.
 
     ``capacity`` maps link ids to capacities, and a link missing from it
-    carries nothing; without it every link carries its bandwidth.
+    carries nothing; without it every link carries its bandwidth.  The
+    search augments from ``start`` when one is given: a feasible flow within
+    those capacities, by link id, conserving at every node but the source
+    and the sink, such as a max flow under capacities no larger.  A max
+    flow's value is unique, so the start changes which max flow is
+    returned, never its value.  ``start`` itself is not changed, and a
+    start outside the capacities raises ValueError.
     """
     if source == sink:
         return {}, 0
     if capacity is None:
         capacity = {link.id: link.bandwidth for link in net.links}
     flow: dict[str, Rational] = {link.id: 0 for link in net.links}
+    if start is not None:
+        for link_id, amount in start.items():
+            if not 0 <= amount <= capacity.get(link_id, 0):
+                raise ValueError(f"start flow {amount} on {link_id!r} outside its capacity")
+        flow.update(start)
     outgoing, incoming = net.out_links, net.in_links
 
-    value = 0
+    value = sum(flow[link.id] for link in outgoing[source]) - sum(
+        flow[link.id] for link in incoming[source]
+    )
     while True:
         # BFS in the residual graph
         parent: dict[str, tuple[Link, bool]] = {}

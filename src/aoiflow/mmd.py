@@ -33,7 +33,10 @@ bound with the first of these engines that can, and the result names it in
 * ``period-cut`` (`flowlp.period_cut`): a static max flow on the physical
   network, each link carrying its bandwidth once per push residue among
   its copies on a route of M.  When that falls short of the batch, the
-  bound is infeasible, again with no expansion;
+  bound is infeasible, again with no expansion.  Those capacities never
+  fall as M rises, so the period's scan keeps one `flowlp.PeriodCut`, and
+  each bound's max flow continues from the last bound's, a feasible flow
+  within the new capacities;
 * otherwise the bound's pruned expansion is built and the exact rungs of
   `flowlp` run on it in order: the augmenting pusher (``augment``), its
   residual cut (``residual-cut``), the float solve's snapped dual
@@ -149,19 +152,25 @@ def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolu
     return lift_path_flow(net, best.paths, period, bound, inst.batch)
 
 
-def settle(inst: Instance, period: int, bound: int) -> tuple[str, PeriodicSolution | None]:
+def settle(
+    inst: Instance, period: int, bound: int, cut: flowlp.PeriodCut | None = None
+) -> tuple[str, PeriodicSolution | None]:
     """The engine that settles ``bound`` at ``period``, and its schedule.
 
     The engines run in the module docstring's order, and the first to
     certify either answer names it, with the schedule, None when the bound
-    is infeasible.  `flowlp`'s rungs are looked up on that module, so a test
-    switches one off there.
+    is infeasible.  ``cut`` is the period's scan's `flowlp.PeriodCut`,
+    which carries its max flow from bound to bound; a fresh one when None.
+    `flowlp`'s rungs are looked up on that module, so a test switches one
+    off there.
     """
     batch = inst.batch
     solution = temporally_repeated(inst, period, bound)
     if solution is not None:
         return "temporally-repeated", solution
-    if flowlp.period_cut(inst, period, bound) < batch:
+    if cut is None:
+        cut = flowlp.PeriodCut(inst, period)
+    if cut.at(bound) < batch:
         return "period-cut", None
 
     exp = build_expanded(inst, bound, period)
@@ -324,10 +333,11 @@ def _min_max_delay_cached(
     probes: list[tuple[int, bool]] = []
     engines: list[str] = []
     bottom = quickest_bound(net, inst.sender, inst.receiver, inst.batch)
+    cut = flowlp.PeriodCut(inst, period)
     # the temporally repeated flow settles T - 1 + d* at the latest, so the
     # scan ends there (module docstring)
     for bound in range(bottom, horizon + 1):
-        engine, solution = settle(inst, period, bound)
+        engine, solution = settle(inst, period, bound, cut)
         probes.append((bound, solution is not None))
         engines.append(engine)
         if solution is not None:

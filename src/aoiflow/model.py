@@ -84,6 +84,22 @@ class Network:
         object.__setattr__(self, "links", tuple(self.links))
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.nodes, self.links))
+
+    def __hash__(self) -> int:
+        """The dataclass's field hash, computed once: every lru cache keyed
+        by a network or an instance hashes it on each call."""
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # a str hashes differently in another process, so a pickle leaves
+        # the cached hash behind
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    @cached_property
     def link_index(self) -> dict[str, Link]:
         """Link id -> link, built on first use; callers only read it."""
         return {link.id: link for link in self.links}
@@ -176,7 +192,7 @@ class ScheduleEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
-        object.__setattr__(self, "offsets", tuple(int(u) for u in self.offsets))
+        object.__setattr__(self, "offsets", tuple(map(int, self.offsets)))
         object.__setattr__(self, "amount", exact(self.amount))
         if len(self.offsets) != len(self.links) + 1:
             raise ModelError("offsets must have one entry per hop plus the origin")
@@ -336,6 +352,25 @@ def residue_loads(
     return loads
 
 
+# an entry's path violations as (code, detail) pairs, and its hop delays
+_PathShape = tuple[tuple[tuple[str, str], ...], tuple[int, ...]]
+
+
+def _path_shape(inst: Instance, entry: ScheduleEntry) -> _PathShape:
+    """What an entry's links alone decide about it; raises ModelError on bad
+    structure."""
+    nodes = entry.path_nodes(inst.network)
+    problems = []
+    if nodes[0] != inst.sender:
+        problems.append(("path-start", f"starts at {nodes[0]}"))
+    if nodes[-1] != inst.receiver:
+        problems.append(("path-end", f"ends at {nodes[-1]}"))
+    if len(set(nodes)) != len(nodes):
+        problems.append(("path-not-simple", ""))
+    index = inst.network.link_index
+    return tuple(problems), tuple(index[link_id].delay for link_id in entry.links)
+
+
 def validate_solution(
     inst: Instance, sol: PeriodicSolution
 ) -> tuple[bool, int, list[Violation]]:
@@ -344,7 +379,9 @@ def validate_solution(
     Verifies the batch total, the period window, per-hop offset monotonicity,
     path shape (sender-to-receiver, simple), and the residue-class bandwidth
     constraints.  Returns (ok, max_delay, violations); max_delay is the
-    largest delivery offset among positive entries.
+    largest delivery offset among positive entries.  A path several entries
+    share is checked once; each of those entries still reports its
+    violations, in entry order.
 
     Raises ModelError for structurally malformed entries (unknown links,
     non-contiguous hops).
@@ -353,20 +390,19 @@ def validate_solution(
     net = inst.network
     index = net.link_index
 
+    shapes: dict[tuple[str, ...], _PathShape] = {}
     for pos, entry in enumerate(sol.entries):
         label = f"entry[{pos}]"
-        nodes = entry.path_nodes(net)  # raises ModelError on bad structure
-        if nodes[0] != inst.sender:
-            violations.append(Violation("path-start", label, f"starts at {nodes[0]}"))
-        if nodes[-1] != inst.receiver:
-            violations.append(Violation("path-end", label, f"ends at {nodes[-1]}"))
-        if len(set(nodes)) != len(nodes):
-            violations.append(Violation("path-not-simple", label))
+        shape = shapes.get(entry.links)
+        if shape is None:
+            shape = shapes[entry.links] = _path_shape(inst, entry)
+        problems, delays = shape
+        violations += (Violation(code, label, detail) for code, detail in problems)
         if entry.amount <= 0:
             violations.append(Violation("nonpositive-amount", label))
-        for i, link_id in enumerate(entry.links, start=1):
-            delay = index[link_id].delay
-            if entry.offsets[i] < entry.offsets[i - 1] + delay:
+        offsets = entry.offsets
+        for i, delay in enumerate(delays, start=1):
+            if offsets[i] < offsets[i - 1] + delay:
                 violations.append(
                     Violation(
                         "offset-order",
@@ -385,16 +421,14 @@ def validate_solution(
             Violation("period-window", "solution", f"T={sol.period} outside window")
         )
 
-    for (link_id, residue), load in sorted(residue_loads(net, sol).items()):
+    loads = residue_loads(net, sol)
+    over = sorted(key for key, load in loads.items() if load > index[key[0]].bandwidth)
+    for key in over:
+        link_id, residue = key
         cap = index[link_id].bandwidth
-        if load > cap:
-            violations.append(
-                Violation(
-                    "bandwidth",
-                    link_id,
-                    f"residue {residue} carries {load} > {cap}",
-                )
-            )
+        violations.append(
+            Violation("bandwidth", link_id, f"residue {residue} carries {loads[key]} > {cap}")
+        )
 
     return (not violations, sol.max_delay, violations)
 

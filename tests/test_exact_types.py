@@ -23,7 +23,13 @@ from aoiflow.experiments import (
     scaled_instance,
 )
 from aoiflow.fileio import save_instance
-from aoiflow.flowlp import build_flow_lp, extract_edge_flow, group_augment, period_cut
+from aoiflow.flowlp import (
+    PeriodCut,
+    build_flow_lp,
+    extract_edge_flow,
+    group_augment,
+    period_cut,
+)
 from aoiflow.lp import solve_lp
 from aoiflow.maxflow import min_cost_prefixes, quickest_bound
 from aoiflow.mmd import min_max_delay, min_max_delay_oracle
@@ -361,3 +367,20 @@ def test_period_cut_counts_the_expansions_groups(kind, seed, scale, n_periods):
         for bound in range(bottom, bottom + 4):
             want = expansion_cut(inst, period, bound)
             assert period_cut(inst, period, bound) == want, (period, bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWN, later=st.lists(st.integers(0, 6), max_size=4))
+def test_carried_period_cut_matches_the_expansion_cut(
+    kind, seed, scale, n_periods, later
+):
+    """One `PeriodCut` per period, asked bounds ascending, then one again,
+    then lower ones, then drawn ones: each max flow continues the last
+    bound's, or starts again below it, and reads the expansion's cut."""
+    inst = drawn_instance(kind, seed, scale, n_periods)
+    bottom = quickest_bound(inst.network, inst.sender, inst.receiver, inst.batch)
+    for period in feasible_periods(inst):
+        cut = PeriodCut(inst, period)
+        for step in (0, 1, 3, 3, 2, 0, *later):
+            bound = bottom + step
+            assert cut.at(bound) == expansion_cut(inst, period, bound), (period, bound)

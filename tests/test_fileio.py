@@ -17,6 +17,7 @@ from aoiflow.fileio import (
     solution_from_text,
     solution_to_text,
 )
+from aoiflow.maxflow import min_cost_prefixes
 from conftest import make_fastslow_instance, make_triple_instance
 
 
@@ -55,6 +56,18 @@ def test_instance_roundtrip(tmp_path):
     path = tmp_path / "inst.json"
     save_instance(inst, str(path))
     assert load_instance(str(path)) == inst
+
+
+def test_an_instance_loaded_twice_hits_the_prefix_cache(tmp_path):
+    # two loads build two equal networks, which key one cache entry
+    path = tmp_path / "inst.json"
+    save_instance(make_fastslow_instance(), str(path))
+    first, second = load_instance(str(path)), load_instance(str(path))
+    assert first.network is not second.network
+    min_cost_prefixes.cache_clear()
+    for inst in (first, second):
+        min_cost_prefixes(inst.network, inst.sender, inst.receiver)
+    assert min_cost_prefixes.cache_info().hits == 1
 
 
 def test_solution_roundtrip(tmp_path):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from aoiflow import (
     ModelError,
     PeriodicSolution,
     ScheduleEntry,
+    Violation,
     aoi_from_max_delay,
     feasible_periods,
     network,
@@ -145,6 +150,98 @@ def test_validate_flags_overloaded_residue():
     ok, _, violations = validate_solution(inst, PeriodicSolution(5, entries))
     assert not ok
     assert "bandwidth" in codes(violations)
+
+
+def test_validate_reports_a_shared_bad_path_at_every_entry():
+    # entries 0, 2 and 4 share one path, which starts at a and visits a
+    # twice; its check runs once, yet each entry reports it, and entry 4's
+    # own offsets still break the hop order.  Entry 3's loop shares its
+    # first link with entry 1's good path.
+    net = network(
+        ["s", "a", "r"],
+        [("sa", "s", "a", 1, 5), ("as", "a", "s", 1, 5), ("ar", "a", "r", 1, 5),
+         ("sr", "s", "r", 1, 5)],
+    )
+    inst = Instance(net, "s", "r", F(5), F(5, 2), F(5))
+    bad = ("as", "sa", "ar")
+    entries = (
+        ScheduleEntry(bad, (0, 1, 2, 3), F(1)),
+        ScheduleEntry(("sa", "ar"), (0, 1, 2), F(1)),
+        ScheduleEntry(bad, (0, 2, 3, 4), F(1)),
+        ScheduleEntry(("sa", "as", "sr"), (0, 1, 2, 3), F(1)),
+        ScheduleEntry(bad, (0, 1, 1, 3), F(1)),
+    )
+    ok, _, violations = validate_solution(inst, PeriodicSolution(2, entries))
+    assert not ok
+
+    def bad_path(pos):
+        return [
+            Violation("path-start", f"entry[{pos}]", "starts at a"),
+            Violation("path-not-simple", f"entry[{pos}]"),
+        ]
+
+    assert violations == [
+        *bad_path(0),
+        *bad_path(2),
+        Violation("path-not-simple", "entry[3]"),
+        *bad_path(4),
+        Violation("offset-order", "entry[4]", "hop 2 arrives before it can be pushed"),
+    ]
+
+
+def test_validate_sorts_overloaded_residues_by_link_and_residue():
+    # loads meet (e3, 2), then (e1, 3), (e2, 1) and (e1, 0); the three over
+    # a bandwidth of 1 come out sorted
+    inst = make_triple_instance()
+    entries = (
+        ScheduleEntry(("e3",), (0, 9), F(3, 2)),
+        ScheduleEntry(("e1",), (0, 4), F(3, 2)),
+        ScheduleEntry(("e2",), (0, 7), F(1, 2)),
+        ScheduleEntry(("e1",), (0, 1), F(1)),
+        ScheduleEntry(("e1",), (0, 6), F(1, 2)),
+    )
+    ok, _, violations = validate_solution(inst, PeriodicSolution(5, entries))
+    assert not ok
+    assert violations == [
+        Violation("bandwidth", "e1", "residue 0 carries 3/2 > 1"),
+        Violation("bandwidth", "e1", "residue 3 carries 3/2 > 1"),
+        Violation("bandwidth", "e3", "residue 2 carries 3/2 > 1"),
+    ]
+
+
+def test_network_hash_is_the_field_hash():
+    net = make_fastslow_network()
+    assert hash(net) == hash((net.nodes, net.links))
+    assert hash(net) == hash(make_fastslow_network())
+
+
+def test_unpickled_network_hashes_like_its_fields():
+    # string hashes differ between processes: a network hashed and pickled
+    # under one hash seed must hash by its fields under another
+    dump = (
+        "import pickle, sys; from conftest import make_fastslow_network; "
+        "net = make_fastslow_network(); hash(net); "
+        "sys.stdout.buffer.write(pickle.dumps(net))"
+    )
+    load = (
+        "import pickle, sys; net = pickle.loads(sys.stdin.buffer.read()); "
+        "print(hash(net) == hash((net.nodes, net.links)))"
+    )
+    path = os.pathsep.join([str(Path(__file__).parent), *sys.path])
+    data = subprocess.run(
+        [sys.executable, "-c", dump],
+        env={**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": path},
+        capture_output=True,
+        check=True,
+    ).stdout
+    out = subprocess.run(
+        [sys.executable, "-c", load],
+        input=data,
+        env={**os.environ, "PYTHONHASHSEED": "2", "PYTHONPATH": path},
+        capture_output=True,
+        check=True,
+    ).stdout
+    assert out == b"True\n"
 
 
 def test_validate_rejects_unknown_link_structurally():

@@ -4,8 +4,9 @@ Each certificate ahead of the simplex (the truncated temporally repeated
 flow, which settles most "yes" probes without an expansion, the period cut
 of the physical network, the stalled pusher's residual cut and the float
 solve with an exact dual certificate) is switched off by patching one
-module-level name, one at a time and all together, and the answers and
-probe trails are held equal to the normal stack's on a corpus slice.  So is
+module-level name (for the period cut, `flowlp.PeriodCut.at`), one at a
+time and all together, and the answers and probe trails are held equal to
+the normal stack's on a corpus slice.  So is
 where the scan starts, the quickest bound in `mmd`: lowered to the shortest
 delay, it changes the probe trails but not the delays or the schedules.
 With the pusher off as well, every probe falls to the exact simplex.  The
@@ -52,7 +53,7 @@ from aoiflow.flowlp import (
     snap_primal,
 )
 from aoiflow.lp import violated_row
-from aoiflow.maxflow import min_cost_prefixes, quickest_bound, shortest_delay
+from aoiflow.maxflow import max_flow, min_cost_prefixes, quickest_bound, shortest_delay
 from aoiflow.mmd import _min_max_delay_cached, min_max_delay, repeated_value, settle
 from conftest import corpus_instance, expansion_cut
 
@@ -69,7 +70,7 @@ SWITCHES = {
     "residual-cut": (flowlp_module, "residual_cut", lambda *args: float("inf")),
     "dual-certificate": (flowlp_module, "_scipy_solve", lambda flow_lp: None),
     "temporally-repeated": (mmd_module, "temporally_repeated", lambda *args: None),
-    "period-cut": (flowlp_module, "period_cut", lambda *args: float("inf")),
+    "period-cut": (flowlp_module.PeriodCut, "at", lambda self, bound: float("inf")),
 }
 
 
@@ -226,15 +227,15 @@ def test_grid_seed7_builds_no_expansion(monkeypatch, fresh_cache):
 def test_period_cut_matches_the_expansion_cut(monkeypatch, fresh_cache):
     # every bound the scan asks the cut about, that is every bound that
     # neither the quickest bound nor the temporally repeated flow settles
-    cut = flowlp_module.period_cut
+    at = flowlp_module.PeriodCut.at
     asked = []
 
-    def recording_cut(inst, period, bound):
-        value = cut(inst, period, bound)
-        asked.append((inst, period, bound, value))
+    def recording_at(cut, bound):
+        value = at(cut, bound)
+        asked.append((cut.inst, cut.period, bound, value))
         return value
 
-    monkeypatch.setattr(flowlp_module, "period_cut", recording_cut)
+    monkeypatch.setattr(flowlp_module.PeriodCut, "at", recording_at)
     instances = [corpus_instance(seed) for seed in range(200)]
     instances += [complete6(seed) for seed in range(30)]
     instances.append(
@@ -248,6 +249,23 @@ def test_period_cut_matches_the_expansion_cut(monkeypatch, fresh_cache):
         assert value == expansion_cut(inst, period, bound), (inst, period, bound)
         refuted += value < inst.batch
     assert 0 < refuted < len(asked)
+
+
+def test_grid_seed7_cut_carries_its_max_flow(monkeypatch, fresh_cache):
+    # at T = 10 the cut refutes bounds 26, 27 and 28; only the first max
+    # flow starts from zero, the others continue the bound before's
+    starts = []
+
+    def recording_max_flow(net, source, sink, capacity=None, start=None):
+        starts.append(start)
+        return max_flow(net, source, sink, capacity, start)
+
+    monkeypatch.setattr(flowlp_module, "max_flow", recording_max_flow)
+    inst = scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
+    result = min_max_delay(inst, 10)
+    assert result.probes == ((26, False), (27, False), (28, False), (29, True))
+    assert result.engines == ("period-cut",) * 3 + ("temporally-repeated",)
+    assert [start is None for start in starts] == [True, False, False]
 
 
 def test_simplex_only_stack_matches(monkeypatch, fresh_cache):
