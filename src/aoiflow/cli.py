@@ -25,7 +25,7 @@ OBJECTIVES = {
     "mmd": Objective.MAX_DELAY,
 }
 
-KINDS = ("complete", "grid", "erdos-renyi", "watts-strogatz", "copying")
+KINDS = tuple(experiments.TOPOLOGIES)
 
 
 def _fr(value) -> str:
@@ -41,23 +41,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _spec_for(kind: str, params: list[str], seed: int) -> experiments.TopologySpec:
+    types, _ = experiments.TOPOLOGIES[kind]
     try:
-        if kind == "complete":
-            (n,) = params
-            return experiments.complete_graph(int(n), seed)
-        if kind == "grid":
-            rows, cols = params
-            return experiments.grid_graph(int(rows), int(cols), seed)
-        if kind == "erdos-renyi":
-            n, m = params
-            return experiments.erdos_renyi(int(n), int(m), seed)
-        if kind == "watts-strogatz":
-            n, k, p = params
-            return experiments.watts_strogatz(int(n), int(k), float(p), seed)
-        n, p = params
-        return experiments.copying_model(int(n), float(p), seed)
-    except (ValueError, TypeError) as exc:
+        values = tuple(parse(v) for parse, v in zip(types, params, strict=True))
+    except ValueError as exc:
         raise ModelError(f"bad parameters for {kind}: {params}") from exc
+    return experiments.TopologySpec(kind, values, seed)
 
 
 def _emit(args, text: str) -> None:

@@ -16,8 +16,10 @@ The expansion owns the facts every probe engine reads: its source (sender,
 the capacity groups.  Transit copies of a link whose push slots agree mod
 the period share that link's bandwidth; those residue classes are the
 capacity groups, numbered by `build_expanded` as it emits the copies
-(`ExpandedLink.group`, `ExpandedNetwork.bandwidths`).  The validator
-(`model.residue_loads`) keeps its own copy of the rule to stay independent.
+(`ExpandedLink.group`, `ExpandedNetwork.bandwidths`); the expansion keeps
+that period (`ExpandedNetwork.period`), which `mmd.decompose` reads.  The
+validator (`model.residue_loads`) keeps its own copy of the rule to stay
+independent.
 
 Node ids are dense ints, ``node_index * (bound + 1) + layer``, so identical
 inputs always yield identical link orderings.
@@ -46,6 +48,7 @@ class ExpandedLink:
 class ExpandedNetwork:
     net: Network
     bound: int
+    period: int  # the period whose push residues number the capacity groups
     links: tuple[ExpandedLink, ...]
     source: int  # (sender, 0)
     sink: int  # (receiver, bound)
@@ -66,9 +69,6 @@ class ExpandedNetwork:
         for idx, el in enumerate(self.links):
             adj.setdefault(getattr(el, end), []).append(idx)
         return adj
-
-    def node_id(self, node: str, layer: int) -> int:
-        return self.net.nodes.index(node) * (self.bound + 1) + layer
 
     def node_of(self, dense: int) -> tuple[str, int]:
         idx, layer = divmod(dense, self.bound + 1)
@@ -156,6 +156,7 @@ def build_expanded(inst: Instance, bound: int, period: int) -> ExpandedNetwork:
     return ExpandedNetwork(
         net=net,
         bound=bound,
+        period=period,
         links=tuple(links),
         source=node_pos[inst.sender] * width,
         sink=node_pos[inst.receiver] * width + bound,

@@ -44,7 +44,7 @@ DEFAULT_BANDWIDTHS = (
 
 @dataclass(frozen=True)
 class TopologySpec:
-    kind: str  # complete | grid | erdos-renyi | watts-strogatz | copying
+    kind: str  # a key of TOPOLOGIES
     params: tuple
     seed: int
 
@@ -74,97 +74,113 @@ def _check_probability(kind: str, p: float) -> None:
         raise ModelError(f"{kind} probability p must lie in [0, 1], got {p}")
 
 
-def _undirected_edges(spec: TopologySpec, rng: random.Random) -> tuple[list[str], list[tuple[str, str]]]:
-    kind, params = spec.kind, spec.params
-    if kind == "complete":
-        (n,) = params
-        if n < 2:
-            raise ModelError("complete graph needs at least 2 nodes")
-        nodes = [f"a{i}" for i in range(1, n + 1)]
-        edges = [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)]
-        return nodes, edges
-    if kind == "grid":
-        rows, cols = params
-        if rows < 2 or cols < 2:
-            raise ModelError("grid needs at least 2x2")
-        nodes = [f"a{r}_{c}" for r in range(1, rows + 1) for c in range(1, cols + 1)]
-        edges = []
-        for r in range(1, rows + 1):
-            for c in range(1, cols + 1):
-                if c < cols:
-                    edges.append((f"a{r}_{c}", f"a{r}_{c + 1}"))
-                if r < rows:
-                    edges.append((f"a{r}_{c}", f"a{r + 1}_{c}"))
-        return nodes, edges
-    if kind == "erdos-renyi":
-        n, m = params
-        if n < 2:
-            raise ModelError(f"erdos-renyi node count n must be at least 2, got {n}")
-        nodes = [f"a{i}" for i in range(1, n + 1)]
-        pairs = [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)]
-        if m < 0:
-            raise ModelError(f"erdos-renyi edge count m must be at least 0, got {m}")
-        if m > len(pairs):
-            raise ModelError("more edges requested than node pairs")
-        return nodes, sorted(rng.sample(pairs, m))
-    if kind == "watts-strogatz":
-        n, k, p = params
-        _check_probability(kind, p)
-        if k < 1:
-            raise ModelError(f"watts-strogatz ring degree k must be at least 1, got {k}")
-        half = (k + 1) // 2  # odd ring degrees round up to the next even one
-        if n < 2 * half + 1:
-            raise ModelError("ring too small for the requested degree")
-        nodes = [f"a{i}" for i in range(1, n + 1)]
-        edges = set()
-        ring = []
-        for i in range(n):
-            for j in range(1, half + 1):
-                a, b = i, (i + j) % n
-                ring.append((min(a, b), max(a, b)))
-        for a, b in ring:
-            pair = (a, b)
+_Edges = tuple[list[str], list[tuple[str, str]]]
+
+
+def _complete(rng: random.Random, n: int) -> _Edges:
+    if n < 2:
+        raise ModelError("complete graph needs at least 2 nodes")
+    nodes = [f"a{i}" for i in range(1, n + 1)]
+    edges = [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)]
+    return nodes, edges
+
+
+def _grid(rng: random.Random, rows: int, cols: int) -> _Edges:
+    if rows < 2 or cols < 2:
+        raise ModelError("grid needs at least 2x2")
+    nodes = [f"a{r}_{c}" for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    edges = []
+    for r in range(1, rows + 1):
+        for c in range(1, cols + 1):
+            if c < cols:
+                edges.append((f"a{r}_{c}", f"a{r}_{c + 1}"))
+            if r < rows:
+                edges.append((f"a{r}_{c}", f"a{r + 1}_{c}"))
+    return nodes, edges
+
+
+def _erdos_renyi(rng: random.Random, n: int, m: int) -> _Edges:
+    if n < 2:
+        raise ModelError(f"erdos-renyi node count n must be at least 2, got {n}")
+    nodes = [f"a{i}" for i in range(1, n + 1)]
+    pairs = [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)]
+    if m < 0:
+        raise ModelError(f"erdos-renyi edge count m must be at least 0, got {m}")
+    if m > len(pairs):
+        raise ModelError("more edges requested than node pairs")
+    return nodes, sorted(rng.sample(pairs, m))
+
+
+def _watts_strogatz(rng: random.Random, n: int, k: int, p: float) -> _Edges:
+    _check_probability("watts-strogatz", p)
+    if k < 1:
+        raise ModelError(f"watts-strogatz ring degree k must be at least 1, got {k}")
+    half = (k + 1) // 2  # odd ring degrees round up to the next even one
+    if n < 2 * half + 1:
+        raise ModelError("ring too small for the requested degree")
+    nodes = [f"a{i}" for i in range(1, n + 1)]
+    edges = set()
+    ring = []
+    for i in range(n):
+        for j in range(1, half + 1):
+            a, b = i, (i + j) % n
+            ring.append((min(a, b), max(a, b)))
+    for a, b in ring:
+        pair = (a, b)
+        if rng.random() < p:
+            for _ in range(8):  # rewire, keeping the edge on failure
+                c = rng.randrange(n)
+                if c != a and (min(a, c), max(a, c)) not in edges:
+                    pair = (min(a, c), max(a, c))
+                    break
+        if pair not in edges:
+            edges.add(pair)
+    return nodes, sorted((nodes[a], nodes[b]) for a, b in edges)
+
+
+def _copying(rng: random.Random, n: int, p: float) -> _Edges:
+    _check_probability("copying", p)
+    if n < 2:
+        raise ModelError("copying model needs at least 2 nodes")
+    nodes = [f"a{i}" for i in range(1, n + 1)]
+    edges = {(0, 1)}
+    neighbors = {0: {1}, 1: {0}}
+    for v in range(2, n):
+        proto = rng.randrange(v)
+        attached = set()
+        for w in sorted(neighbors[proto]):
+            target = w
             if rng.random() < p:
-                for _ in range(8):  # rewire, keeping the edge on failure
-                    c = rng.randrange(n)
-                    if c != a and (min(a, c), max(a, c)) not in edges:
-                        pair = (min(a, c), max(a, c))
-                        break
-            if pair not in edges:
-                edges.add(pair)
-        return nodes, sorted((nodes[a], nodes[b]) for a, b in edges)
-    if kind == "copying":
-        n, p = params
-        _check_probability(kind, p)
-        if n < 2:
-            raise ModelError("copying model needs at least 2 nodes")
-        nodes = [f"a{i}" for i in range(1, n + 1)]
-        edges = {(0, 1)}
-        neighbors = {0: {1}, 1: {0}}
-        for v in range(2, n):
-            proto = rng.randrange(v)
-            attached = set()
-            for w in sorted(neighbors[proto]):
-                target = w
-                if rng.random() < p:
-                    target = rng.randrange(v)
-                if target != v and target not in attached:
-                    attached.add(target)
-            if not attached:
-                attached.add(proto)
-            neighbors[v] = set()
-            for w in attached:
-                edges.add((min(v, w), max(v, w)))
-                neighbors[v].add(w)
-                neighbors[w].add(v)
-        return nodes, sorted((nodes[a], nodes[b]) for a, b in edges)
-    raise ModelError(f"unknown topology kind {spec.kind!r}")
+                target = rng.randrange(v)
+            if target != v and target not in attached:
+                attached.add(target)
+        if not attached:
+            attached.add(proto)
+        neighbors[v] = set()
+        for w in attached:
+            edges.add((min(v, w), max(v, w)))
+            neighbors[v].add(w)
+            neighbors[w].add(v)
+    return nodes, sorted((nodes[a], nodes[b]) for a, b in edges)
+
+
+# kind -> (the types of a spec's params, in order; its undirected edges,
+# drawn from the seeded PRNG and the params)
+TOPOLOGIES = {
+    "complete": ((int,), _complete),
+    "grid": ((int, int), _grid),
+    "erdos-renyi": ((int, int), _erdos_renyi),
+    "watts-strogatz": ((int, int, float), _watts_strogatz),
+    "copying": ((int, float), _copying),
+}
 
 
 def generate(spec: TopologySpec) -> Network:
     """Deterministic network for the spec (two directed links per edge)."""
+    if spec.kind not in TOPOLOGIES:
+        raise ModelError(f"unknown topology kind {spec.kind!r}")
     rng = random.Random(spec.seed)
-    nodes, edges = _undirected_edges(spec, rng)
+    nodes, edges = TOPOLOGIES[spec.kind][1](rng, *spec.params)
     links = []
     for u, v in sorted(edges):
         for tail, head in ((u, v), (v, u)):

@@ -12,13 +12,13 @@ program, the pusher and the residual cut all read them there.
 `mmd.settle` runs the rungs in order, each answer certified with exact
 arithmetic:
 
-* the period cut (`period_cut`): a static max flow on the physical network
+* the period cut (`PeriodCut`): a static max flow on the physical network
   whose links carry their bandwidth once per push residue among their
   copies bounds the program's value from above ("no" answers, with no
   expansion built at all).  Capacities only grow with the bound, so a
-  period's scan carries the cut in a `PeriodCut`: each bound's max flow
-  starts from the last bound's, a feasible flow within the new capacities,
-  and only a lower bound starts again from zero,
+  period's scan asks one `PeriodCut` bound after bound: each bound's max
+  flow starts from the last bound's, a feasible flow within the new
+  capacities, and only a lower bound starts again from zero,
 * then, on the bound's expansion, an augmenting-path pusher on the
   group-capacitated residual graph (`group_augment`: fast "yes" answers
   with an exact witness flow),
@@ -101,35 +101,27 @@ def extract_edge_flow(sol: LpSolution) -> dict[int, Rational]:
 # engine 1: a cut of the physical network
 
 
-def period_cut(inst: Instance, period: int, bound: int) -> Rational:
-    """Upper bound on the value of the program at ``bound`` and ``period``.
+class PeriodCut:
+    """Upper bounds on the program's value at one period, bound after bound.
 
-    Give each physical link with c > 0 transit copies on some (sender, 0)
-    -> (receiver, bound) route (`push_slots`, the copies `build_expanded`
-    emits) the capacity bandwidth * min(period, c), drop the links without
-    a copy, and take the static max flow from sender to receiver.  No
-    expansion is built.  Sound: c consecutive push slots fall in
-    min(period, c) residues mod the period, the link's capacity groups, so
-    the program moves at most that capacity over the link's copies.  For
+    `at` gives each physical link with c > 0 transit copies on some
+    (sender, 0) -> (receiver, bound) route (`push_slots`, the copies
+    `build_expanded` emits) the capacity bandwidth * min(period, c), drops
+    the links without a copy, and takes the static max flow from sender to
+    receiver.  No expansion is built.  Sound: c consecutive push slots fall
+    in min(period, c) residues mod the period, the link's capacity groups,
+    so the program moves at most that capacity over the link's copies.  For
     any node set S holding the sender and not the receiver, every expanded
     route uses a transit copy of some link leaving S, while holding links
     never leave S, since they stay at one node.  So the program's value is
     at most the capacity of the links leaving S, and by max-flow/min-cut
-    the least such total over all S is the static max flow.  This one
-    starts its max flow from zero; a period's scan asks a `PeriodCut`.
-    """
-    return PeriodCut(inst, period).at(bound)
-
-
-class PeriodCut:
-    """`period_cut` at one period, asked bound after bound.
+    the least such total over all S is the static max flow.
 
     A link's copy count c never falls as the bound rises, and neither does
-    its capacity bandwidth * min(period, c), so a max flow at one bound is a
-    feasible flow at any bound no lower.  Each max flow therefore continues
-    from the last one's flow, and starts from zero only at a bound lower
-    than the last.  A max flow's value is unique, so every value is
-    `period_cut`'s.
+    its capacity, so a max flow at one bound is a feasible flow at any bound
+    no lower.  Each max flow therefore continues from the last one's flow,
+    and starts from zero only at a bound lower than the last.  A max flow's
+    value is unique, so the order the bounds come in changes no value.
     """
 
     def __init__(self, inst: Instance, period: int):
@@ -287,15 +279,14 @@ def _snaps(values, clamped):
         yield [max(0, v) if c else v for v, c in zip(snapped, clamped)]
 
 
-def _scipy_solve(flow_lp: FlowLp):
-    """HiGHS's value, primal and duals (in ``program.rows`` order), or None."""
+def _scipy_solve(lp: LinearProgram):
+    """HiGHS's value, primal and duals (in ``lp.rows`` order), or None."""
     try:
         import numpy as np
         from scipy.optimize import linprog
         from scipy.sparse import csr_matrix
-    except ImportError:  # pragma: no cover - scipy is a declared dependency
+    except ImportError:  # the simplex answers without it
         return None
-    lp = flow_lp.program
 
     def arrays(sense):
         rows = [(coeffs, rhs) for coeffs, rhs, s in lp.rows if s == sense]
@@ -323,13 +314,12 @@ def _scipy_solve(flow_lp: FlowLp):
     return {"value": -res.fun, "x": list(res.x), "duals": duals}
 
 
-def certify_value_below(flow_lp: FlowLp, target: Rational, float_result) -> bool:
+def certify_value_below(lp: LinearProgram, target: Rational, float_result) -> bool:
     """Try to prove optimum < target from snapped float duals, exactly.
 
     For max c.x with A_eq x = b_eq, A_ub x <= b_ub, x >= 0: any y (free),
     z >= 0 with A_eq'y + A_ub'z >= c bounds the optimum by y.b_eq + z.b_ub.
     """
-    lp = flow_lp.program
     clamped = [sense == LE for _, _, sense in lp.rows]
     for duals in _snaps(float_result["duals"], clamped):
         lhs = [0] * lp.n_vars
@@ -345,14 +335,13 @@ def certify_value_below(flow_lp: FlowLp, target: Rational, float_result) -> bool
 
 
 def snap_primal(
-    flow_lp: FlowLp, target: Rational, float_result
+    lp: LinearProgram, target: Rational, float_result
 ) -> dict[int, Rational] | None:
     """A flow worth at least target from the snapped float primal, or None.
 
     Negative entries clamp to zero; the first denominator whose snap passes
     every row of the program exactly and reaches target wins.
     """
-    lp = flow_lp.program
     for x in _snaps(float_result["x"], [True] * lp.n_vars):
         value = sum(x[j] * c for j, c in enumerate(lp.objective) if c)
         if value >= target and violated_row(lp, x) is None:

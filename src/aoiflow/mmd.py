@@ -30,7 +30,7 @@ bound with the first of these engines that can, and the result names it in
   still arrive by M, so it meets each capacity group at most once.  When
   that delivers the batch, the schedule is written straight from the paths,
   with no expansion, no pusher and no `decompose`;
-* ``period-cut`` (`flowlp.period_cut`): a static max flow on the physical
+* ``period-cut`` (`flowlp.PeriodCut`): a static max flow on the physical
   network, each link carrying its bandwidth once per push residue among
   its copies on a route of M.  When that falls short of the batch, the
   bound is infeasible, again with no expansion.  Those capacities never
@@ -153,53 +153,50 @@ def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolu
 
 
 def settle(
-    inst: Instance, period: int, bound: int, cut: flowlp.PeriodCut | None = None
+    inst: Instance, period: int, bound: int, cut: flowlp.PeriodCut
 ) -> tuple[str, PeriodicSolution | None]:
     """The engine that settles ``bound`` at ``period``, and its schedule.
 
     The engines run in the module docstring's order, and the first to
     certify either answer names it, with the schedule, None when the bound
-    is infeasible.  ``cut`` is the period's scan's `flowlp.PeriodCut`,
-    which carries its max flow from bound to bound; a fresh one when None.
-    `flowlp`'s rungs are looked up on that module, so a test switches one
-    off there.
+    is infeasible.  ``cut`` is the `flowlp.PeriodCut` of ``inst`` at
+    ``period``, which carries its max flow from bound to bound.  `flowlp`'s
+    rungs are looked up on that module, so a test switches one off there.
     """
     batch = inst.batch
     solution = temporally_repeated(inst, period, bound)
     if solution is not None:
         return "temporally-repeated", solution
-    if cut is None:
-        cut = flowlp.PeriodCut(inst, period)
     if cut.at(bound) < batch:
         return "period-cut", None
 
     exp = build_expanded(inst, bound, period)
     push = flowlp.group_augment(exp, batch)
     if push.flow is not None:
-        return "augment", decompose(exp, push.flow, inst, period)
+        return "augment", decompose(exp, push.flow, inst)
     # ``push.reached`` is None only when the pusher runs out of rounds; on an
     # expansion without links its search reaches the source alone, cut 0
     if push.reached is not None and flowlp.residual_cut(exp, push.reached) < batch:
         return "residual-cut", None
 
-    flow_lp = flowlp.build_flow_lp(exp)
+    program = flowlp.build_flow_lp(exp).program
     # one float solve settles most stalls either way, once its snapped dual
     # or primal passes an exact check, without an exact optimality proof
-    float_result = flowlp._scipy_solve(flow_lp)
+    float_result = flowlp._scipy_solve(program)
     if float_result is not None:
         if float_result["value"] < float(batch) - 1e-6:
-            if flowlp.certify_value_below(flow_lp, batch, float_result):
+            if flowlp.certify_value_below(program, batch, float_result):
                 return "dual-certificate", None
         else:
-            flow = flowlp.snap_primal(flow_lp, batch, float_result)
+            flow = flowlp.snap_primal(program, batch, float_result)
             if flow is not None:
-                return "primal-snap", decompose(exp, flow, inst, period)
+                return "primal-snap", decompose(exp, flow, inst)
 
-    return "simplex", _simplex_schedule(exp, flow_lp.program, inst, period)
+    return "simplex", _simplex_schedule(exp, program, inst)
 
 
 def _simplex_schedule(
-    exp: ExpandedNetwork, program: LinearProgram, inst: Instance, period: int
+    exp: ExpandedNetwork, program: LinearProgram, inst: Instance
 ) -> PeriodicSolution | None:
     """The reference simplex on the bound's flow program: its flow peeled
     into a schedule, or None when the optimum falls short of the batch."""
@@ -208,14 +205,11 @@ def _simplex_schedule(
         raise AssertionError(f"flow program reported {sol.status}")
     if sol.objective_value < inst.batch:
         return None
-    return decompose(exp, flowlp.extract_edge_flow(sol), inst, period)
+    return decompose(exp, flowlp.extract_edge_flow(sol), inst)
 
 
 def decompose(
-    exp: ExpandedNetwork,
-    edge_flow: dict[int, Rational],
-    inst: Instance,
-    period: int,
+    exp: ExpandedNetwork, edge_flow: dict[int, Rational], inst: Instance
 ) -> PeriodicSolution:
     """Peel an expanded flow into the final schedule (min-flow link first).
 
@@ -233,6 +227,11 @@ def decompose(
     same push-residue class, so every hold is shorter than the period.
     Peeling stops once the batch is covered; entries then total exactly the
     batch.
+
+    ``edge_flow`` maps indices of ``exp.links`` to flow and must conserve
+    at every node but the source and the sink.  The schedule's period is
+    ``exp.period``, the one whose push residues numbered the capacity
+    groups the flow was kept within, so holds shrink modulo that period.
     """
     source, sink = exp.source, exp.sink
     work = {idx: v for idx, v in edge_flow.items() if v > 0}
@@ -265,15 +264,13 @@ def decompose(
             work[idx] -= amount
             if work[idx] == 0:
                 del work[idx]
-        entries.append(_collapse(exp, path, amount, period))
+        entries.append(_collapse(exp, path, amount))
         remaining -= amount
 
-    return PeriodicSolution(period, tuple(entries))
+    return PeriodicSolution(exp.period, tuple(entries))
 
 
-def _collapse(
-    exp: ExpandedNetwork, path: list[int], amount: Rational, period: int
-) -> ScheduleEntry:
+def _collapse(exp: ExpandedNetwork, path: list[int], amount: Rational) -> ScheduleEntry:
     # a hop back to a node already on the entry erases the detour since that
     # node's first visit (chronological loop erasure): the data holds there
     index = exp.net.link_index
@@ -296,7 +293,7 @@ def _collapse(
     # data is there: holds fall below the period, and no group gains load
     offsets = [0]  # arrival at each of nodes
     for link_id, push in zip(links, pushes):
-        hold = (push - offsets[-1]) % period
+        hold = (push - offsets[-1]) % exp.period
         offsets.append(offsets[-1] + hold + index[link_id].delay)
     return ScheduleEntry(tuple(links), tuple(offsets), amount)
 
@@ -373,7 +370,7 @@ def min_max_delay_oracle(
     probes: list[tuple[int, bool]] = []
     for bound in range(0, mu + 1):
         exp = build_expanded(inst, bound, period)
-        solution = _simplex_schedule(exp, flowlp.build_flow_lp(exp).program, inst, period)
+        solution = _simplex_schedule(exp, flowlp.build_flow_lp(exp).program, inst)
         probes.append((bound, solution is not None))
         if solution is not None:
             solution = _checked(inst, solution, bound)

@@ -28,7 +28,6 @@ from aoiflow.flowlp import (
     build_flow_lp,
     extract_edge_flow,
     group_augment,
-    period_cut,
 )
 from aoiflow.lp import solve_lp
 from aoiflow.maxflow import min_cost_prefixes, quickest_bound
@@ -59,7 +58,7 @@ def solved_values(inst):
         for bound, _ in result.probes:
             exp = build_expanded(inst, bound, period)
             values["group"] += exp.bandwidths
-            values["cut"].append(period_cut(inst, period, bound))
+            values["cut"].append(PeriodCut(inst, period).at(bound))
             flow = group_augment(exp, inst.batch).flow or {}
             values["push"] += flow.values()
     for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
@@ -152,6 +151,7 @@ def twice_used_group(bandwidth):
     return ExpandedNetwork(
         net=net,
         bound=4,
+        period=1,
         links=tuple(ExpandedLink(t, h, link, 0, g) for t, h, link, g in hops),
         source=0,
         sink=2,
@@ -366,7 +366,7 @@ def test_period_cut_counts_the_expansions_groups(kind, seed, scale, n_periods):
     for period in feasible_periods(inst):
         for bound in range(bottom, bottom + 4):
             want = expansion_cut(inst, period, bound)
-            assert period_cut(inst, period, bound) == want, (period, bound)
+            assert PeriodCut(inst, period).at(bound) == want, (period, bound)
 
 
 @settings(max_examples=25, deadline=None)

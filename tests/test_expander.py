@@ -51,8 +51,9 @@ def test_two_hop_expansion_counts():
     assert pushes("ar") == [2, 3, 4]  # 2 <= i <= 5 - 1 - 0
     holding = [exp.node_of(el.tail) for el in exp.links if el.link_id is None]
     assert holding == [("s", 0), ("s", 1), ("a", 2), ("a", 3), ("r", 3), ("r", 4)]
-    assert exp.node_id("a", 2) == 1 * 6 + 2
-    assert (exp.source, exp.sink) == (exp.node_id("s", 0), exp.node_id("r", 5))
+    assert exp.node_of(1 * 6 + 2) == ("a", 2)
+    assert (exp.source, exp.sink) == (0 * 6 + 0, 2 * 6 + 5)
+    assert (exp.node_of(exp.source), exp.node_of(exp.sink)) == (("s", 0), ("r", 5))
     for adj, end in ((exp.out_links, "tail"), (exp.in_links, "head")):
         assert adj == {
             node: [idx for idx, el in enumerate(exp.links) if getattr(el, end) == node]

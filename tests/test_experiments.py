@@ -5,6 +5,7 @@ import pytest
 from aoiflow import Instance, batch_capacity, network, validate_network
 from aoiflow.experiments import (
     BatchSummary,
+    TopologySpec,
     complete_graph,
     copying_model,
     erdos_renyi,
@@ -95,6 +96,11 @@ def test_invalid_parameters_rejected():
         generate(erdos_renyi(4, 100, seed=0))
 
 
+def test_unknown_kind_rejected():
+    with pytest.raises(ModelError, match="unknown topology kind 'ring'"):
+        generate(TopologySpec("ring", (4,), 0))
+
+
 def test_batch_capacity_examples():
     assert batch_capacity(make_fastslow_network(), "s", "r") == 11
     single = network(["s", "r"], [("e", "s", "r", 3, F(7, 2))])
@@ -111,6 +117,12 @@ def test_scaled_instance_window():
     cap = batch_capacity(net, "a1", "a5")
     assert inst.batch == 5 * cap
     assert inst.min_period == 5 and inst.max_period == 14
+
+
+def test_scaled_instance_refuses_an_unreachable_receiver():
+    net = network(["s", "m", "r"], [("sm", "s", "m", 1, 5), ("rm", "r", "m", 1, 5)])
+    with pytest.raises(ModelError, match="sender cannot reach receiver"):
+        scaled_instance(net, "s", "r", 5)
 
 
 def test_run_sweep_fastslow(tmp_path):

@@ -13,7 +13,7 @@ from aoiflow import (
 )
 from aoiflow.experiments import complete_graph, generate, scaled_instance
 from aoiflow.flowlp import (
-    FlowLp,
+    PeriodCut,
     _scipy_solve,
     certify_value_below,
     group_augment,
@@ -28,10 +28,10 @@ from conftest import corpus_instance, make_fastslow_instance
 
 def optimum(inst, period, bound):
     exp = build_expanded(inst, bound, period)
-    flow_lp = build_flow_lp(exp)
-    sol = solve_lp(flow_lp.program)
+    program = build_flow_lp(exp).program
+    sol = solve_lp(program)
     assert sol.status == OPTIMAL
-    return flow_lp, sol
+    return program, sol
 
 
 def assert_groups_within_bandwidth(exp, flow):
@@ -62,7 +62,7 @@ def test_zero_bandwidth_gives_zero():
 def test_extract_zero_flow_empty():
     net = network(["s", "r"], [("e", "s", "r", 1, 0)])
     inst = Instance(net, "s", "r", F(1), F(1), F(1))
-    flow_lp, sol = optimum(inst, 1, 4)
+    _, sol = optimum(inst, 1, 4)
     assert extract_edge_flow(sol) == {}
 
 
@@ -77,8 +77,8 @@ def test_extract_flow_conserves_and_totals():
         el = exp.links[idx]
         balance[el.tail] = balance.get(el.tail, F(0)) + v
         balance[el.head] = balance.get(el.head, F(0)) - v
-    source = exp.node_id("s", 0)
-    sink = exp.node_id("r", 10)
+    source, sink = exp.source, exp.sink
+    assert (exp.node_of(source), exp.node_of(sink)) == (("s", 0), ("r", 10))
     for node, delta in balance.items():
         if node == source:
             assert delta == sol.objective_value
@@ -251,8 +251,7 @@ def test_group_augment_agrees_with_lp_when_it_succeeds():
         flow = group_augment(exp, inst.batch).flow
         assert flow is not None
         assert_groups_within_bandwidth(exp, flow)
-        source = exp.node_id("s", 0)
-        total = sum(v for idx, v in flow.items() if exp.links[idx].tail == source)
+        total = sum(v for idx, v in flow.items() if exp.links[idx].tail == exp.source)
         assert total == inst.batch
 
 
@@ -275,10 +274,9 @@ def test_primal_snap_refuses_what_breaks_a_row_or_falls_short():
     program = LinearProgram(n_vars=3, objective=[F(1), F(0), F(0)])
     program.add_row({0: F(1), 1: F(1), 2: F(1)}, 2, EQ)
     program.add_row({0: F(1)}, 1, LE)
-    flow_lp = FlowLp(program)
 
     def snap(*x):
-        return snap_primal(flow_lp, F(1), {"x": list(x)})
+        return snap_primal(program, F(1), {"x": list(x)})
 
     assert snap(1.0, 1.0 + 1e-9, -1e-9) == {0: 1, 1: 1}
     assert snap(2.0, 0.0, 0.0) is None  # over the cap
@@ -292,7 +290,7 @@ def test_probe_matches_reference_lp_on_corpus():
         inst = corpus_instance(seed)
         period = inst.max_period
         for bound in range(1, 13, 3):
-            _, solution = settle(inst, period, bound)
+            _, solution = settle(inst, period, bound, PeriodCut(inst, period))
             _, sol = optimum(inst, period, bound)
             assert (solution is not None) == (sol.objective_value >= inst.batch)
 
@@ -300,8 +298,9 @@ def test_probe_matches_reference_lp_on_corpus():
 def reference_group_augment(exp, inst, period, target):
     """The pusher with residual state keyed by link id and ``Fraction``
     comparisons in its search, kept as a reference for `group_augment`."""
-    source = exp.node_id(inst.sender, 0)
-    sink = exp.node_id(inst.receiver, exp.bound)
+    source, sink = exp.source, exp.sink
+    assert exp.node_of(source) == (inst.sender, 0)
+    assert exp.node_of(sink) == (inst.receiver, exp.bound)
     bandwidth = inst.network.link_index
 
     out_adj = defaultdict(list)

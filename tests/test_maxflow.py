@@ -1,5 +1,7 @@
 """Edmonds-Karp on a network whose maximum flow must cancel its first path."""
 
+import pytest
+
 from aoiflow import network
 from aoiflow.maxflow import max_flow
 
@@ -30,3 +32,16 @@ def test_max_flow_cancels_under_a_capacity_mapping():
     assert value == 4
     assert flow["x-y"] == 0
     assert all(flow[link] == 2 for link in flow if link != "x-y")
+
+
+@pytest.mark.parametrize(
+    "capacity,start",
+    [
+        (None, {"s-x": 2}),  # above the link's bandwidth
+        (None, {"s-x": -1}),
+        ({"s-x": 1}, {"x-y": 1}),  # on a link the mapping gives nothing
+    ],
+)
+def test_max_flow_refuses_a_start_outside_the_capacities(capacity, start):
+    with pytest.raises(ValueError, match="outside its capacity"):
+        max_flow(cancelling_network(), "s", "t", capacity, start)

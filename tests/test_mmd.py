@@ -17,7 +17,7 @@ from aoiflow import (
     validate_solution,
 )
 from aoiflow import mmd as mmd_module
-from aoiflow.flowlp import period_cut
+from aoiflow.flowlp import PeriodCut
 from aoiflow.lp import UNBOUNDED, LpSolution
 from aoiflow.experiments import (
     complete_graph,
@@ -27,7 +27,12 @@ from aoiflow.experiments import (
     scaled_instance,
 )
 from aoiflow.maxflow import decompose_paths, max_flow, min_cost_prefixes, quickest_bound
-from aoiflow.mmd import _min_max_delay_cached, lift_path_flow, repeated_value
+from aoiflow.mmd import (
+    _min_max_delay_cached,
+    lift_path_flow,
+    repeated_value,
+    temporally_repeated,
+)
 from aoiflow.solvers import mmd1_exact
 from conftest import corpus_instance, make_fastslow_instance, make_triple_instance
 
@@ -131,8 +136,45 @@ def test_repeated_flow_settles_top_bound_without_expansion(monkeypatch):
     result = min_max_delay(inst, 100)
     assert result.max_delay == 109
     assert result.probes == ((108, False), (109, True))
-    assert period_cut(inst, 100, 108) < inst.batch
+    assert PeriodCut(inst, 100).at(108) < inst.batch
     assert built == []
+
+
+def least_full_rate_delay(inst, period):
+    """d*: the least delay at which the paths of the last min-cost prefix
+    no slower than it carry rate batch/period; None when none does."""
+    prefix = min_cost_prefixes(inst.network, inst.sender, inst.receiver)[-1]
+    for delay in sorted(set(prefix.delays)):
+        rate = sum(r for (_, r), d in zip(prefix.paths, prefix.delays) if d <= delay)
+        if rate * period >= inst.batch:
+            return delay
+    return None
+
+
+def test_scan_ends_by_period_minus_one_plus_least_full_rate_delay():
+    # at T - 1 + d* each of those paths departs T times, so the temporally
+    # repeated flow delivers the batch there, and the scan stops by then
+    instances = [corpus_instance(seed) for seed in range(200)]
+    for seed in range(30):  # the instances of `aoiflow batch complete 6`
+        net = generate(complete_graph(6, seed))
+        instances.append(scaled_instance(net, *pick_endpoints(net, seed), 5, 10))
+    periods = scanned = 0
+    for inst in instances:
+        for period in feasible_periods(inst):
+            periods += 1
+            least = least_full_rate_delay(inst, period)
+            if least is None:  # the maximum flow's rate is below batch/T
+                assert min_max_delay(inst, period) is None, (inst, period)
+                continue
+            top = period - 1 + least
+            assert min_max_delay(inst, period).max_delay <= top, (inst, period)
+            solution = temporally_repeated(inst, period, top)
+            assert solution is not None, (inst, period)
+            ok, max_delay, violations = validate_solution(inst, solution)
+            assert ok and max_delay <= top, violations
+            assert solution.total_amount == inst.batch
+            scanned += 1
+    assert (periods, scanned) == (374 + 300, 251 + 300)
 
 
 def test_delay_matches_unit_period_delay_within_a_period():
@@ -155,6 +197,13 @@ def test_delay_matches_unit_period_delay_within_a_period():
 def test_oracle_examples():
     assert min_max_delay_oracle(make_fastslow_instance(), 10).max_delay == 10
     assert min_max_delay_oracle(make_triple_instance(), 5).max_delay == 5
+
+
+def test_oracle_stops_at_its_ceiling():
+    # fastslow at T = 7 needs M = 11, one above a ceiling of 10
+    inst = make_fastslow_instance()
+    assert min_max_delay_oracle(inst, 7, 10) is None
+    assert min_max_delay_oracle(inst, 7, 11).max_delay == 11
 
 
 def test_oracle_probe_trail_is_ascending_scan():
@@ -200,7 +249,7 @@ def test_decompose_paths_refuses_a_cyclic_flow():
 def test_decompose_zero_flow_is_empty():
     inst = make_triple_instance()
     exp = build_expanded(inst, 12, 5)
-    sol = decompose(exp, {}, inst, 5)
+    sol = decompose(exp, {}, inst)
     assert sol.entries == ()
 
 
@@ -211,7 +260,7 @@ def test_decompose_triple_unit_rate_flow():
     lp_sol = solve_lp(flow_lp.program)
     assert lp_sol.objective_value >= 5
     flow = extract_edge_flow(lp_sol)
-    sol = decompose(exp, flow, inst, 5)
+    sol = decompose(exp, flow, inst)
     ok, max_delay, violations = validate_solution(inst, sol)
     assert ok and max_delay == 5
     assert sol.total_amount == 5
@@ -229,7 +278,7 @@ def test_decompose_fastslow_t7_respects_caps():
     flow_lp = build_flow_lp(exp)
     lp_sol = solve_lp(flow_lp.program)
     flow = extract_edge_flow(lp_sol)
-    sol = decompose(exp, flow, inst, 7)
+    sol = decompose(exp, flow, inst)
     ok, max_delay, _ = validate_solution(inst, sol)
     assert ok and max_delay <= 11
     assert len(sol.entries) <= len(exp.links)
@@ -242,7 +291,7 @@ def test_decompose_rejects_nonconserving_flow():
         i for i, el in enumerate(exp.links) if el.link_id is not None and el.push == 0
     )
     with pytest.raises(AssertionError, match="conserve"):
-        decompose(exp, {transit: F(1)}, inst, 5)
+        decompose(exp, {transit: F(1)}, inst)
 
 
 def test_decompose_reroutes_node_revisit_through_holding():
@@ -269,7 +318,7 @@ def test_decompose_reroutes_node_revisit_through_holding():
         by_key[("ba", 2)]: F(1),
         by_key[("ar", 3)]: F(1),
     }
-    sol = decompose(exp, flow, inst, 4)
+    sol = decompose(exp, flow, inst)
     (entry,) = sol.entries
     assert entry.links == ("sa", "ar")
     assert entry.offsets == (0, 1, 4)  # arrive a@1, hold to 3, arrive r@4

@@ -107,6 +107,38 @@ def test_aoi_closed_form(max_delay, period, peak, avg):
     assert aoi_from_max_delay(max_delay, period) == (peak, avg)
 
 
+def test_aoi_needs_a_positive_delay():
+    with pytest.raises(ModelError, match="must be positive"):
+        aoi_from_max_delay(0, 1)
+
+
+def test_simulation_needs_a_delivery():
+    with pytest.raises(ModelError, match="delivers nothing"):
+        simulate_aoi(PeriodicSolution(3, ()), 5)
+
+
+# --- ScheduleEntry -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "links,offsets,message",
+    [
+        (("e1",), (0,), "one entry per hop plus the origin"),
+        ((), (0,), "at least one hop"),
+        (("e1",), (1, 2), "first offset must be 0"),
+    ],
+)
+def test_malformed_entry_rejected(links, offsets, message):
+    with pytest.raises(ModelError, match=message):
+        ScheduleEntry(links, offsets, F(1))
+
+
+def test_path_nodes_names_an_unknown_later_link():
+    entry = ScheduleEntry(("e1", "e9"), (0, 1, 2), F(1))
+    with pytest.raises(ModelError, match="unknown link 'e9'"):
+        entry.path_nodes(make_fastslow_network())
+
+
 # --- validate_solution -------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ for happens.  The engine that settled each probe is read from
 pinned.
 """
 
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -44,11 +45,11 @@ from aoiflow.experiments import (
     summarize_instance,
 )
 from aoiflow.flowlp import (
+    PeriodCut,
     Push,
     _scipy_solve,
     certify_value_below,
     group_augment,
-    period_cut,
     residual_cut,
     snap_primal,
 )
@@ -68,7 +69,7 @@ SWITCHES = {
         lambda net, source, sink, amount: shortest_delay(net, source)[sink],
     ),
     "residual-cut": (flowlp_module, "residual_cut", lambda *args: float("inf")),
-    "dual-certificate": (flowlp_module, "_scipy_solve", lambda flow_lp: None),
+    "dual-certificate": (flowlp_module, "_scipy_solve", lambda program: None),
     "temporally-repeated": (mmd_module, "temporally_repeated", lambda *args: None),
     "period-cut": (flowlp_module.PeriodCut, "at", lambda self, bound: float("inf")),
 }
@@ -281,7 +282,7 @@ def test_simplex_only_stack_matches(monkeypatch, fresh_cache):
     assert set(engines) == {"simplex"}
 
 
-def refuse_float_solve(flow_lp):
+def refuse_float_solve(program):
     raise AssertionError("float solve reached")
 
 
@@ -319,21 +320,57 @@ def test_float_dual_settles_what_the_cut_misses():
     pytest.importorskip("scipy")
     inst = scaled_instance(generate(grid_graph(4, 4, seed=16)), "a1_1", "a4_4", 10)
     period, bound = 12, 24
-    assert period_cut(inst, period, bound) == 500 >= inst.batch == 500
+    cut = PeriodCut(inst, period)
+    assert cut.at(bound) == 500 >= inst.batch == 500
     exp = build_expanded(inst, bound, period)
     push = group_augment(exp, inst.batch)
     assert push.flow is None and push.reached is not None
     assert residual_cut(exp, push.reached) == 500
-    flow_lp = build_flow_lp(exp)
-    assert certify_value_below(flow_lp, inst.batch, _scipy_solve(flow_lp))
-    assert settle(inst, period, bound) == ("dual-certificate", None)
+    program = build_flow_lp(exp).program
+    assert certify_value_below(program, inst.batch, _scipy_solve(program))
+    assert settle(inst, period, bound, cut) == ("dual-certificate", None)
+
+
+def float_verdicts():
+    """The engine and the answer of `settle` on the grid probe above, which
+    the float dual settles, and on complete-6 seed 4 at period 5, bound 11,
+    which the snapped primal settles once the temporally repeated flow is
+    off; each schedule is checked."""
+    grid = scaled_instance(generate(grid_graph(4, 4, seed=16)), "a1_1", "a4_4", 10)
+    verdicts = []
+    for inst, period, bound in ((grid, 12, 24), (complete6(4), 5, 11)):
+        engine, solution = settle(inst, period, bound, PeriodCut(inst, period))
+        if solution is not None:
+            ok, max_delay, violations = validate_solution(inst, solution)
+            assert ok and max_delay == bound, violations
+        verdicts.append((engine, solution is not None))
+    return verdicts
+
+
+@pytest.mark.parametrize("failure", ["no-scipy", "highs-status"])
+def test_failed_float_solve_falls_to_the_simplex(monkeypatch, failure):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(*SWITCHES["temporally-repeated"])
+    assert float_verdicts() == [("dual-certificate", False), ("primal-snap", True)]
+    if failure == "no-scipy":
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    else:
+        linprog = scipy_optimize.linprog
+
+        def stopped(*args, **kwargs):  # HiGHS stops at its iteration limit
+            return linprog(*args, options={"maxiter": 0}, **kwargs)
+
+        monkeypatch.setattr(scipy_optimize, "linprog", stopped)
+    program = build_flow_lp(build_expanded(complete6(4), 11, 5)).program
+    assert _scipy_solve(program) is None
+    assert float_verdicts() == [("simplex", False), ("simplex", True)]
 
 
 def test_period_cut_settles_what_the_residual_cut_misses(monkeypatch, fresh_cache):
     # grid seed 13 at period 10, bound 24: the stalled pusher's cut is 530,
     # above the batch of 500, and the exact simplex takes over 20 s here
     inst = scaled_instance(generate(grid_graph(4, 4, seed=13)), "a1_1", "a4_4", 10)
-    assert period_cut(inst, 10, 24) == 490 < inst.batch == 500
+    assert PeriodCut(inst, 10).at(24) == 490 < inst.batch == 500
     exp = build_expanded(inst, 24, 10)
     push = group_augment(exp, inst.batch)
     assert push.flow is None and residual_cut(exp, push.reached) == 530
@@ -369,15 +406,15 @@ def test_dual_certificates_never_contradict_exact_optimum():
         period = inst.max_period
         for bound in (3, 6, 9, 12):
             exp = build_expanded(inst, bound, period)
-            flow_lp = build_flow_lp(exp)
-            exact = solve_lp(flow_lp.program).objective_value
+            program = build_flow_lp(exp).program
+            exact = solve_lp(program).objective_value
             if not exp.links:  # no copy lies on a route: nothing to certify
                 assert exact == 0
                 continue
-            fr = _scipy_solve(flow_lp)
-            if certify_value_below(flow_lp, inst.batch, fr):
+            fr = _scipy_solve(program)
+            if certify_value_below(program, inst.batch, fr):
                 assert exact < inst.batch
-            if certify_value_below(flow_lp, exact, fr):
+            if certify_value_below(program, exact, fr):
                 pytest.fail("certificate below the exact optimum")
 
 
@@ -394,8 +431,8 @@ def test_residual_cut_never_below_exact_optimum():
             if push.reached is None:
                 continue
             stalls += 1
-            flow_lp = build_flow_lp(exp)
-            exact = solve_lp(flow_lp.program).objective_value
+            program = build_flow_lp(exp).program
+            exact = solve_lp(program).objective_value
             reached = push.reached
             leaving = [el for el in exp.links if el.tail in reached and el.head not in reached]
             # residual_cut's precondition: no holding link leaves the set
@@ -411,7 +448,7 @@ def test_period_cut_refutes_an_expansion_without_links():
     for seed in range(5):
         inst = corpus_instance(seed)
         bound = shortest_delay(inst.network, inst.sender)[inst.receiver] - 1
-        assert period_cut(inst, inst.max_period, bound) == 0, seed
+        assert PeriodCut(inst, inst.max_period).at(bound) == 0, seed
         exp = build_expanded(inst, bound, inst.max_period)
         assert not exp.links
         push = group_augment(exp, inst.batch)
@@ -428,14 +465,14 @@ def test_period_cut_never_below_exact_optimum():
             if not exp.links:
                 continue
             exact = solve_lp(build_flow_lp(exp).program).objective_value
-            cut = period_cut(inst, period, bound)
+            cut = PeriodCut(inst, period).at(bound)
             assert cut >= exact, (seed, bound)
             refuted += cut < inst.batch
     assert refuted > 0
 
 
-def flow_value(flow_lp, values):
-    return sum(v * c for v, c in zip(values, flow_lp.program.objective))
+def flow_value(program, values):
+    return sum(v * c for v, c in zip(values, program.objective))
 
 
 def test_primal_snap_settles_the_stall_it_exists_for(monkeypatch):
@@ -449,15 +486,15 @@ def test_primal_snap_settles_the_stall_it_exists_for(monkeypatch):
     push = group_augment(exp, inst.batch)
     assert push.flow is None and push.reached is not None
     assert residual_cut(exp, push.reached) == 660 >= inst.batch == 650
-    flow_lp = build_flow_lp(exp)
-    flow = snap_primal(flow_lp, inst.batch, _scipy_solve(flow_lp))
+    program = build_flow_lp(exp).program
+    flow = snap_primal(program, inst.batch, _scipy_solve(program))
     assert flow is not None
     assert {type(v) for v in flow.values()} == {int}
-    values = [flow.get(j, F(0)) for j in range(flow_lp.program.n_vars)]
-    assert violated_row(flow_lp.program, values) is None
-    assert flow_value(flow_lp, values) >= inst.batch
+    values = [flow.get(j, F(0)) for j in range(program.n_vars)]
+    assert violated_row(program, values) is None
+    assert flow_value(program, values) >= inst.batch
 
-    engine, solution = settle(inst, period, bound)
+    engine, solution = settle(inst, period, bound, PeriodCut(inst, period))
     assert engine == "primal-snap"
     ok, max_delay, violations = validate_solution(inst, solution)
     assert ok, violations
@@ -471,7 +508,7 @@ def test_float_solver_moves_only_the_snapped_schedules(monkeypatch, fresh_cache)
     pytest.importorskip("scipy")
     cases = [(complete6(5), 6), (complete6(11), 5)]
     snapped = [min_max_delay(inst, period) for inst, period in cases]
-    monkeypatch.setattr(flowlp_module, "_scipy_solve", lambda flow_lp: None)
+    monkeypatch.setattr(flowlp_module, "_scipy_solve", lambda program: None)
     _min_max_delay_cached.cache_clear()
     exact = [min_max_delay(inst, period) for inst, period in cases]
     for (inst, _), a, b in zip(cases, snapped, exact):
@@ -508,16 +545,16 @@ def test_primal_snap_never_exceeds_exact_optimum():
             exp = build_expanded(inst, bound, period)
             if not exp.links:  # no copy lies on a route: nothing to snap
                 continue
-            flow_lp = build_flow_lp(exp)
-            exact = solve_lp(flow_lp.program).objective_value
-            fr = _scipy_solve(flow_lp)
-            flow = snap_primal(flow_lp, exact, fr)
+            program = build_flow_lp(exp).program
+            exact = solve_lp(program).objective_value
+            fr = _scipy_solve(program)
+            flow = snap_primal(program, exact, fr)
             if flow is not None:
                 snaps += 1
-                values = [flow.get(j, F(0)) for j in range(flow_lp.program.n_vars)]
-                assert violated_row(flow_lp.program, values) is None, (seed, bound)
-                assert flow_value(flow_lp, values) == exact, (seed, bound)
-            assert snap_primal(flow_lp, exact + F(1, 1000), fr) is None, (seed, bound)
+                values = [flow.get(j, F(0)) for j in range(program.n_vars)]
+                assert violated_row(program, values) is None, (seed, bound)
+                assert flow_value(program, values) == exact, (seed, bound)
+            assert snap_primal(program, exact + F(1, 1000), fr) is None, (seed, bound)
     assert snaps > 0
 
 
@@ -586,10 +623,10 @@ def test_temporally_repeated_flows_pass_every_program_row(monkeypatch, fresh_cac
     assert len(written) > 400
     for inst, period, bound, solution in written:
         exp = build_expanded(inst, bound, period)
-        flow_lp = build_flow_lp(exp)
+        program = build_flow_lp(exp).program
         values = expanded_flow(exp, solution)
-        assert violated_row(flow_lp.program, values) is None, (inst, period, bound)
-        assert flow_value(flow_lp, values) == inst.batch == solution.total_amount
+        assert violated_row(program, values) is None, (inst, period, bound)
+        assert flow_value(program, values) == inst.batch == solution.total_amount
 
 
 def test_repeated_value_never_above_exact_optimum():
@@ -606,8 +643,8 @@ def test_repeated_value_never_above_exact_optimum():
             for bound in range(bottom, result.max_delay + 1):
                 value = max(repeated_value(p, period, bound) for p in prefixes)
                 exp = build_expanded(inst, bound, period)
-                flow_lp = build_flow_lp(exp)
-                exact = solve_lp(flow_lp.program).objective_value
+                program = build_flow_lp(exp).program
+                exact = solve_lp(program).objective_value
                 assert value <= exact, (seed, period, bound)
                 checked += 1
                 certified += value >= inst.batch

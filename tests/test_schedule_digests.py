@@ -56,7 +56,7 @@ PEELED_DIGEST = "7925874906326b89b4684f5cd708c1a16d34ffaeaee31850db9df635720ee7d
 def no_float_solve(monkeypatch):
     """The digests hold only while no probe reaches HiGHS."""
 
-    def refuse(flow_lp):
+    def refuse(program):
         raise AssertionError("float solve reached")
 
     monkeypatch.setattr(flowlp, "_scipy_solve", refuse)
@@ -99,7 +99,7 @@ def test_oracle_schedules_keep_their_bytes():
 
 
 def test_peeled_schedules_keep_their_bytes(monkeypatch):
-    monkeypatch.setattr(flowlp, "_scipy_solve", lambda flow_lp: None)
+    monkeypatch.setattr(flowlp, "_scipy_solve", lambda program: None)
     _min_max_delay_cached.cache_clear()  # other tests cache float-solve answers
     cases = []
     for seed in COMPLETE6:  # the instances of `aoiflow batch complete 6`
