@@ -11,15 +11,15 @@ delay from the sender and ``dist_r`` the shortest delay to the receiver.
 Every other copy carries zero in any conserving flow, so dropping it leaves
 the flow program's feasible flows unchanged.
 
-The expansion owns the facts every probe engine reads: its source (sender,
-0) and sink (receiver, bound), each node's outgoing and incoming links, and
-the capacity groups.  Transit copies of a link whose push slots agree mod
-the period share that link's bandwidth; those residue classes are the
-capacity groups, numbered by `build_expanded` as it emits the copies
-(`ExpandedLink.group`, `ExpandedNetwork.bandwidths`); the expansion keeps
-that period (`ExpandedNetwork.period`), which `mmd.decompose` reads.  The
-validator (`model.residue_loads`) keeps its own copy of the rule to stay
-independent.
+The expansion owns the facts every probe engine reads, so no rung is
+handed them apart from it: its instance (`ExpandedNetwork.inst`), source
+(sender, 0) and sink (receiver, bound), each node's outgoing and incoming
+links, and the capacity groups.  Transit copies of a link whose push slots
+agree mod the period share that link's bandwidth; those residue classes
+are the capacity groups, numbered by `build_expanded` as it emits the
+copies (`ExpandedLink.group`, `ExpandedNetwork.bandwidths`) for the period
+it keeps (`ExpandedNetwork.period`).  The validator (`model.residue_loads`)
+keeps its own copy of the rule to stay independent.
 
 Node ids are dense ints, ``node_index * (bound + 1) + layer``, so identical
 inputs always yield identical link orderings.
@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .maxflow import shortest_delay
-from .model import Instance, Link, Network, Rational
+from .model import Instance, Link, Rational
 
 @dataclass(frozen=True)
 class ExpandedLink:
@@ -46,7 +46,9 @@ class ExpandedLink:
 
 @dataclass(frozen=True)
 class ExpandedNetwork:
-    net: Network
+    """``inst`` expanded for one bound and period; the probe rungs read both here."""
+
+    inst: Instance  # what was expanded: network, endpoints and batch
     bound: int
     period: int  # the period whose push residues number the capacity groups
     links: tuple[ExpandedLink, ...]
@@ -72,7 +74,7 @@ class ExpandedNetwork:
 
     def node_of(self, dense: int) -> tuple[str, int]:
         idx, layer = divmod(dense, self.bound + 1)
-        return self.net.nodes[idx], layer
+        return self.inst.network.nodes[idx], layer
 
 
 def horizon_upper_bound(inst: Instance) -> int:
@@ -154,7 +156,7 @@ def build_expanded(inst: Instance, bound: int, period: int) -> ExpandedNetwork:
         for i in range(dist_s[v], bound - dist_r[v]):
             links.append(ExpandedLink(base + i, base + i + 1, None, i, -1))
     return ExpandedNetwork(
-        net=net,
+        inst=inst,
         bound=bound,
         period=period,
         links=tuple(links),

@@ -147,15 +147,10 @@ def _copying(rng: random.Random, n: int, p: float) -> _Edges:
     neighbors = {0: {1}, 1: {0}}
     for v in range(2, n):
         proto = rng.randrange(v)
+        # proto has a neighbour, and each gives a target below v: v gains a link
         attached = set()
         for w in sorted(neighbors[proto]):
-            target = w
-            if rng.random() < p:
-                target = rng.randrange(v)
-            if target != v and target not in attached:
-                attached.add(target)
-        if not attached:
-            attached.add(proto)
+            attached.add(rng.randrange(v) if rng.random() < p else w)
         neighbors[v] = set()
         for w in attached:
             edges.add((min(v, w), max(v, w)))

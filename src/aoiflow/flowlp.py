@@ -5,9 +5,10 @@ The core question answered here: can at least ``target`` units travel from
 capacity group (one physical link, one push-residue class) stays within its
 bandwidth?  That expansion already holds only the copies on such a route, so
 the program has one variable per expanded link.  The expansion also owns the
-source, the sink, the adjacency and the capacity groups, which
-`build_expanded` numbers for the probe's period as it emits the copies; the
-program, the pusher and the residual cut all read them there.
+source, the sink, the adjacency, the instance whose batch the pusher pushes,
+and the capacity groups, which `build_expanded` numbers for the probe's
+period as it emits the copies; the program, the pusher and the residual cut
+all read them there.
 
 `mmd.settle` runs the rungs in order, each answer certified with exact
 arithmetic:
@@ -153,12 +154,12 @@ class PeriodCut:
 class Push(NamedTuple):
     """What `group_augment` ended with."""
 
-    flow: dict[int, Rational] | None  # pushes exactly the target; None if stalled
+    flow: dict[int, Rational] | None  # pushes exactly the batch; None if stalled
     reached: set[int] | None  # nodes the last search reached, when it missed the sink
 
 
-def group_augment(exp: ExpandedNetwork, target: Rational) -> Push:
-    """Push exactly ``target`` units with augmenting paths.
+def group_augment(exp: ExpandedNetwork) -> Push:
+    """Push exactly the expansion's batch with augmenting paths.
 
     Residual capacity of a transit copy is its whole group's remaining
     bandwidth, so a path using several copies of one group is throttled by
@@ -167,7 +168,7 @@ def group_augment(exp: ExpandedNetwork, target: Rational) -> Push:
     capacities mean a stall does not prove infeasibility; when the stall is
     a search that missed the sink, the nodes it reached feed `residual_cut`.
     """
-    source, sink = exp.source, exp.sink
+    source, sink, target = exp.source, exp.sink, exp.inst.batch
     out_adj, in_adj = exp.out_links, exp.in_links
 
     # residual state by integer index: group_of[idx] is the link's capacity

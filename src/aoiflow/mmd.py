@@ -21,9 +21,9 @@ and why it ends:
   repeated flow below delivers at least the batch there (`repeated_value`),
   and that bound is settled without an expansion.
 
-A ``horizon`` caps the scan as a search ceiling.  `settle` settles every
-bound with the first of these engines that can, and the result names it in
-``engines``, one per probe:
+A ``horizon`` caps the scan as a search ceiling.  `settle`, given a bound
+and the period's `flowlp.PeriodCut`, settles it with the first of these
+engines that can, and the result names it in ``engines``, one per probe:
 
 * ``temporally-repeated`` (`temporally_repeated`): each path of one of
   those min-cost flows departs at up to T consecutive offsets, as many as
@@ -152,17 +152,16 @@ def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolu
     return lift_path_flow(net, best.paths, period, bound, inst.batch)
 
 
-def settle(
-    inst: Instance, period: int, bound: int, cut: flowlp.PeriodCut
-) -> tuple[str, PeriodicSolution | None]:
-    """The engine that settles ``bound`` at ``period``, and its schedule.
+def settle(cut: flowlp.PeriodCut, bound: int) -> tuple[str, PeriodicSolution | None]:
+    """The engine that settles ``bound`` at the cut's period, and its schedule.
 
-    The engines run in the module docstring's order, and the first to
-    certify either answer names it, with the schedule, None when the bound
-    is infeasible.  ``cut`` is the `flowlp.PeriodCut` of ``inst`` at
-    ``period``, which carries its max flow from bound to bound.  `flowlp`'s
+    ``cut`` is the scan's `flowlp.PeriodCut`, the one source of the instance
+    and period, which carries its max flow from bound to bound.  The engines
+    run in the module docstring's order; the first to certify either answer
+    names it, with the schedule, None when the bound is infeasible.  `flowlp`'s
     rungs are looked up on that module, so a test switches one off there.
     """
+    inst, period = cut.inst, cut.period
     batch = inst.batch
     solution = temporally_repeated(inst, period, bound)
     if solution is not None:
@@ -171,9 +170,9 @@ def settle(
         return "period-cut", None
 
     exp = build_expanded(inst, bound, period)
-    push = flowlp.group_augment(exp, batch)
+    push = flowlp.group_augment(exp)
     if push.flow is not None:
-        return "augment", decompose(exp, push.flow, inst)
+        return "augment", decompose(exp, push.flow)
     # ``push.reached`` is None only when the pusher runs out of rounds; on an
     # expansion without links its search reaches the source alone, cut 0
     if push.reached is not None and flowlp.residual_cut(exp, push.reached) < batch:
@@ -190,27 +189,25 @@ def settle(
         else:
             flow = flowlp.snap_primal(program, batch, float_result)
             if flow is not None:
-                return "primal-snap", decompose(exp, flow, inst)
+                return "primal-snap", decompose(exp, flow)
 
-    return "simplex", _simplex_schedule(exp, program, inst)
+    return "simplex", _simplex_schedule(exp, program)
 
 
 def _simplex_schedule(
-    exp: ExpandedNetwork, program: LinearProgram, inst: Instance
+    exp: ExpandedNetwork, program: LinearProgram
 ) -> PeriodicSolution | None:
-    """The reference simplex on the bound's flow program: its flow peeled
+    """The reference simplex on the expansion's flow program: its flow peeled
     into a schedule, or None when the optimum falls short of the batch."""
     sol = solve_lp(program)
     if sol.status != OPTIMAL:  # zero flow is always feasible, caps are finite
         raise AssertionError(f"flow program reported {sol.status}")
-    if sol.objective_value < inst.batch:
+    if sol.objective_value < exp.inst.batch:
         return None
-    return decompose(exp, flowlp.extract_edge_flow(sol), inst)
+    return decompose(exp, flowlp.extract_edge_flow(sol))
 
 
-def decompose(
-    exp: ExpandedNetwork, edge_flow: dict[int, Rational], inst: Instance
-) -> PeriodicSolution:
+def decompose(exp: ExpandedNetwork, edge_flow: dict[int, Rational]) -> PeriodicSolution:
     """Peel an expanded flow into the final schedule (min-flow link first).
 
     Every expanded link moves forward in time, so the expansion is acyclic,
@@ -229,9 +226,9 @@ def decompose(
     batch.
 
     ``edge_flow`` maps indices of ``exp.links`` to flow and must conserve
-    at every node but the source and the sink.  The schedule's period is
-    ``exp.period``, the one whose push residues numbered the capacity
-    groups the flow was kept within, so holds shrink modulo that period.
+    at every node but the source and the sink.  The batch, the network and
+    the period come from ``exp``; that period numbered the capacity groups
+    the flow was kept within, so holds shrink modulo it.
     """
     source, sink = exp.source, exp.sink
     work = {idx: v for idx, v in edge_flow.items() if v > 0}
@@ -246,7 +243,7 @@ def decompose(
             raise AssertionError(f"flow does not conserve at expanded node {node}")
 
     entries: list[ScheduleEntry] = []
-    remaining = inst.batch
+    remaining = exp.inst.batch
     while remaining > 0 and work:
         seed = min(work.items(), key=lambda kv: (kv[1], kv[0]))[0]
         path = [seed]
@@ -273,8 +270,8 @@ def decompose(
 def _collapse(exp: ExpandedNetwork, path: list[int], amount: Rational) -> ScheduleEntry:
     # a hop back to a node already on the entry erases the detour since that
     # node's first visit (chronological loop erasure): the data holds there
-    index = exp.net.link_index
-    nodes = [exp.node_of(exp.source)[0]]  # distinct, in visiting order
+    index = exp.inst.network.link_index
+    nodes = [exp.inst.sender]  # distinct, in visiting order
     links: list[str] = []  # links[k] leaves nodes[k] for nodes[k + 1]
     pushes: list[int] = []  # the slot each of links is pushed at
     for idx in path:
@@ -334,7 +331,7 @@ def _min_max_delay_cached(
     # the temporally repeated flow settles T - 1 + d* at the latest, so the
     # scan ends there (module docstring)
     for bound in range(bottom, horizon + 1):
-        engine, solution = settle(inst, period, bound, cut)
+        engine, solution = settle(cut, bound)
         probes.append((bound, solution is not None))
         engines.append(engine)
         if solution is not None:
@@ -370,7 +367,7 @@ def min_max_delay_oracle(
     probes: list[tuple[int, bool]] = []
     for bound in range(0, mu + 1):
         exp = build_expanded(inst, bound, period)
-        solution = _simplex_schedule(exp, flowlp.build_flow_lp(exp).program, inst)
+        solution = _simplex_schedule(exp, flowlp.build_flow_lp(exp).program)
         probes.append((bound, solution is not None))
         if solution is not None:
             solution = _checked(inst, solution, bound)

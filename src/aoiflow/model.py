@@ -320,7 +320,8 @@ def validate_network(net: Network) -> list[Violation]:
 
 
 def feasible_periods(inst: Instance) -> list[int]:
-    """Candidate periods, ascending; each period T supports throughput D/T."""
+    """The whole period window, ascending; a period T is feasible only when
+    the static max flow reaches D/T, and `min_max_delay` is None elsewhere."""
     return list(range(inst.min_period, inst.max_period + 1))
 
 
@@ -344,10 +345,13 @@ def residue_loads(
     """Aggregate amount pushed onto each link per offset residue class."""
     loads: dict[tuple[str, int], Rational] = {}
     index = net.link_index
+    delays: dict[tuple[str, ...], tuple[int, ...]] = {}  # hop delays, once a path
     for entry in sol.entries:
-        for i, link_id in enumerate(entry.links):
-            push = entry.offsets[i + 1] - index[link_id].delay
-            key = (link_id, push % sol.period)
+        hops = delays.get(entry.links)
+        if hops is None:
+            hops = delays[entry.links] = tuple(index[hop].delay for hop in entry.links)
+        for link_id, delay, arrival in zip(entry.links, hops, entry.offsets[1:]):
+            key = (link_id, (arrival - delay) % sol.period)
             loads[key] = loads.get(key, 0) + entry.amount
     return loads
 

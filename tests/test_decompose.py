@@ -22,7 +22,7 @@ from aoiflow.model import PeriodicSolution, ScheduleEntry, residue_loads
 from conftest import corpus_instance
 
 
-def reference_decompose(exp, edge_flow, inst):
+def reference_decompose(exp, edge_flow):
     source, sink = exp.source, exp.sink
     work = {idx: v for idx, v in edge_flow.items() if v > 0}
     out_sup, in_sup = {}, {}
@@ -38,7 +38,7 @@ def reference_decompose(exp, edge_flow, inst):
         return next(idx for idx in cands if work.get(idx, 0) > 0)
 
     entries = []
-    remaining = inst.batch
+    remaining = exp.inst.batch
     while remaining > 0 and work:
         seed = min(work.items(), key=lambda kv: (kv[1], kv[0]))[0]
         path = [seed]
@@ -136,8 +136,8 @@ def test_decompose_matches_reference_on_random_walk_flows():
                 amount = inst.batch * F(rng.randint(1, 6), rng.randint(2, 8))
                 for idx in walk:
                     flow[idx] = flow.get(idx, 0) + amount
-            got = decompose(exp, flow, inst)
-            raw = reference_decompose(exp, flow, inst)
+            got = decompose(exp, flow)
+            raw = reference_decompose(exp, flow)
             assert_same_up_to_holds(inst.network, got, raw)
             flows += 1
             shortened += got != raw
@@ -155,8 +155,8 @@ def test_decompose_erases_nested_detours():
     exp = build_expanded(inst, 6, 6)
     by_key = {(el.link_id, el.push): i for i, el in enumerate(exp.links)}
     flow = {by_key[(link_id, push)]: 1 for push, (link_id, _, _) in enumerate(hops)}
-    sol = decompose(exp, flow, inst)
-    assert sol == reference_decompose(exp, flow, inst)
+    sol = decompose(exp, flow)
+    assert sol == reference_decompose(exp, flow)
     assert sol.entries == (ScheduleEntry(("sa", "ar"), (0, 1, 6), 1),)
 
 
@@ -190,7 +190,7 @@ def test_decompose_shortens_a_long_sender_hold():
     # capacity group and delivers a period earlier
     inst = single_link_instance(3)
     exp = build_expanded(inst, 5, 3)
-    sol = decompose(exp, held_walk(exp, [("e", 4)], F(1)), inst)
+    sol = decompose(exp, held_walk(exp, [("e", 4)], F(1)))
     assert sol.period == exp.period == 3
     assert sol.entries == (ScheduleEntry(("e",), (0, 2), F(1)),)
 
@@ -199,7 +199,7 @@ def test_decompose_keeps_a_hold_below_the_period():
     # held 2 slots at period 3: no earlier slot of its residue class exists
     inst = single_link_instance(3)
     exp = build_expanded(inst, 5, 3)
-    sol = decompose(exp, held_walk(exp, [("e", 2)], F(1)), inst)
+    sol = decompose(exp, held_walk(exp, [("e", 2)], F(1)))
     assert sol.entries == (ScheduleEntry(("e",), (0, 3), F(1)),)
 
 
@@ -210,7 +210,7 @@ def test_decompose_keeps_a_held_entry_beside_a_shortened_one():
     exp = build_expanded(inst, 5, 3)
     flow = held_walk(exp, [("e", 2)], F(1))
     flow = held_walk(exp, [("e", 3)], F(2), flow)
-    sol = decompose(exp, flow, inst)
+    sol = decompose(exp, flow)
     assert set(sol.entries) == {
         ScheduleEntry(("e",), (0, 3), F(1)),
         ScheduleEntry(("e",), (0, 1), F(2)),
@@ -223,7 +223,7 @@ def test_decompose_shortens_both_hops_of_an_entry():
     net = network(["s", "m", "r"], [("e1", "s", "m", 1, 1), ("e2", "m", "r", 1, 1)])
     inst = Instance(net, "s", "r", F(1), F(1, 2), F(1, 2))
     exp = build_expanded(inst, 8, 2)
-    sol = decompose(exp, held_walk(exp, [("e1", 2), ("e2", 7)], F(1)), inst)
+    sol = decompose(exp, held_walk(exp, [("e1", 2), ("e2", 7)], F(1)))
     assert sol.entries == (ScheduleEntry(("e1", "e2"), (0, 1, 2), F(1)),)
     ok, max_delay, violations = validate_solution(inst, sol)
     assert ok and max_delay == 2, violations
@@ -247,7 +247,7 @@ def test_decompose_holds_stay_below_the_period(delay, hold1, hold2, period):
         period, (ScheduleEntry(("e1", "e2"), (0, push1 + delay, push2 + delay), F(2)),)
     )
     exp = build_expanded(inst, raw.max_delay, period)
-    sol = decompose(exp, held_walk(exp, [("e1", push1), ("e2", push2)], F(2)), inst)
+    sol = decompose(exp, held_walk(exp, [("e1", push1), ("e2", push2)], F(2)))
     assert_same_up_to_holds(net, sol, raw)
     assert sol.max_delay <= raw.max_delay
     # push residues are unchanged, so every capacity group keeps its load
@@ -255,4 +255,4 @@ def test_decompose_holds_stay_below_the_period(delay, hold1, hold2, period):
     # and a walk along the shortened entry peels back into it
     (entry,) = sol.entries
     walk = held_walk(exp, list(zip(entry.links, entry.push_offsets(net))), F(2))
-    assert decompose(exp, walk, inst) == sol
+    assert decompose(exp, walk) == sol

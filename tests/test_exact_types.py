@@ -59,7 +59,7 @@ def solved_values(inst):
             exp = build_expanded(inst, bound, period)
             values["group"] += exp.bandwidths
             values["cut"].append(PeriodCut(inst, period).at(bound))
-            flow = group_augment(exp, inst.batch).flow or {}
+            flow = group_augment(exp).flow or {}
             values["push"] += flow.values()
     for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
         solution = solve_optimal(inst, objective).solution
@@ -136,9 +136,10 @@ def test_exact_canonicalises():
     assert exact(half) is half  # a canonical Fraction is handed back as is
 
 
-def twice_used_group(bandwidth):
-    """An expansion whose shorter route crosses group 0, of ``bandwidth``,
-    twice; the longer route crosses three groups of bandwidth 1."""
+def twice_used_group(bandwidth, batch):
+    """An expansion of a batch whose shorter route crosses group 0, of
+    ``bandwidth``, twice; the longer route crosses three groups of
+    bandwidth 1."""
     net = network(["s", "r"], [("e", "s", "r", 1, 1), ("f", "s", "r", 1, 1)])
     # (tail, head, link, group): both copies of e share group 0
     hops = [
@@ -149,7 +150,7 @@ def twice_used_group(bandwidth):
         (4, 2, "f", 3),
     ]
     return ExpandedNetwork(
-        net=net,
+        inst=Instance(net, "s", "r", batch, batch, batch),
         bound=4,
         period=1,
         links=tuple(ExpandedLink(t, h, link, 0, g) for t, h, link, g in hops),
@@ -162,7 +163,7 @@ def twice_used_group(bandwidth):
 def test_pusher_splits_a_twice_used_group_exactly():
     """The first path crosses one group twice, so it takes half of its
     integer bandwidth; the second path brings the rest."""
-    flow = group_augment(twice_used_group(1), 1).flow
+    flow = group_augment(twice_used_group(1, 1)).flow
     assert flow == {idx: F(1, 2) for idx in range(5)}
     assert {type(v) for v in flow.values()} == {F}
 
@@ -170,7 +171,7 @@ def test_pusher_splits_a_twice_used_group_exactly():
 def test_pusher_hands_on_integral_shares_as_int():
     """The first path takes the share 4/2 of the twice-used group, the
     second the third unit; the integral share is handed on as int."""
-    flow = group_augment(twice_used_group(4), 3).flow
+    flow = group_augment(twice_used_group(4, 3)).flow
     assert flow == {0: 2, 1: 2, 2: 1, 3: 1, 4: 1}
     assert {type(v) for v in flow.values()} == {int}
 

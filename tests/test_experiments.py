@@ -111,6 +111,11 @@ def test_batch_capacity_examples():
     assert batch_capacity(disconnected, "s", "r") == 0
 
 
+def test_batch_capacity_refuses_one_endpoint_for_both():
+    with pytest.raises(ModelError, match="must differ"):
+        batch_capacity(make_fastslow_network(), "s", "s")
+
+
 def test_scaled_instance_window():
     net = generate(complete_graph(5, seed=4))
     inst = scaled_instance(net, "a1", "a5", 5)

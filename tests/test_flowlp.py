@@ -248,7 +248,7 @@ def test_group_augment_agrees_with_lp_when_it_succeeds():
     inst = make_fastslow_instance()
     for period, bound in [(7, 11), (10, 10), (8, 12)]:
         exp = build_expanded(inst, bound, period)
-        flow = group_augment(exp, inst.batch).flow
+        flow = group_augment(exp).flow
         assert flow is not None
         assert_groups_within_bandwidth(exp, flow)
         total = sum(v for idx, v in flow.items() if exp.links[idx].tail == exp.source)
@@ -290,7 +290,7 @@ def test_probe_matches_reference_lp_on_corpus():
         inst = corpus_instance(seed)
         period = inst.max_period
         for bound in range(1, 13, 3):
-            _, solution = settle(inst, period, bound, PeriodCut(inst, period))
+            _, solution = settle(PeriodCut(inst, period), bound)
             _, sol = optimum(inst, period, bound)
             assert (solution is not None) == (sol.objective_value >= inst.batch)
 
@@ -401,7 +401,7 @@ def test_group_augment_matches_reference():
                 continue
             for bound in range(low, top + 1):
                 exp = build_expanded(inst, bound, period)
-                got = group_augment(exp, inst.batch).flow
+                got = group_augment(exp).flow
                 want = reference_group_augment(exp, inst, period, inst.batch)
                 if want is not None:
                     want = {idx: v for idx, v in want.items() if v > 0}

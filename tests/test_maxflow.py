@@ -45,3 +45,8 @@ def test_max_flow_cancels_under_a_capacity_mapping():
 def test_max_flow_refuses_a_start_outside_the_capacities(capacity, start):
     with pytest.raises(ValueError, match="outside its capacity"):
         max_flow(cancelling_network(), "s", "t", capacity, start)
+
+
+def test_max_flow_from_a_node_to_itself_is_empty():
+    # a source that is its own sink has no path to augment along
+    assert max_flow(cancelling_network(), "x", "x") == ({}, 0)

@@ -249,7 +249,7 @@ def test_decompose_paths_refuses_a_cyclic_flow():
 def test_decompose_zero_flow_is_empty():
     inst = make_triple_instance()
     exp = build_expanded(inst, 12, 5)
-    sol = decompose(exp, {}, inst)
+    sol = decompose(exp, {})
     assert sol.entries == ()
 
 
@@ -260,7 +260,7 @@ def test_decompose_triple_unit_rate_flow():
     lp_sol = solve_lp(flow_lp.program)
     assert lp_sol.objective_value >= 5
     flow = extract_edge_flow(lp_sol)
-    sol = decompose(exp, flow, inst)
+    sol = decompose(exp, flow)
     ok, max_delay, violations = validate_solution(inst, sol)
     assert ok and max_delay == 5
     assert sol.total_amount == 5
@@ -278,7 +278,7 @@ def test_decompose_fastslow_t7_respects_caps():
     flow_lp = build_flow_lp(exp)
     lp_sol = solve_lp(flow_lp.program)
     flow = extract_edge_flow(lp_sol)
-    sol = decompose(exp, flow, inst)
+    sol = decompose(exp, flow)
     ok, max_delay, _ = validate_solution(inst, sol)
     assert ok and max_delay <= 11
     assert len(sol.entries) <= len(exp.links)
@@ -291,7 +291,7 @@ def test_decompose_rejects_nonconserving_flow():
         i for i, el in enumerate(exp.links) if el.link_id is not None and el.push == 0
     )
     with pytest.raises(AssertionError, match="conserve"):
-        decompose(exp, {transit: F(1)}, inst)
+        decompose(exp, {transit: F(1)})
 
 
 def test_decompose_reroutes_node_revisit_through_holding():
@@ -318,7 +318,7 @@ def test_decompose_reroutes_node_revisit_through_holding():
         by_key[("ba", 2)]: F(1),
         by_key[("ar", 3)]: F(1),
     }
-    sol = decompose(exp, flow, inst)
+    sol = decompose(exp, flow)
     (entry,) = sol.entries
     assert entry.links == ("sa", "ar")
     assert entry.offsets == (0, 1, 4)  # arrive a@1, hold to 3, arrive r@4

@@ -323,12 +323,12 @@ def test_float_dual_settles_what_the_cut_misses():
     cut = PeriodCut(inst, period)
     assert cut.at(bound) == 500 >= inst.batch == 500
     exp = build_expanded(inst, bound, period)
-    push = group_augment(exp, inst.batch)
+    push = group_augment(exp)
     assert push.flow is None and push.reached is not None
     assert residual_cut(exp, push.reached) == 500
     program = build_flow_lp(exp).program
     assert certify_value_below(program, inst.batch, _scipy_solve(program))
-    assert settle(inst, period, bound, cut) == ("dual-certificate", None)
+    assert settle(cut, bound) == ("dual-certificate", None)
 
 
 def float_verdicts():
@@ -339,7 +339,7 @@ def float_verdicts():
     grid = scaled_instance(generate(grid_graph(4, 4, seed=16)), "a1_1", "a4_4", 10)
     verdicts = []
     for inst, period, bound in ((grid, 12, 24), (complete6(4), 5, 11)):
-        engine, solution = settle(inst, period, bound, PeriodCut(inst, period))
+        engine, solution = settle(PeriodCut(inst, period), bound)
         if solution is not None:
             ok, max_delay, violations = validate_solution(inst, solution)
             assert ok and max_delay == bound, violations
@@ -372,7 +372,7 @@ def test_period_cut_settles_what_the_residual_cut_misses(monkeypatch, fresh_cach
     inst = scaled_instance(generate(grid_graph(4, 4, seed=13)), "a1_1", "a4_4", 10)
     assert PeriodCut(inst, 10).at(24) == 490 < inst.batch == 500
     exp = build_expanded(inst, 24, 10)
-    push = group_augment(exp, inst.batch)
+    push = group_augment(exp)
     assert push.flow is None and residual_cut(exp, push.reached) == 530
     # the scan refutes bound 24 without building its expansion
     built = []
@@ -427,7 +427,7 @@ def test_residual_cut_never_below_exact_optimum():
             exp = build_expanded(inst, bound, period)
             if not exp.links:
                 continue
-            push = group_augment(exp, inst.batch)
+            push = group_augment(exp)
             if push.reached is None:
                 continue
             stalls += 1
@@ -451,7 +451,7 @@ def test_period_cut_refutes_an_expansion_without_links():
         assert PeriodCut(inst, inst.max_period).at(bound) == 0, seed
         exp = build_expanded(inst, bound, inst.max_period)
         assert not exp.links
-        push = group_augment(exp, inst.batch)
+        push = group_augment(exp)
         assert push.flow is None and residual_cut(exp, push.reached) == 0, seed
 
 
@@ -483,7 +483,7 @@ def test_primal_snap_settles_the_stall_it_exists_for(monkeypatch):
     inst = complete6(4)
     period, bound = 5, 11
     exp = build_expanded(inst, bound, period)
-    push = group_augment(exp, inst.batch)
+    push = group_augment(exp)
     assert push.flow is None and push.reached is not None
     assert residual_cut(exp, push.reached) == 660 >= inst.batch == 650
     program = build_flow_lp(exp).program
@@ -494,7 +494,7 @@ def test_primal_snap_settles_the_stall_it_exists_for(monkeypatch):
     assert violated_row(program, values) is None
     assert flow_value(program, values) >= inst.batch
 
-    engine, solution = settle(inst, period, bound, PeriodCut(inst, period))
+    engine, solution = settle(PeriodCut(inst, period), bound)
     assert engine == "primal-snap"
     ok, max_delay, violations = validate_solution(inst, solution)
     assert ok, violations
@@ -585,7 +585,7 @@ def expanded_flow(exp, solution):
     def carry(key, amount):
         flow[index[key]] = flow.get(index[key], F(0)) + amount
 
-    net = exp.net
+    net = exp.inst.network
     for entry in solution.entries:
         nodes = entry.path_nodes(net)
         pushes = entry.push_offsets(net) + (exp.bound,)
