@@ -270,6 +270,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ModelError, bad JSON, bad numbers
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # an expansion or HiGHS outgrew the machine: no verdict
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@
 travel from (sender, 0) to (receiver, bound) at this period?  So it keeps
 only the copies lying on such a route.  A physical link u -> v of delay
 ``d`` becomes transit copies (u, i) -> (v, i + d) for the push slots
-``dist_s[u] <= i <= bound - d - dist_r[v]`` (`push_slots`, which the period
-cut counts too), and a node v gets unit holding links (v, i) -> (v, i + 1)
+``dist_s[u] <= i <= bound - d - dist_r[v]`` (the period cut counts them
+too), and a node v gets unit holding links (v, i) -> (v, i + 1)
 for ``dist_s[v] <= i < bound - dist_r[v]``, where ``dist_s`` is the shortest
 delay from the sender and ``dist_r`` the shortest delay to the receiver.
 Every other copy carries zero in any conserving flow, so dropping it leaves
@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .maxflow import shortest_delay
-from .model import Instance, Link, Rational
+from .model import Instance, Rational
 
 @dataclass(frozen=True)
 class ExpandedLink:
@@ -103,21 +103,6 @@ def route_distances(inst: Instance) -> tuple[Mapping[str, int], Mapping[str, int
     )
 
 
-def push_slots(
-    link: Link, bound: int, dist_s: Mapping[str, int], dist_r: Mapping[str, int]
-) -> range:
-    """Push slots of the link's transit copies on a route of ``bound``.
-
-    A copy pushed at slot i lies on some (sender, 0) -> (receiver, bound)
-    route exactly when ``dist_s[tail] <= i <= bound - delay - dist_r[head]``,
-    so the link has ``bound - delay - dist_r[head] - dist_s[tail] + 1`` such
-    copies; none when that is not positive or an end is off every route.
-    """
-    if link.tail not in dist_s or link.head not in dist_r:
-        return range(0)
-    return range(dist_s[link.tail], bound - link.delay - dist_r[link.head] + 1)
-
-
 def build_expanded(inst: Instance, bound: int, period: int) -> ExpandedNetwork:
     """Expand the copies on some (sender, 0) -> (receiver, bound) route.
 
@@ -137,11 +122,13 @@ def build_expanded(inst: Instance, bound: int, period: int) -> ExpandedNetwork:
     links: list[ExpandedLink] = []
     bandwidths: list[Rational] = []
     width = bound + 1
-    node_pos = {v: i for i, v in enumerate(net.nodes)}
+    node_pos = net.view.pos
     for link in net.links:
+        if link.tail not in dist_s or link.head not in dist_r:
+            continue  # off every route
         tail = node_pos[link.tail] * width
         head = node_pos[link.head] * width + link.delay
-        slots = push_slots(link, bound, dist_s, dist_r)
+        slots = range(dist_s[link.tail], bound - link.delay - dist_r[link.head] + 1)
         # the link's residues, ascending, take the next group numbers
         residues = sorted({i % period for i in slots[:period]})
         group = {r: len(bandwidths) + k for k, r in enumerate(residues)}

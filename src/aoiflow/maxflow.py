@@ -8,6 +8,11 @@ Everything is exact: on integer bandwidths every flow, rate and cost is an
 int (Ford and Fulkerson's integrality), otherwise a Fraction, and the
 min-cost prefixes hand on their rates, costs and path rates through
 `model.exact`.
+
+Every kernel runs on the network's integer view (`Network.view`), nodes and
+links numbered by position, with a flow as a list by link.  The public
+functions read and return link ids and node names; the period cut keeps its
+flow as such a list and augments it with `_augment` directly.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from functools import lru_cache
 import heapq
 from typing import NamedTuple
 
-from .model import Link, Network, Rational, exact
+from .model import Network, Rational, exact
 
 
 def max_flow(
@@ -36,61 +41,73 @@ def max_flow(
     those capacities, by link id, conserving at every node but the source
     and the sink, such as a max flow under capacities no larger.  A max
     flow's value is unique, so the start changes which max flow is
-    returned, never its value.  ``start`` itself is not changed, and a
-    start outside the capacities raises ValueError.
+    returned, never its value.  ``start`` itself is not changed; one that
+    breaks those terms raises ValueError (`_augment`).
     """
     if source == sink:
         return {}, 0
-    if capacity is None:
-        capacity = {link.id: link.bandwidth for link in net.links}
-    flow: dict[str, Rational] = {link.id: 0 for link in net.links}
-    if start is not None:
-        for link_id, amount in start.items():
-            if not 0 <= amount <= capacity.get(link_id, 0):
-                raise ValueError(f"start flow {amount} on {link_id!r} outside its capacity")
-        flow.update(start)
-    outgoing, incoming = net.out_links, net.in_links
+    links = net.links
+    if start is not None and not start.keys() <= net.link_index.keys():
+        raise ValueError("start flow on a link not in the network")
+    room = [link.bandwidth if capacity is None else capacity.get(link.id, 0) for link in links]
+    flow = [0 if start is None else start.get(link.id, 0) for link in links]
+    value = _augment(net, source, sink, room, flow)
+    return {link.id: amount for link, amount in zip(links, flow)}, value
 
-    value = sum(flow[link.id] for link in outgoing[source]) - sum(
-        flow[link.id] for link in incoming[source]
-    )
+
+def _augment(
+    net: Network, source: str, sink: str, capacity: list[Rational], flow: list[Rational]
+) -> Rational:
+    """Augment ``flow``, by link, in place to a max flow within ``capacity``
+    and return its value; ValueError names the first link or node where the
+    start leaves its capacity or does not conserve.  Each breadth-first
+    search scans a node's outgoing links, then its incoming ones."""
+    view = net.view
+    tail, head, out, into = view.tail, view.head, view.out, view.into
+    s, t = view.pos[source], view.pos[sink]
+    excess: list[Rational] = [0] * len(out)
+    for l, (amount, room) in enumerate(zip(flow, capacity)):
+        if not 0 <= amount <= room:
+            raise ValueError(f"start flow {amount} on {net.links[l].id!r} outside its capacity")
+        if amount:
+            excess[tail[l]] += amount
+            excess[head[l]] -= amount
+    for v, surplus in enumerate(excess):
+        if surplus and v != s and v != t:
+            raise ValueError(f"start flow does not conserve at {net.nodes[v]!r}")
+    value = excess[s]
     while True:
-        # BFS in the residual graph
-        parent: dict[str, tuple[Link, bool]] = {}
-        seen = {source}
-        queue = deque([source])
-        while queue and sink not in seen:
+        # the arc each node was reached by: link l forward, ~l backward
+        via: list[int | None] = [None] * len(out)
+        via[s] = 0  # seen, never traced
+        queue = deque([s])
+        while queue and via[t] is None:
             v = queue.popleft()
-            for link in outgoing[v]:
-                if link.head not in seen and flow[link.id] < capacity.get(link.id, 0):
-                    seen.add(link.head)
-                    parent[link.head] = (link, True)
-                    queue.append(link.head)
-            for link in incoming[v]:
-                if link.tail not in seen and flow[link.id] > 0:
-                    seen.add(link.tail)
-                    parent[link.tail] = (link, False)
-                    queue.append(link.tail)
-        if sink not in seen:
-            return flow, value
-        # trace back and augment
-        bottleneck = None
-        v = sink
-        while v != source:
-            link, forward = parent[v]
-            room = capacity[link.id] - flow[link.id] if forward else flow[link.id]
-            bottleneck = room if bottleneck is None else min(bottleneck, room)
-            v = link.tail if forward else link.head
-        v = sink
-        while v != source:
-            link, forward = parent[v]
-            if forward:
-                flow[link.id] += bottleneck
-                v = link.tail
-            else:
-                flow[link.id] -= bottleneck
-                v = link.head
-        value += bottleneck
+            for l in out[v]:
+                if via[head[l]] is None and flow[l] < capacity[l]:
+                    via[head[l]] = l
+                    queue.append(head[l])
+            for l in into[v]:
+                if via[tail[l]] is None and flow[l] > 0:
+                    via[tail[l]] = ~l
+                    queue.append(tail[l])
+        if via[t] is None:
+            return value
+        value += _push(view, via, s, t, capacity, flow)
+
+
+def _push(view, via: list, s: int, t: int, capacity: list, flow: list) -> Rational:
+    """Push the path's bottleneck onto ``flow`` and return it; the path runs
+    from s to t along the arcs ``via`` reached each node by (l forward, ~l
+    backward), within ``capacity``."""
+    path = []
+    while t != s:
+        path.append(via[t])
+        t = view.tail[via[t]] if via[t] >= 0 else view.head[~via[t]]
+    amount = exact(min(capacity[l] - flow[l] if l >= 0 else flow[~l] for l in path))
+    for l in path:  # forward arcs gain the amount, backward ones give it back
+        flow[l if l >= 0 else ~l] += amount if l >= 0 else -amount
+    return amount
 
 
 class Prefix(NamedTuple):
@@ -112,56 +129,48 @@ def min_cost_prefixes(net: Network, source: str, sink: str) -> tuple[Prefix, ...
     cost minus the delay; augmenting along shortest paths keeps the residual
     graph free of negative cycles) until the sink is cut off.  The k-th
     prefix is the flow after k augmentations, a min-cost flow of its value,
-    peeled by `decompose_paths`.  The last one is a maximum flow; none when
-    the sink is unreachable.
+    peeled as `decompose_paths` does.  The last one is a maximum flow; none
+    when the sink is unreachable.
     """
-    flow: dict[str, Rational] = {link.id: 0 for link in net.links}
-    outgoing, incoming = net.out_links, net.in_links
-    index = net.link_index
-
+    view = net.view
+    tail, head, delay, bandwidth = view.tail, view.head, view.delay, view.bandwidth
+    s, t = view.pos[source], view.pos[sink]
+    n = len(view.out)
+    flow: list[Rational] = [0] * len(tail)
     prefixes: list[Prefix] = []
     rate = cost = 0
     while True:
-        dist = {source: 0}
-        parent: dict[str, tuple[Link, bool]] = {}
-        queue = deque([source])
-        queued = {source}
+        dist: list[int | None] = [None] * n
+        via = [0] * n  # the arc that last lowered each node: l forward, ~l backward
+        dist[s] = 0
+        queue = deque([s])
+        queued = [False] * n
+        queued[s] = True
         while queue:
             v = queue.popleft()
-            queued.discard(v)
-            arcs = [(link, True) for link in outgoing[v] if flow[link.id] < link.bandwidth]
-            arcs += [(link, False) for link in incoming[v] if flow[link.id] > 0]
-            for link, forward in arcs:
-                w = link.head if forward else link.tail
-                nd = dist[v] + (link.delay if forward else -link.delay)
-                if w not in dist or nd < dist[w]:
-                    dist[w] = nd
-                    parent[w] = (link, forward)
-                    if w not in queued:
-                        queued.add(w)
-                        queue.append(w)
-        length = dist.get(sink)
+            queued[v] = False
+            # forward arcs first, each costing its delay, then backward ones
+            for links, forward in ((view.out[v], True), (view.into[v], False)):
+                for l in links:
+                    if (flow[l] < bandwidth[l]) if forward else (flow[l] > 0):
+                        w = head[l] if forward else tail[l]
+                        nd = dist[v] + (delay[l] if forward else -delay[l])
+                        if dist[w] is None or nd < dist[w]:
+                            dist[w] = nd
+                            via[w] = l if forward else ~l
+                            if not queued[w]:
+                                queued[w] = True
+                                queue.append(w)
+        length = dist[t]
         if length is None:
             return tuple(prefixes)
-        path = []
-        v = sink
-        while v != source:
-            link, forward = parent[v]
-            path.append((link, forward))
-            v = link.tail if forward else link.head
-        delta = exact(
-            min(
-                link.bandwidth - flow[link.id] if forward else flow[link.id]
-                for link, forward in path
-            )
-        )
-        for link, forward in path:
-            flow[link.id] += delta if forward else -delta
+        delta = _push(view, via, s, t, bandwidth, flow)
         rate = exact(rate + delta)
         cost = exact(cost + delta * length)
-        paths = tuple(decompose_paths(net, flow, source, sink))
-        delays = tuple(sum(index[l].delay for l in links) for links, _ in paths)
-        prefixes.append(Prefix(length, rate, cost, paths, delays))
+        paths = _peel(net, flow, s, t)
+        ids = tuple((tuple(net.links[l].id for l in walk), x) for walk, x in paths)
+        delays = tuple(sum(delay[l] for l in walk) for walk, _ in paths)
+        prefixes.append(Prefix(length, rate, cost, ids, delays))
 
 
 def quickest_bound(net: Network, source: str, sink: str, amount: Rational) -> int | None:
@@ -183,6 +192,28 @@ def quickest_bound(net: Network, source: str, sink: str, amount: Rational) -> in
     return bound
 
 
+def repeated_value(prefix: Prefix, period: int, bound: int) -> Rational:
+    """What the prefix's paths carry by ``bound``, each departing at up to
+    ``period`` consecutive slots (`mmd.lift_path_flow`): L_T(M), the sum of
+    x_P * min(T, M + 1 - d(P)) over the paths P of delay d(P) <= M."""
+    return sum(
+        rate * min(period, bound + 1 - delay)
+        for (_, rate), delay in zip(prefix.paths, prefix.delays)
+        if delay <= bound
+    )
+
+
+def _best_prefix(net: Network, source: str, sink: str, period: int, bound: int):
+    """The first min-cost prefix of the largest `repeated_value` at ``bound``,
+    and that value; None and 0 when no path arrives by then."""
+    best, value = None, 0
+    for prefix in min_cost_prefixes(net, source, sink):
+        reach = repeated_value(prefix, period, bound)
+        if reach > value:
+            best, value = prefix, reach
+    return best, value
+
+
 def decompose_paths(
     net: Network, flow: dict[str, Rational], source: str, sink: str
 ) -> list[tuple[tuple[str, ...], Rational]]:
@@ -194,36 +225,35 @@ def decompose_paths(
     no positive-flow cycle; a walk longer than |V| - 1 links means a cyclic
     input and raises instead of looping.
     """
-    residual = {k: v for k, v in flow.items() if v > 0}
-    outgoing = net.out_links
-    paths: list[tuple[tuple[str, ...], Rational]] = []
+    pos = net.view.pos
+    by_link = [flow.get(link.id, 0) for link in net.links]
+    paths = _peel(net, by_link, pos[source], pos[sink])
+    return [(tuple(net.links[l].id for l in walk), amount) for walk, amount in paths]
 
-    def next_link(v: str) -> Link | None:
-        for link in outgoing[v]:
-            if residual.get(link.id, 0) > 0:
-                return link
-        return None
 
+def _peel(net: Network, flow: list[Rational], s: int, t: int) -> list[tuple[tuple, Rational]]:
+    """`decompose_paths` on a flow by link from node s to node t, each walk
+    taking a node's first outgoing link with flow left."""
+    head, out = net.view.head, net.view.out
+    residual = list(flow)
+    paths = []
     while True:
-        walk: list[Link] = []
-        v = source
-        while v != sink:
-            link = next_link(v)
-            if link is None:
-                break
-            walk.append(link)
-            v = link.head
-            if len(walk) >= len(net.nodes):
+        walk: list[int] = []
+        v = s
+        while v != t:
+            for l in out[v]:
+                if residual[l] > 0:
+                    break
+            else:
+                return paths
+            walk.append(l)
+            v = head[l]
+            if len(walk) >= len(out):
                 raise AssertionError("flow to decompose has a cycle")
-        if v != sink:
-            break
-        amount = exact(min(residual[l.id] for l in walk))
+        amount = exact(min(residual[l] for l in walk))
         for l in walk:
-            residual[l.id] -= amount
-            if residual[l.id] == 0:
-                del residual[l.id]
-        paths.append((tuple(l.id for l in walk), amount))
-    return paths
+            residual[l] -= amount
+        paths.append((tuple(walk), amount))
 
 
 def shortest_delay(net: Network, source: str, reverse: bool = False) -> dict[str, int]:
@@ -232,17 +262,20 @@ def shortest_delay(net: Network, source: str, reverse: bool = False) -> dict[str
     With ``reverse`` the links are followed backwards, giving each node's
     shortest delay to ``source``.
     """
-    dist = {source: 0}
-    heap = [(0, source)]
-    adjacent = net.in_links if reverse else net.out_links
+    view = net.view
+    adjacent, ends = (view.into, view.tail) if reverse else (view.out, view.head)
+    dist: list[int | None] = [None] * len(adjacent)
+    start = view.pos[source]
+    dist[start] = 0
+    heap = [(0, start)]
     while heap:
         d, v = heapq.heappop(heap)
-        if d > dist.get(v, d):
+        if d > dist[v]:
             continue
-        for link in adjacent[v]:
-            w = link.tail if reverse else link.head
-            nd = d + link.delay
-            if nd < dist.get(w, nd + 1):
+        for l in adjacent[v]:
+            w = ends[l]
+            nd = d + view.delay[l]
+            if dist[w] is None or nd < dist[w]:
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
-    return dist
+    return {v: d for v, d in zip(net.nodes, dist) if d is not None}

@@ -18,8 +18,8 @@ and why it ends:
 * and the scan ends by itself: take d* as the least delay at which the
   last prefix's paths of delay at most d* carry rate batch/T.  At the bound
   T - 1 + d* each of those paths departs T times, so the temporally
-  repeated flow below delivers at least the batch there (`repeated_value`),
-  and that bound is settled without an expansion.
+  repeated flow below delivers at least the batch there
+  (`maxflow.repeated_value`), and that bound is settled without an expansion.
 
 A ``horizon`` caps the scan as a search ceiling.  `settle`, given a bound
 and the period's `flowlp.PeriodCut`, settles it with the first of these
@@ -33,10 +33,9 @@ engines that can, and the result names it in ``engines``, one per probe:
 * ``period-cut`` (`flowlp.PeriodCut`): a static max flow on the physical
   network, each link carrying its bandwidth once per push residue among
   its copies on a route of M.  When that falls short of the batch, the
-  bound is infeasible, again with no expansion.  Those capacities never
-  fall as M rises, so the period's scan keeps one `flowlp.PeriodCut`, and
-  each bound's max flow continues from the last bound's, a feasible flow
-  within the new capacities;
+  bound is infeasible, again with no expansion.  The period's scan keeps
+  one `flowlp.PeriodCut`, whose max flow at each bound starts from the last
+  bound's or from the temporally repeated flow;
 * otherwise the bound's pruned expansion is built and the exact rungs of
   `flowlp` run on it in order: the augmenting pusher (``augment``), its
   residual cut (``residual-cut``), the float solve's snapped dual
@@ -62,7 +61,7 @@ from itertools import accumulate
 from . import flowlp
 from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .maxflow import Prefix, max_flow, min_cost_prefixes, quickest_bound
+from .maxflow import _best_prefix, max_flow, min_cost_prefixes, quickest_bound
 from .model import (
     Instance,
     ModelError,
@@ -119,19 +118,6 @@ def lift_path_flow(
     return PeriodicSolution(period, tuple(entries))
 
 
-def repeated_value(prefix: Prefix, period: int, bound: int) -> Rational:
-    """What `lift_path_flow` sends on the prefix's paths by ``bound``.
-
-    This is L_T(M) = sum of x_P * min(T, M + 1 - d(P)) over the paths P of
-    delay d(P) <= M.
-    """
-    return sum(
-        rate * min(period, bound + 1 - delay)
-        for (_, rate), delay in zip(prefix.paths, prefix.delays)
-        if delay <= bound
-    )
-
-
 def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolution | None:
     """A schedule of delay at most ``bound`` from the best min-cost prefix.
 
@@ -142,11 +128,7 @@ def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolu
     which proves nothing.
     """
     net = inst.network
-    best, value = None, 0
-    for prefix in min_cost_prefixes(net, inst.sender, inst.receiver):
-        reach = repeated_value(prefix, period, bound)
-        if reach > value:
-            best, value = prefix, reach
+    best, value = _best_prefix(net, inst.sender, inst.receiver, period, bound)
     if best is None or value < inst.batch:
         return None
     return lift_path_flow(net, best.paths, period, bound, inst.batch)

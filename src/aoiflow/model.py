@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 # an exact rational value: int when integral, Fraction otherwise
@@ -105,20 +105,30 @@ class Network:
         return {link.id: link for link in self.links}
 
     @cached_property
-    def out_links(self) -> dict[str, list[Link]]:
-        """Node -> links leaving it, in link order; callers only read it."""
-        adj: dict[str, list[Link]] = {v: [] for v in self.nodes}
-        for link in self.links:
-            adj[link.tail].append(link)
-        return adj
+    def view(self) -> _View:
+        """The network by position, built on first use; callers only read it."""
+        pos = {v: i for i, v in enumerate(self.nodes)}
+        out: list[list[int]] = [[] for _ in self.nodes]
+        into: list[list[int]] = [[] for _ in self.nodes]
+        for l, link in enumerate(self.links):
+            out[pos[link.tail]].append(l)
+            into[pos[link.head]].append(l)
+        by_link = [(pos[x.tail], pos[x.head], x.delay, x.bandwidth) for x in self.links]
+        columns = map(tuple, zip(*by_link)) if by_link else ((),) * 4
+        return _View(pos, *columns, out, into)
 
-    @cached_property
-    def in_links(self) -> dict[str, list[Link]]:
-        """Node -> links entering it, in link order; callers only read it."""
-        adj: dict[str, list[Link]] = {v: [] for v in self.nodes}
-        for link in self.links:
-            adj[link.head].append(link)
-        return adj
+
+class _View(NamedTuple):
+    """A network with nodes and links numbered by their position in it, for
+    the static-flow kernels: link l runs from node tail[l] to head[l]."""
+
+    pos: dict[str, int]  # node -> position
+    tail: tuple[int, ...]  # by link
+    head: tuple[int, ...]
+    delay: tuple[int, ...]
+    bandwidth: tuple[Rational, ...]
+    out: list[list[int]]  # by node, the links leaving it in link order
+    into: list[list[int]]  # by node, the links entering it in link order
 
 
 def network(nodes: Iterable[str], links: Iterable[tuple]) -> Network:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from aoiflow import Instance, network
+from aoiflow import Instance, mmd, network
 from aoiflow.cli import main
 from aoiflow.fileio import instance_to_dict, save_instance
 from conftest import make_fastslow_instance, make_triple_instance
@@ -177,6 +177,34 @@ def test_mu_override(fastslow_path, capsys):
     for ceiling in ("0", "-3"):
         assert main(["mmd-at-period", fastslow_path, "7", "--mu-override", ceiling]) == 1
         assert "horizon must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "mpa", "{inst}"],
+        ["mmd-at-period", "{inst}", "7"],
+        ["sweep", "{inst}", "--csv", "{tmp}/sweep.csv"],
+        ["batch", "complete", "4", "--count", "1", "--csv", "{tmp}/batch.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_of_memory_exits_1_with_one_line(
+    argv, fastslow_path, tmp_path, monkeypatch, capsys
+):
+    # a probe that runs out of memory ends the command, never a verdict
+    def exhausted(cut, bound):
+        raise MemoryError
+
+    monkeypatch.setattr(mmd, "settle", exhausted)
+    mmd._min_max_delay_cached.cache_clear()  # cached answers skip the probes
+    try:
+        code = main([a.format(inst=fastslow_path, tmp=tmp_path) for a in argv])
+    finally:
+        mmd._min_max_delay_cached.cache_clear()
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "error: out of memory\n")
+    assert "Traceback" not in out
 
 
 def test_gen_deterministic_bytes(tmp_path, capsys):

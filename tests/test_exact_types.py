@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from aoiflow import Instance, Network, network
+from aoiflow import Instance, Network, flowlp, network
 from aoiflow.cli import main
 from aoiflow.expander import ExpandedLink, ExpandedNetwork, build_expanded
 from aoiflow.experiments import (
@@ -385,3 +385,37 @@ def test_carried_period_cut_matches_the_expansion_cut(
         for step in (0, 1, 3, 3, 2, 0, *later):
             bound = bottom + step
             assert cut.at(bound) == expansion_cut(inst, period, bound), (period, bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWN)
+def test_period_cut_starts_within_its_capacities(kind, seed, scale, n_periods):
+    """A fresh period cut at each bound from the quickest bound to 3 above
+    it starts from the truncated temporally repeated flow: within the cut's
+    capacity on every link, and conserving at every node but the ends."""
+    inst = drawn_instance(kind, seed, scale, n_periods)
+    net = inst.network
+    starts = []
+
+    def recording_augment(net, source, sink, capacity, flow):
+        starts.append((list(capacity), list(flow)))
+        return augment(net, source, sink, capacity, flow)
+
+    bottom = quickest_bound(net, inst.sender, inst.receiver, inst.batch)
+    augment = flowlp._augment
+    flowlp._augment = recording_augment
+    try:
+        for period in feasible_periods(inst):
+            for bound in range(bottom, bottom + 4):
+                PeriodCut(inst, period).at(bound)
+    finally:
+        flowlp._augment = augment
+    assert starts
+    for capacity, flow in starts:
+        assert all(0 <= f <= c for f, c in zip(flow, capacity))
+        excess = dict.fromkeys(net.nodes, 0)
+        for link, f in zip(net.links, flow):
+            excess[link.tail] += f
+            excess[link.head] -= f
+        assert all(not excess[v] for v in net.nodes if v not in (inst.sender, inst.receiver))
+        assert excess[inst.sender] > 0

@@ -26,13 +26,14 @@ from aoiflow.experiments import (
     pick_endpoints,
     scaled_instance,
 )
-from aoiflow.maxflow import decompose_paths, max_flow, min_cost_prefixes, quickest_bound
-from aoiflow.mmd import (
-    _min_max_delay_cached,
-    lift_path_flow,
+from aoiflow.maxflow import (
+    decompose_paths,
+    max_flow,
+    min_cost_prefixes,
+    quickest_bound,
     repeated_value,
-    temporally_repeated,
 )
+from aoiflow.mmd import _min_max_delay_cached, lift_path_flow, temporally_repeated
 from aoiflow.solvers import mmd1_exact
 from conftest import corpus_instance, make_fastslow_instance, make_triple_instance
 

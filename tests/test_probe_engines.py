@@ -54,8 +54,8 @@ from aoiflow.flowlp import (
     snap_primal,
 )
 from aoiflow.lp import violated_row
-from aoiflow.maxflow import max_flow, min_cost_prefixes, quickest_bound, shortest_delay
-from aoiflow.mmd import _min_max_delay_cached, min_max_delay, repeated_value, settle
+from aoiflow.maxflow import min_cost_prefixes, quickest_bound, repeated_value, shortest_delay
+from aoiflow.mmd import _min_max_delay_cached, min_max_delay, settle
 from conftest import corpus_instance, expansion_cut
 
 SLICE = range(20, 32)
@@ -253,20 +253,31 @@ def test_period_cut_matches_the_expansion_cut(monkeypatch, fresh_cache):
 
 
 def test_grid_seed7_cut_carries_its_max_flow(monkeypatch, fresh_cache):
-    # at T = 10 the cut refutes bounds 26, 27 and 28; only the first max
-    # flow starts from zero, the others continue the bound before's
-    starts = []
+    # at T = 10 the cut refutes bounds 26, 27 and 28; the first max flow
+    # starts from the truncated temporally repeated flow, worth the best
+    # prefix's repeated value at 26, the others continue the bound before's
+    starts, ends = [], []
+    augment = flowlp_module._augment
 
-    def recording_max_flow(net, source, sink, capacity=None, start=None):
-        starts.append(start)
-        return max_flow(net, source, sink, capacity, start)
+    def recording_augment(net, source, sink, capacity, flow):
+        starts.append(list(flow))
+        value = augment(net, source, sink, capacity, flow)
+        ends.append(list(flow))
+        return value
 
-    monkeypatch.setattr(flowlp_module, "max_flow", recording_max_flow)
+    monkeypatch.setattr(flowlp_module, "_augment", recording_augment)
     inst = scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
     result = min_max_delay(inst, 10)
     assert result.probes == ((26, False), (27, False), (28, False), (29, True))
     assert result.engines == ("period-cut",) * 3 + ("temporally-repeated",)
-    assert [start is None for start in starts] == [True, False, False]
+    net = inst.network
+    prefixes = min_cost_prefixes(net, inst.sender, inst.receiver)
+    sent = sum(
+        flow * ((link.tail == inst.sender) - (link.head == inst.sender))
+        for link, flow in zip(net.links, starts[0])
+    )
+    assert sent == max(repeated_value(p, 10, 26) for p in prefixes) == 650
+    assert starts[1:] == ends[:2]
 
 
 def test_simplex_only_stack_matches(monkeypatch, fresh_cache):
