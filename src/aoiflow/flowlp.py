@@ -10,17 +10,12 @@ and the capacity groups, which `build_expanded` numbers for the probe's
 period as it emits the copies; the program, the pusher and the residual cut
 all read them there.
 
-`mmd.settle` runs the rungs in order, each answer certified with exact
-arithmetic:
+`mmd.PeriodScan.settle` runs these rungs in order on the bound's expansion,
+once neither of its two rungs on the physical network has settled the
+bound, each answer certified with exact arithmetic:
 
-* the period cut (`PeriodCut`): a static max flow on the physical network
-  whose links carry their bandwidth once per push residue among their
-  copies bounds the program's value from above ("no" answers, with no
-  expansion built at all).  A period's scan asks one `PeriodCut` bound
-  after bound, and each max flow starts from a feasible flow,
-* then, on the bound's expansion, an augmenting-path pusher on the
-  group-capacitated residual graph (`group_augment`: fast "yes" answers
-  with an exact witness flow),
+* an augmenting-path pusher on the group-capacitated residual graph
+  (`group_augment`: fast "yes" answers with an exact witness flow),
 * the residual cut of a stalled pusher (`residual_cut`): every link copy
   leaving the node set its last search reached belongs to a full capacity
   group, so the bandwidths of those groups bound the program's value ("no"
@@ -41,10 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .expander import ExpandedNetwork, route_distances
+from .expander import ExpandedNetwork
 from .lp import EQ, LE, LinearProgram, LpSolution, violated_row
-from .maxflow import _augment, _best_prefix
-from .model import Instance, Rational, exact
+from .model import Rational, exact
 
 
 @dataclass
@@ -97,74 +91,7 @@ def extract_edge_flow(sol: LpSolution) -> dict[int, Rational]:
 
 
 # ---------------------------------------------------------------------------
-# engine 1: a cut of the physical network
-
-
-class PeriodCut:
-    """Upper bounds on the program's value at one period, bound after bound.
-
-    At bound M the link l = u -> v has c_l = M + 1 - f_l transit copies on
-    (sender, 0) -> (receiver, M) routes, those `build_expanded` emits, where
-    f_l = dist_s[u] + d_l + dist_r[v] (none when an end is off every
-    route).  `at` gives each link with c_l > 0 the capacity
-    b_l * min(T, c_l) and takes the static max flow from sender to
-    receiver; no expansion is built.  Sound: c_l consecutive push slots fall
-    in min(T, c_l) residues mod T, the link's capacity groups, and every
-    expanded route leaves a node set holding the sender and not the
-    receiver on a transit copy, since holding stays at one node; so by
-    max-flow/min-cut the static max flow bounds the program's value.
-
-    Each max flow augments a feasible start, which changes no value, since a
-    max flow's value is unique (the warm start of parametric max flow,
-    Gallo, Grigoriadis and Tarjan 1989).  No c_l falls as M rises, so a
-    bound no lower than the last continues from the last bound's max flow.
-    The first bound, and any lower one, starts from the truncated
-    temporally repeated flow of the best min-cost prefix at M
-    (`maxflow._best_prefix`, as `mmd.temporally_repeated` takes it):
-    x_P * min(T, M + 1 - d_P) on each of its paths P of delay d_P <= M.
-    It fits the capacities and conserves.  A link l on P has f_l <= d_P, since
-    dist_s and dist_r are shortest delays, so c_l >= M + 1 - d_P >= 1.  The
-    prefix's paths are simple and within the bandwidths, so l carries
-    sum over P through l of x_P * min(T, M + 1 - d_P)
-    <= min(T, c_l) * sum over P through l of x_P <= b_l * min(T, c_l).
-    Path flows conserve, and the start's value L_T(M) is what the temporally
-    repeated flow found short of the batch: the max flow augments the gap.
-    """
-
-    def __init__(self, inst: Instance, period: int):
-        self.inst = inst
-        self.period = period
-        self.bound = -1  # the last bound asked
-        self.flow: list[Rational] | None = None  # its max flow, by link
-        dist_s, dist_r = route_distances(inst)
-        self.first = [  # f_l, None off every route
-            dist_s[l.tail] + l.delay + dist_r[l.head]
-            if l.tail in dist_s and l.head in dist_r
-            else None
-            for l in inst.network.links
-        ]
-
-    def at(self, bound: int) -> Rational:
-        inst, period, net = self.inst, self.period, self.inst.network
-        capacity = [
-            0 if first is None or first > bound else b * min(period, bound + 1 - first)
-            for first, b in zip(self.first, net.view.bandwidth)
-        ]
-        if self.flow is None or bound < self.bound:
-            best, _ = _best_prefix(net, inst.sender, inst.receiver, period, bound)
-            load: dict[str, Rational] = {}
-            for (links, rate), delay in zip(best.paths, best.delays) if best else ():
-                if delay <= bound:
-                    sent = rate * min(period, bound + 1 - delay)
-                    for link_id in links:
-                        load[link_id] = load.get(link_id, 0) + sent
-            self.flow = [exact(load.get(link.id, 0)) for link in net.links]
-        self.bound = bound
-        return _augment(net, inst.sender, inst.receiver, capacity, self.flow)
-
-
-# ---------------------------------------------------------------------------
-# engine 2: exact augmentation with shared group capacities, and its cut
+# engine 1: exact augmentation with shared group capacities, and its cut
 
 
 class Push(NamedTuple):
@@ -279,7 +206,7 @@ def residual_cut(exp: ExpandedNetwork, reached: set[int]) -> Rational:
 
 
 # ---------------------------------------------------------------------------
-# engine 3: float solve with exact dual and primal certification
+# engine 2: float solve with exact dual and primal certification
 
 _SNAP_DENOMINATORS = (1, 2, 4, 8, 24, 120, 5040, 1 << 20)
 

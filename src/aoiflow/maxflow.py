@@ -3,7 +3,7 @@
 Used for per-slot sustainable-rate computations (the steady-rate capacity of
 a sender/receiver pair), feasibility screening, the successive min-cost
 flows behind the quickest flow time of a batch and its temporally repeated
-schedules, and decomposing conserving flows into simple paths.
+schedules, and the simple paths those min-cost flows split into.
 Everything is exact: on integer bandwidths every flow, rate and cost is an
 int (Ford and Fulkerson's integrality), otherwise a Fraction, and the
 min-cost prefixes hand on their rates, costs and path rates through
@@ -11,14 +11,15 @@ min-cost prefixes hand on their rates, costs and path rates through
 
 Every kernel runs on the network's integer view (`Network.view`), nodes and
 links numbered by position, with a flow as a list by link.  The public
-functions read and return link ids and node names; the period cut keeps its
-flow as such a list and augments it with `_augment` directly.
+functions read and return link ids and node names; the period scan's cut
+(`mmd.PeriodScan.cut`) keeps its flow as such a list and augments it with
+`_augment` directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Sequence
 from functools import lru_cache
 import heapq
 from typing import NamedTuple
@@ -26,41 +27,24 @@ from typing import NamedTuple
 from .model import Network, Rational, exact
 
 
-def max_flow(
-    net: Network,
-    source: str,
-    sink: str,
-    capacity: Mapping[str, Rational] | None = None,
-    start: Mapping[str, Rational] | None = None,
-) -> tuple[dict[str, Rational], Rational]:
-    """Edmonds-Karp with exact capacities; returns per-link flow and value.
-
-    ``capacity`` maps link ids to capacities, and a link missing from it
-    carries nothing; without it every link carries its bandwidth.  The
-    search augments from ``start`` when one is given: a feasible flow within
-    those capacities, by link id, conserving at every node but the source
-    and the sink, such as a max flow under capacities no larger.  A max
-    flow's value is unique, so the start changes which max flow is
-    returned, never its value.  ``start`` itself is not changed; one that
-    breaks those terms raises ValueError (`_augment`).
-    """
+def max_flow(net: Network, source: str, sink: str) -> tuple[dict[str, Rational], Rational]:
+    """Edmonds-Karp with exact capacities, each link carrying its bandwidth;
+    returns per-link flow and value."""
     if source == sink:
         return {}, 0
-    links = net.links
-    if start is not None and not start.keys() <= net.link_index.keys():
-        raise ValueError("start flow on a link not in the network")
-    room = [link.bandwidth if capacity is None else capacity.get(link.id, 0) for link in links]
-    flow = [0 if start is None else start.get(link.id, 0) for link in links]
-    value = _augment(net, source, sink, room, flow)
-    return {link.id: amount for link, amount in zip(links, flow)}, value
+    flow = [0] * len(net.links)
+    value = _augment(net, source, sink, net.view.bandwidth, flow)
+    return {link.id: amount for link, amount in zip(net.links, flow)}, value
 
 
 def _augment(
-    net: Network, source: str, sink: str, capacity: list[Rational], flow: list[Rational]
+    net: Network, source: str, sink: str, capacity: Sequence[Rational], flow: list[Rational]
 ) -> Rational:
     """Augment ``flow``, by link, in place to a max flow within ``capacity``
-    and return its value; ValueError names the first link or node where the
-    start leaves its capacity or does not conserve.  Each breadth-first
+    and return its value.  The start must lie within the capacities and
+    conserve at every node but the source and the sink; ValueError names
+    the first link or node where it does not, which guards the flow
+    `mmd.PeriodScan.cut` carries from bound to bound.  Each breadth-first
     search scans a node's outgoing links, then its incoming ones."""
     view = net.view
     tail, head, out, into = view.tail, view.head, view.out, view.into
@@ -129,7 +113,7 @@ def min_cost_prefixes(net: Network, source: str, sink: str) -> tuple[Prefix, ...
     cost minus the delay; augmenting along shortest paths keeps the residual
     graph free of negative cycles) until the sink is cut off.  The k-th
     prefix is the flow after k augmentations, a min-cost flow of its value,
-    peeled as `decompose_paths` does.  The last one is a maximum flow; none
+    peeled into paths by `_peel`.  The last one is a maximum flow; none
     when the sink is unreachable.
     """
     view = net.view
@@ -214,26 +198,15 @@ def _best_prefix(net: Network, source: str, sink: str, period: int, bound: int):
     return best, value
 
 
-def decompose_paths(
-    net: Network, flow: dict[str, Rational], source: str, sink: str
-) -> list[tuple[tuple[str, ...], Rational]]:
-    """Split an acyclic conserving source->sink flow into paths with rates.
-
-    Walks forward along positive links and peels the walk's bottleneck; the
-    paths are simple and their rates sum to the flow value.  The caller,
-    `min_cost_prefixes`, passes min-cost flows on positive delays, which have
-    no positive-flow cycle; a walk longer than |V| - 1 links means a cyclic
-    input and raises instead of looping.
-    """
-    pos = net.view.pos
-    by_link = [flow.get(link.id, 0) for link in net.links]
-    paths = _peel(net, by_link, pos[source], pos[sink])
-    return [(tuple(net.links[l].id for l in walk), amount) for walk, amount in paths]
-
-
 def _peel(net: Network, flow: list[Rational], s: int, t: int) -> list[tuple[tuple, Rational]]:
-    """`decompose_paths` on a flow by link from node s to node t, each walk
-    taking a node's first outgoing link with flow left."""
+    """Split an acyclic conserving flow, by link, from node s to node t into
+    simple paths of links with rates summing to the flow value.
+
+    Each walk takes a node's first outgoing link with flow left and peels
+    its bottleneck.  The caller, `min_cost_prefixes`, passes min-cost flows
+    on positive delays, which have no positive-flow cycle; a walk of |V|
+    links means a cyclic input and raises instead of looping.
+    """
     head, out = net.view.head, net.view.out
     residual = list(flow)
     paths = []

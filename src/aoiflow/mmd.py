@@ -21,21 +21,21 @@ and why it ends:
   repeated flow below delivers at least the batch there
   (`maxflow.repeated_value`), and that bound is settled without an expansion.
 
-A ``horizon`` caps the scan as a search ceiling.  `settle`, given a bound
-and the period's `flowlp.PeriodCut`, settles it with the first of these
-engines that can, and the result names it in ``engines``, one per probe:
+A ``horizon`` caps the scan as a search ceiling.  The period's `PeriodScan`
+settles each bound (`PeriodScan.settle`) with the first of these engines
+that can, and the result names it in ``engines``, one per probe:
 
 * ``temporally-repeated`` (`temporally_repeated`): each path of one of
   those min-cost flows departs at up to T consecutive offsets, as many as
   still arrive by M, so it meets each capacity group at most once.  When
   that delivers the batch, the schedule is written straight from the paths,
   with no expansion, no pusher and no `decompose`;
-* ``period-cut`` (`flowlp.PeriodCut`): a static max flow on the physical
+* ``period-cut`` (`PeriodScan.cut`): a static max flow on the physical
   network, each link carrying its bandwidth once per push residue among
   its copies on a route of M.  When that falls short of the batch, the
-  bound is infeasible, again with no expansion.  The period's scan keeps
-  one `flowlp.PeriodCut`, whose max flow at each bound starts from the last
-  bound's or from the temporally repeated flow;
+  bound is infeasible, again with no expansion.  The scan carries that max
+  flow: at each bound it starts from the last bound's or from the
+  temporally repeated flow;
 * otherwise the bound's pruned expansion is built and the exact rungs of
   `flowlp` run on it in order: the augmenting pusher (``augment``), its
   residual cut (``residual-cut``), the float solve's snapped dual
@@ -59,9 +59,9 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import flowlp
-from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound
+from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound, route_distances
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .maxflow import _best_prefix, max_flow, min_cost_prefixes, quickest_bound
+from .maxflow import _augment, _best_prefix, max_flow, min_cost_prefixes, quickest_bound
 from .model import (
     Instance,
     ModelError,
@@ -69,6 +69,7 @@ from .model import (
     PeriodicSolution,
     Rational,
     ScheduleEntry,
+    exact,
     validate_solution,
 )
 
@@ -134,46 +135,109 @@ def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolu
     return lift_path_flow(net, best.paths, period, bound, inst.batch)
 
 
-def settle(cut: flowlp.PeriodCut, bound: int) -> tuple[str, PeriodicSolution | None]:
-    """The engine that settles ``bound`` at the cut's period, and its schedule.
+class PeriodScan:
+    """One period's probes of an instance, bound after bound: `settle`
+    settles a bound with the module docstring's engines in order, and its
+    period cut (`cut`) carries a max flow from each bound to the next."""
 
-    ``cut`` is the scan's `flowlp.PeriodCut`, the one source of the instance
-    and period, which carries its max flow from bound to bound.  The engines
-    run in the module docstring's order; the first to certify either answer
-    names it, with the schedule, None when the bound is infeasible.  `flowlp`'s
-    rungs are looked up on that module, so a test switches one off there.
-    """
-    inst, period = cut.inst, cut.period
-    batch = inst.batch
-    solution = temporally_repeated(inst, period, bound)
-    if solution is not None:
-        return "temporally-repeated", solution
-    if cut.at(bound) < batch:
-        return "period-cut", None
+    def __init__(self, inst: Instance, period: int):
+        self.inst = inst
+        self.period = period
+        self.bound = -1  # the last bound the cut was asked
+        self.flow: list[Rational] | None = None  # its max flow, by link
+        dist_s, dist_r = route_distances(inst)
+        self.first = [  # f_l, None off every route
+            dist_s[l.tail] + l.delay + dist_r[l.head]
+            if l.tail in dist_s and l.head in dist_r
+            else None
+            for l in inst.network.links
+        ]
 
-    exp = build_expanded(inst, bound, period)
-    push = flowlp.group_augment(exp)
-    if push.flow is not None:
-        return "augment", decompose(exp, push.flow)
-    # ``push.reached`` is None only when the pusher runs out of rounds; on an
-    # expansion without links its search reaches the source alone, cut 0
-    if push.reached is not None and flowlp.residual_cut(exp, push.reached) < batch:
-        return "residual-cut", None
+    def settle(self, bound: int) -> tuple[str, PeriodicSolution | None]:
+        """The engine that settles ``bound`` at the scan's period, and its schedule.
 
-    program = flowlp.build_flow_lp(exp).program
-    # one float solve settles most stalls either way, once its snapped dual
-    # or primal passes an exact check, without an exact optimality proof
-    float_result = flowlp._scipy_solve(program)
-    if float_result is not None:
-        if float_result["value"] < float(batch) - 1e-6:
-            if flowlp.certify_value_below(program, batch, float_result):
-                return "dual-certificate", None
-        else:
-            flow = flowlp.snap_primal(program, batch, float_result)
-            if flow is not None:
-                return "primal-snap", decompose(exp, flow)
+        The first engine to certify either answer names it, with the
+        schedule, None when the bound is infeasible.  `flowlp`'s rungs are
+        looked up on that module, so a test switches one off there.
+        """
+        inst, period = self.inst, self.period
+        batch = inst.batch
+        solution = temporally_repeated(inst, period, bound)
+        if solution is not None:
+            return "temporally-repeated", solution
+        if self.cut(bound) < batch:
+            return "period-cut", None
 
-    return "simplex", _simplex_schedule(exp, program)
+        exp = build_expanded(inst, bound, period)
+        push = flowlp.group_augment(exp)
+        if push.flow is not None:
+            return "augment", decompose(exp, push.flow)
+        # ``push.reached`` is None only when the pusher runs out of rounds; on an
+        # expansion without links its search reaches the source alone, cut 0
+        if push.reached is not None and flowlp.residual_cut(exp, push.reached) < batch:
+            return "residual-cut", None
+
+        program = flowlp.build_flow_lp(exp).program
+        # one float solve settles most stalls either way, once its snapped dual
+        # or primal passes an exact check, without an exact optimality proof
+        float_result = flowlp._scipy_solve(program)
+        if float_result is not None:
+            if float_result["value"] < float(batch) - 1e-6:
+                if flowlp.certify_value_below(program, batch, float_result):
+                    return "dual-certificate", None
+            else:
+                flow = flowlp.snap_primal(program, batch, float_result)
+                if flow is not None:
+                    return "primal-snap", decompose(exp, flow)
+
+        return "simplex", _simplex_schedule(exp, program)
+
+    def cut(self, bound: int) -> Rational:
+        """An upper bound on the flow program's value at ``bound``.
+
+        At bound M the link l = u -> v has c_l = M + 1 - f_l transit copies on
+        (sender, 0) -> (receiver, M) routes, those `build_expanded` emits, where
+        f_l = dist_s[u] + d_l + dist_r[v] (none when an end is off every
+        route).  `cut` gives each link with c_l > 0 the capacity
+        b_l * min(T, c_l) and takes the static max flow from sender to
+        receiver; no expansion is built.  Sound: c_l consecutive push slots fall
+        in min(T, c_l) residues mod T, the link's capacity groups, and every
+        expanded route leaves a node set holding the sender and not the
+        receiver on a transit copy, since holding stays at one node; so by
+        max-flow/min-cut the static max flow bounds the program's value.
+
+        Each max flow augments a feasible start, which changes no value, since a
+        max flow's value is unique (the warm start of parametric max flow,
+        Gallo, Grigoriadis and Tarjan 1989).  No c_l falls as M rises, so a
+        bound no lower than the last continues from the last bound's max flow.
+        The first bound, and any lower one, starts from the truncated
+        temporally repeated flow of the best min-cost prefix at M
+        (`maxflow._best_prefix`, as `temporally_repeated` takes it):
+        x_P * min(T, M + 1 - d_P) on each of its paths P of delay d_P <= M.
+        It fits the capacities and conserves.  A link l on P has f_l <= d_P, since
+        dist_s and dist_r are shortest delays, so c_l >= M + 1 - d_P >= 1.  The
+        prefix's paths are simple and within the bandwidths, so l carries
+        sum over P through l of x_P * min(T, M + 1 - d_P)
+        <= min(T, c_l) * sum over P through l of x_P <= b_l * min(T, c_l).
+        Path flows conserve, and the start's value L_T(M) is what the temporally
+        repeated flow found short of the batch: the max flow augments the gap.
+        """
+        inst, period, net = self.inst, self.period, self.inst.network
+        capacity = [
+            0 if first is None or first > bound else b * min(period, bound + 1 - first)
+            for first, b in zip(self.first, net.view.bandwidth)
+        ]
+        if self.flow is None or bound < self.bound:
+            best, _ = _best_prefix(net, inst.sender, inst.receiver, period, bound)
+            load: dict[str, Rational] = {}
+            for (links, rate), delay in zip(best.paths, best.delays) if best else ():
+                if delay <= bound:
+                    sent = rate * min(period, bound + 1 - delay)
+                    for link_id in links:
+                        load[link_id] = load.get(link_id, 0) + sent
+            self.flow = [exact(load.get(link.id, 0)) for link in net.links]
+        self.bound = bound
+        return _augment(net, inst.sender, inst.receiver, capacity, self.flow)
 
 
 def _simplex_schedule(
@@ -309,11 +373,11 @@ def _min_max_delay_cached(
     probes: list[tuple[int, bool]] = []
     engines: list[str] = []
     bottom = quickest_bound(net, inst.sender, inst.receiver, inst.batch)
-    cut = flowlp.PeriodCut(inst, period)
+    scan = PeriodScan(inst, period)
     # the temporally repeated flow settles T - 1 + d* at the latest, so the
     # scan ends there (module docstring)
     for bound in range(bottom, horizon + 1):
-        engine, solution = settle(cut, bound)
+        engine, solution = scan.settle(bound)
         probes.append((bound, solution is not None))
         engines.append(engine)
         if solution is not None:

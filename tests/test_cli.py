@@ -193,10 +193,10 @@ def test_out_of_memory_exits_1_with_one_line(
     argv, fastslow_path, tmp_path, monkeypatch, capsys
 ):
     # a probe that runs out of memory ends the command, never a verdict
-    def exhausted(cut, bound):
+    def exhausted(scan, bound):
         raise MemoryError
 
-    monkeypatch.setattr(mmd, "settle", exhausted)
+    monkeypatch.setattr(mmd.PeriodScan, "settle", exhausted)
     mmd._min_max_delay_cached.cache_clear()  # cached answers skip the probes
     try:
         code = main([a.format(inst=fastslow_path, tmp=tmp_path) for a in argv])

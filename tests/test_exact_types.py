@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from aoiflow import Instance, Network, flowlp, network
+from aoiflow import Instance, Network, mmd, network
 from aoiflow.cli import main
 from aoiflow.expander import ExpandedLink, ExpandedNetwork, build_expanded
 from aoiflow.experiments import (
@@ -24,14 +24,13 @@ from aoiflow.experiments import (
 )
 from aoiflow.fileio import save_instance
 from aoiflow.flowlp import (
-    PeriodCut,
     build_flow_lp,
     extract_edge_flow,
     group_augment,
 )
 from aoiflow.lp import solve_lp
 from aoiflow.maxflow import min_cost_prefixes, quickest_bound
-from aoiflow.mmd import min_max_delay, min_max_delay_oracle
+from aoiflow.mmd import PeriodScan, min_max_delay, min_max_delay_oracle
 from aoiflow.model import exact, feasible_periods
 from aoiflow.solvers import Objective, solve_optimal
 from conftest import corpus_instance, expansion_cut, make_fastslow_instance
@@ -58,7 +57,7 @@ def solved_values(inst):
         for bound, _ in result.probes:
             exp = build_expanded(inst, bound, period)
             values["group"] += exp.bandwidths
-            values["cut"].append(PeriodCut(inst, period).at(bound))
+            values["cut"].append(PeriodScan(inst, period).cut(bound))
             flow = group_augment(exp).flow or {}
             values["push"] += flow.values()
     for objective in (Objective.PEAK_AOI, Objective.AVG_AOI):
@@ -367,7 +366,7 @@ def test_period_cut_counts_the_expansions_groups(kind, seed, scale, n_periods):
     for period in feasible_periods(inst):
         for bound in range(bottom, bottom + 4):
             want = expansion_cut(inst, period, bound)
-            assert PeriodCut(inst, period).at(bound) == want, (period, bound)
+            assert PeriodScan(inst, period).cut(bound) == want, (period, bound)
 
 
 @settings(max_examples=25, deadline=None)
@@ -375,16 +374,16 @@ def test_period_cut_counts_the_expansions_groups(kind, seed, scale, n_periods):
 def test_carried_period_cut_matches_the_expansion_cut(
     kind, seed, scale, n_periods, later
 ):
-    """One `PeriodCut` per period, asked bounds ascending, then one again,
+    """One `PeriodScan` per period, asked bounds ascending, then one again,
     then lower ones, then drawn ones: each max flow continues the last
     bound's, or starts again below it, and reads the expansion's cut."""
     inst = drawn_instance(kind, seed, scale, n_periods)
     bottom = quickest_bound(inst.network, inst.sender, inst.receiver, inst.batch)
     for period in feasible_periods(inst):
-        cut = PeriodCut(inst, period)
+        scan = PeriodScan(inst, period)
         for step in (0, 1, 3, 3, 2, 0, *later):
             bound = bottom + step
-            assert cut.at(bound) == expansion_cut(inst, period, bound), (period, bound)
+            assert scan.cut(bound) == expansion_cut(inst, period, bound), (period, bound)
 
 
 @settings(max_examples=25, deadline=None)
@@ -402,14 +401,14 @@ def test_period_cut_starts_within_its_capacities(kind, seed, scale, n_periods):
         return augment(net, source, sink, capacity, flow)
 
     bottom = quickest_bound(net, inst.sender, inst.receiver, inst.batch)
-    augment = flowlp._augment
-    flowlp._augment = recording_augment
+    augment = mmd._augment
+    mmd._augment = recording_augment
     try:
         for period in feasible_periods(inst):
             for bound in range(bottom, bottom + 4):
-                PeriodCut(inst, period).at(bound)
+                PeriodScan(inst, period).cut(bound)
     finally:
-        flowlp._augment = augment
+        mmd._augment = augment
     assert starts
     for capacity, flow in starts:
         assert all(0 <= f <= c for f, c in zip(flow, capacity))

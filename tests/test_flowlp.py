@@ -13,7 +13,6 @@ from aoiflow import (
 )
 from aoiflow.experiments import complete_graph, generate, scaled_instance
 from aoiflow.flowlp import (
-    PeriodCut,
     _scipy_solve,
     certify_value_below,
     group_augment,
@@ -21,7 +20,7 @@ from aoiflow.flowlp import (
 )
 from aoiflow.lp import EQ, LE, OPTIMAL, LinearProgram
 from aoiflow.maxflow import min_cost_prefixes, quickest_bound, shortest_delay
-from aoiflow.mmd import min_max_delay, settle
+from aoiflow.mmd import PeriodScan, min_max_delay
 from aoiflow.model import feasible_periods
 from conftest import corpus_instance, make_fastslow_instance
 
@@ -290,7 +289,7 @@ def test_probe_matches_reference_lp_on_corpus():
         inst = corpus_instance(seed)
         period = inst.max_period
         for bound in range(1, 13, 3):
-            _, solution = settle(PeriodCut(inst, period), bound)
+            _, solution = PeriodScan(inst, period).settle(bound)
             _, sol = optimum(inst, period, bound)
             assert (solution is not None) == (sol.objective_value >= inst.batch)
 

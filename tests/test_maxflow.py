@@ -13,8 +13,8 @@ from aoiflow.experiments import (
     pick_endpoints,
     scaled_instance,
 )
-from aoiflow.flowlp import PeriodCut
-from aoiflow.maxflow import max_flow, min_cost_prefixes
+from aoiflow.maxflow import _augment, max_flow, min_cost_prefixes
+from aoiflow.mmd import PeriodScan
 from conftest import corpus_instance
 
 
@@ -38,12 +38,9 @@ def test_max_flow_cancels_the_first_path():
     assert all(flow[link] == 1 for link in flow if link != "x-y")
 
 
-def test_max_flow_cancels_under_a_capacity_mapping():
-    net = cancelling_network()
-    flow, value = max_flow(net, "s", "t", {link.id: 2 for link in net.links})
-    assert value == 4
-    assert flow["x-y"] == 0
-    assert all(flow[link] == 2 for link in flow if link != "x-y")
+def by_link(net, amounts):
+    """``amounts``, by link id, as a list by link position; 0 where absent."""
+    return [amounts.get(link.id, 0) for link in net.links]
 
 
 @pytest.mark.parametrize(
@@ -51,36 +48,39 @@ def test_max_flow_cancels_under_a_capacity_mapping():
     [
         (None, {"s-x": 2}),  # above the link's bandwidth
         (None, {"s-x": -1}),
-        ({"s-x": 1}, {"x-y": 1}),  # on a link the mapping gives nothing
+        ({"s-x": 1}, {"x-y": 1}),  # on a link the capacities give nothing
     ],
 )
-def test_max_flow_refuses_a_start_outside_the_capacities(capacity, start):
+def test_augment_refuses_a_start_outside_the_capacities(capacity, start):
+    net = cancelling_network()
+    room = net.view.bandwidth if capacity is None else by_link(net, capacity)
     with pytest.raises(ValueError, match="outside its capacity"):
-        max_flow(cancelling_network(), "s", "t", capacity, start)
+        _augment(net, "s", "t", room, by_link(net, start))
 
 
-def test_max_flow_refuses_a_start_that_does_not_conserve():
+def test_augment_refuses_a_start_that_does_not_conserve():
     # one unit into t from y, which nothing feeds: augmenting from it would
     # read value 1 where the maximum is 2
+    net = cancelling_network()
     with pytest.raises(ValueError, match="does not conserve at 'y'"):
-        max_flow(cancelling_network(), "s", "t", None, {"y-t": 1})
+        _augment(net, "s", "t", net.view.bandwidth, by_link(net, {"y-t": 1}))
 
 
 def test_period_cut_refuses_a_carried_flow_that_does_not_conserve():
-    # the cut's list path checks its carried flow as `max_flow` checks a start
+    # `_augment` checks the flow the scan carries from bound to bound
     inst = corpus_instance(0)
-    cut = PeriodCut(inst, inst.max_period)
+    scan = PeriodScan(inst, inst.max_period)
     links = inst.network.links
     fed = next(
         l
         for l, link in enumerate(links)
-        if link.tail != inst.sender and cut.first[l] is not None
+        if link.tail != inst.sender and scan.first[l] is not None
     )
-    cut.at(cut.first[fed])
-    cut.flow = [0] * len(links)
-    cut.flow[fed] = links[fed].bandwidth  # its tail never receives it
+    scan.cut(scan.first[fed])
+    scan.flow = [0] * len(links)
+    scan.flow[fed] = links[fed].bandwidth  # its tail never receives it
     with pytest.raises(ValueError, match=f"does not conserve at {links[fed].tail!r}"):
-        cut.at(cut.first[fed] + 1)
+        scan.cut(scan.first[fed] + 1)
 
 
 def test_max_flow_from_a_node_to_itself_is_empty():

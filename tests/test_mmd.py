@@ -16,8 +16,8 @@ from aoiflow import (
     solve_lp,
     validate_solution,
 )
+from aoiflow import flowlp as flowlp_module
 from aoiflow import mmd as mmd_module
-from aoiflow.flowlp import PeriodCut
 from aoiflow.lp import UNBOUNDED, LpSolution
 from aoiflow.experiments import (
     complete_graph,
@@ -27,13 +27,13 @@ from aoiflow.experiments import (
     scaled_instance,
 )
 from aoiflow.maxflow import (
-    decompose_paths,
+    _peel,
     max_flow,
     min_cost_prefixes,
     quickest_bound,
     repeated_value,
 )
-from aoiflow.mmd import _min_max_delay_cached, lift_path_flow, temporally_repeated
+from aoiflow.mmd import PeriodScan, _min_max_delay_cached, lift_path_flow, temporally_repeated
 from aoiflow.solvers import mmd1_exact
 from conftest import corpus_instance, make_fastslow_instance, make_triple_instance
 
@@ -137,7 +137,7 @@ def test_repeated_flow_settles_top_bound_without_expansion(monkeypatch):
     result = min_max_delay(inst, 100)
     assert result.max_delay == 109
     assert result.probes == ((108, False), (109, True))
-    assert PeriodCut(inst, 100).at(108) < inst.batch
+    assert PeriodScan(inst, 100).cut(108) < inst.batch
     assert built == []
 
 
@@ -226,10 +226,36 @@ def test_oracle_refuses_a_non_optimal_status(monkeypatch):
         min_max_delay_oracle(make_fastslow_instance(), 7)
 
 
+def test_oracle_runs_no_fast_rung(monkeypatch):
+    # the oracle shares only the simplex rung and `decompose` with the fast
+    # scan: with every other rung raising, it gives the same results
+    cases = [
+        (inst, period)
+        for inst in map(corpus_instance, range(20))
+        for period in feasible_periods(inst)
+    ]
+    want = [min_max_delay_oracle(inst, period) for inst, period in cases]
+    assert any(want)
+
+    def refuse(*args):
+        raise AssertionError("fast rung reached")
+
+    for module, name in (
+        (mmd_module, "PeriodScan"),
+        (mmd_module, "temporally_repeated"),
+        (mmd_module, "quickest_bound"),
+        (flowlp_module, "group_augment"),
+        (flowlp_module, "residual_cut"),
+        (flowlp_module, "_scipy_solve"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert [min_max_delay_oracle(inst, period) for inst, period in cases] == want
+
+
 # --- decompose ----------------------------------------------------------------
 
 
-def test_decompose_paths_refuses_a_cyclic_flow():
+def test_peel_refuses_a_cyclic_flow():
     # one unit s->a->r plus one circulating a->b->a: no min-cost flow on
     # positive delays carries such a cycle, so the walk stops instead of
     # looping round it
@@ -242,9 +268,9 @@ def test_decompose_paths_refuses_a_cyclic_flow():
             ("ar", "a", "r", 1, 2),
         ],
     )
-    flow = {"sa": 1, "ab": 1, "ba": 1, "ar": 1}
+    pos = net.view.pos
     with pytest.raises(AssertionError, match="cycle"):
-        decompose_paths(net, flow, "s", "r")
+        _peel(net, [1, 1, 1, 1], pos["s"], pos["r"])
 
 
 def test_decompose_zero_flow_is_empty():

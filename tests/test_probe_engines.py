@@ -4,7 +4,7 @@ Each certificate ahead of the simplex (the truncated temporally repeated
 flow, which settles most "yes" probes without an expansion, the period cut
 of the physical network, the stalled pusher's residual cut and the float
 solve with an exact dual certificate) is switched off by patching one
-module-level name (for the period cut, `flowlp.PeriodCut.at`), one at a
+module-level name (for the period cut, `mmd.PeriodScan.cut`), one at a
 time and all together, and the answers and probe trails are held equal to
 the normal stack's on a corpus slice.  So is
 where the scan starts, the quickest bound in `mmd`: lowered to the shortest
@@ -45,7 +45,6 @@ from aoiflow.experiments import (
     summarize_instance,
 )
 from aoiflow.flowlp import (
-    PeriodCut,
     Push,
     _scipy_solve,
     certify_value_below,
@@ -55,7 +54,7 @@ from aoiflow.flowlp import (
 )
 from aoiflow.lp import violated_row
 from aoiflow.maxflow import min_cost_prefixes, quickest_bound, repeated_value, shortest_delay
-from aoiflow.mmd import _min_max_delay_cached, min_max_delay, settle
+from aoiflow.mmd import PeriodScan, _min_max_delay_cached, min_max_delay
 from conftest import corpus_instance, expansion_cut
 
 SLICE = range(20, 32)
@@ -71,7 +70,7 @@ SWITCHES = {
     "residual-cut": (flowlp_module, "residual_cut", lambda *args: float("inf")),
     "dual-certificate": (flowlp_module, "_scipy_solve", lambda program: None),
     "temporally-repeated": (mmd_module, "temporally_repeated", lambda *args: None),
-    "period-cut": (flowlp_module.PeriodCut, "at", lambda self, bound: float("inf")),
+    "period-cut": (mmd_module.PeriodScan, "cut", lambda self, bound: float("inf")),
 }
 
 
@@ -228,15 +227,15 @@ def test_grid_seed7_builds_no_expansion(monkeypatch, fresh_cache):
 def test_period_cut_matches_the_expansion_cut(monkeypatch, fresh_cache):
     # every bound the scan asks the cut about, that is every bound that
     # neither the quickest bound nor the temporally repeated flow settles
-    at = flowlp_module.PeriodCut.at
+    cut = mmd_module.PeriodScan.cut
     asked = []
 
-    def recording_at(cut, bound):
-        value = at(cut, bound)
-        asked.append((cut.inst, cut.period, bound, value))
+    def recording_cut(scan, bound):
+        value = cut(scan, bound)
+        asked.append((scan.inst, scan.period, bound, value))
         return value
 
-    monkeypatch.setattr(flowlp_module.PeriodCut, "at", recording_at)
+    monkeypatch.setattr(mmd_module.PeriodScan, "cut", recording_cut)
     instances = [corpus_instance(seed) for seed in range(200)]
     instances += [complete6(seed) for seed in range(30)]
     instances.append(
@@ -257,7 +256,7 @@ def test_grid_seed7_cut_carries_its_max_flow(monkeypatch, fresh_cache):
     # starts from the truncated temporally repeated flow, worth the best
     # prefix's repeated value at 26, the others continue the bound before's
     starts, ends = [], []
-    augment = flowlp_module._augment
+    augment = mmd_module._augment
 
     def recording_augment(net, source, sink, capacity, flow):
         starts.append(list(flow))
@@ -265,7 +264,7 @@ def test_grid_seed7_cut_carries_its_max_flow(monkeypatch, fresh_cache):
         ends.append(list(flow))
         return value
 
-    monkeypatch.setattr(flowlp_module, "_augment", recording_augment)
+    monkeypatch.setattr(mmd_module, "_augment", recording_augment)
     inst = scaled_instance(generate(grid_graph(4, 4, seed=7)), "a1_1", "a4_4", 10)
     result = min_max_delay(inst, 10)
     assert result.probes == ((26, False), (27, False), (28, False), (29, True))
@@ -331,26 +330,26 @@ def test_float_dual_settles_what_the_cut_misses():
     pytest.importorskip("scipy")
     inst = scaled_instance(generate(grid_graph(4, 4, seed=16)), "a1_1", "a4_4", 10)
     period, bound = 12, 24
-    cut = PeriodCut(inst, period)
-    assert cut.at(bound) == 500 >= inst.batch == 500
+    scan = PeriodScan(inst, period)
+    assert scan.cut(bound) == 500 >= inst.batch == 500
     exp = build_expanded(inst, bound, period)
     push = group_augment(exp)
     assert push.flow is None and push.reached is not None
     assert residual_cut(exp, push.reached) == 500
     program = build_flow_lp(exp).program
     assert certify_value_below(program, inst.batch, _scipy_solve(program))
-    assert settle(cut, bound) == ("dual-certificate", None)
+    assert scan.settle(bound) == ("dual-certificate", None)
 
 
 def float_verdicts():
-    """The engine and the answer of `settle` on the grid probe above, which
-    the float dual settles, and on complete-6 seed 4 at period 5, bound 11,
-    which the snapped primal settles once the temporally repeated flow is
-    off; each schedule is checked."""
+    """The engine and the answer of `PeriodScan.settle` on the grid probe
+    above, which the float dual settles, and on complete-6 seed 4 at period
+    5, bound 11, which the snapped primal settles once the temporally
+    repeated flow is off; each schedule is checked."""
     grid = scaled_instance(generate(grid_graph(4, 4, seed=16)), "a1_1", "a4_4", 10)
     verdicts = []
     for inst, period, bound in ((grid, 12, 24), (complete6(4), 5, 11)):
-        engine, solution = settle(PeriodCut(inst, period), bound)
+        engine, solution = PeriodScan(inst, period).settle(bound)
         if solution is not None:
             ok, max_delay, violations = validate_solution(inst, solution)
             assert ok and max_delay == bound, violations
@@ -381,7 +380,7 @@ def test_period_cut_settles_what_the_residual_cut_misses(monkeypatch, fresh_cach
     # grid seed 13 at period 10, bound 24: the stalled pusher's cut is 530,
     # above the batch of 500, and the exact simplex takes over 20 s here
     inst = scaled_instance(generate(grid_graph(4, 4, seed=13)), "a1_1", "a4_4", 10)
-    assert PeriodCut(inst, 10).at(24) == 490 < inst.batch == 500
+    assert PeriodScan(inst, 10).cut(24) == 490 < inst.batch == 500
     exp = build_expanded(inst, 24, 10)
     push = group_augment(exp)
     assert push.flow is None and residual_cut(exp, push.reached) == 530
@@ -459,7 +458,7 @@ def test_period_cut_refutes_an_expansion_without_links():
     for seed in range(5):
         inst = corpus_instance(seed)
         bound = shortest_delay(inst.network, inst.sender)[inst.receiver] - 1
-        assert PeriodCut(inst, inst.max_period).at(bound) == 0, seed
+        assert PeriodScan(inst, inst.max_period).cut(bound) == 0, seed
         exp = build_expanded(inst, bound, inst.max_period)
         assert not exp.links
         push = group_augment(exp)
@@ -476,7 +475,7 @@ def test_period_cut_never_below_exact_optimum():
             if not exp.links:
                 continue
             exact = solve_lp(build_flow_lp(exp).program).objective_value
-            cut = PeriodCut(inst, period).at(bound)
+            cut = PeriodScan(inst, period).cut(bound)
             assert cut >= exact, (seed, bound)
             refuted += cut < inst.batch
     assert refuted > 0
@@ -505,7 +504,7 @@ def test_primal_snap_settles_the_stall_it_exists_for(monkeypatch):
     assert violated_row(program, values) is None
     assert flow_value(program, values) >= inst.batch
 
-    engine, solution = settle(PeriodCut(inst, period), bound)
+    engine, solution = PeriodScan(inst, period).settle(bound)
     assert engine == "primal-snap"
     ok, max_delay, violations = validate_solution(inst, solution)
     assert ok, violations
