@@ -2,8 +2,9 @@
 
 Used for per-slot sustainable-rate computations (the steady-rate capacity of
 a sender/receiver pair), feasibility screening, the successive min-cost
-flows behind the quickest flow time of a batch and its temporally repeated
-schedules, and the simple paths those min-cost flows split into.
+flows behind the quickest flow time of a batch and the period scan's
+temporally repeated schedules (`mmd.PeriodScan.best_prefix`), and the simple
+paths those min-cost flows split into.
 Everything is exact: on integer bandwidths every flow, rate and cost is an
 int (Ford and Fulkerson's integrality), otherwise a Fraction, and the
 min-cost prefixes hand on their rates, costs and path rates through
@@ -174,28 +175,6 @@ def quickest_bound(net: Network, source: str, sink: str, amount: Rational) -> in
             break
         bound = max(prefix.length, -(-(amount + prefix.cost) // prefix.rate) - 1)
     return bound
-
-
-def repeated_value(prefix: Prefix, period: int, bound: int) -> Rational:
-    """What the prefix's paths carry by ``bound``, each departing at up to
-    ``period`` consecutive slots (`mmd.lift_path_flow`): L_T(M), the sum of
-    x_P * min(T, M + 1 - d(P)) over the paths P of delay d(P) <= M."""
-    return sum(
-        rate * min(period, bound + 1 - delay)
-        for (_, rate), delay in zip(prefix.paths, prefix.delays)
-        if delay <= bound
-    )
-
-
-def _best_prefix(net: Network, source: str, sink: str, period: int, bound: int):
-    """The first min-cost prefix of the largest `repeated_value` at ``bound``,
-    and that value; None and 0 when no path arrives by then."""
-    best, value = None, 0
-    for prefix in min_cost_prefixes(net, source, sink):
-        reach = repeated_value(prefix, period, bound)
-        if reach > value:
-            best, value = prefix, reach
-    return best, value
 
 
 def _peel(net: Network, flow: list[Rational], s: int, t: int) -> list[tuple[tuple, Rational]]:

@@ -19,17 +19,18 @@ and why it ends:
   last prefix's paths of delay at most d* carry rate batch/T.  At the bound
   T - 1 + d* each of those paths departs T times, so the temporally
   repeated flow below delivers at least the batch there
-  (`maxflow.repeated_value`), and that bound is settled without an expansion.
+  (`repeated_value`), and that bound is settled without an expansion.
 
 A ``horizon`` caps the scan as a search ceiling.  The period's `PeriodScan`
 settles each bound (`PeriodScan.settle`) with the first of these engines
 that can, and the result names it in ``engines``, one per probe:
 
-* ``temporally-repeated`` (`temporally_repeated`): each path of one of
+* ``temporally-repeated`` (`PeriodScan.best_prefix`): each path of one of
   those min-cost flows departs at up to T consecutive offsets, as many as
   still arrive by M, so it meets each capacity group at most once.  When
-  that delivers the batch, the schedule is written straight from the paths,
-  with no expansion, no pusher and no `decompose`;
+  the best prefix delivers the batch, the schedule is written straight
+  from its paths (`lift_path_flow`), with no expansion, no pusher and no
+  `decompose`;
 * ``period-cut`` (`PeriodScan.cut`): a static max flow on the physical
   network, each link carrying its bandwidth once per push residue among
   its copies on a route of M.  When that falls short of the batch, the
@@ -61,7 +62,7 @@ from itertools import accumulate
 from . import flowlp
 from .expander import ExpandedNetwork, build_expanded, horizon_upper_bound, route_distances
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .maxflow import _augment, _best_prefix, max_flow, min_cost_prefixes, quickest_bound
+from .maxflow import Prefix, _augment, max_flow, min_cost_prefixes, quickest_bound
 from .model import (
     Instance,
     ModelError,
@@ -119,20 +120,15 @@ def lift_path_flow(
     return PeriodicSolution(period, tuple(entries))
 
 
-def temporally_repeated(inst: Instance, period: int, bound: int) -> PeriodicSolution | None:
-    """A schedule of delay at most ``bound`` from the best min-cost prefix.
-
-    Truncating Ford and Fulkerson's temporally repeated flow to one period
-    keeps every capacity group within its bandwidth, so the prefix with the
-    largest `repeated_value` settles the bound whenever that value reaches
-    the batch; its schedule is trimmed to exactly the batch.  None otherwise,
-    which proves nothing.
-    """
-    net = inst.network
-    best, value = _best_prefix(net, inst.sender, inst.receiver, period, bound)
-    if best is None or value < inst.batch:
-        return None
-    return lift_path_flow(net, best.paths, period, bound, inst.batch)
+def repeated_value(prefix: Prefix, period: int, bound: int) -> Rational:
+    """What the prefix's paths carry by ``bound``, each departing at up to
+    ``period`` consecutive slots (`lift_path_flow`): L_T(M), the sum of
+    x_P * min(T, M + 1 - d(P)) over the paths P of delay d(P) <= M."""
+    return sum(
+        rate * min(period, bound + 1 - delay)
+        for (_, rate), delay in zip(prefix.paths, prefix.delays)
+        if delay <= bound
+    )
 
 
 class PeriodScan:
@@ -145,6 +141,7 @@ class PeriodScan:
         self.period = period
         self.bound = -1  # the last bound the cut was asked
         self.flow: list[Rational] | None = None  # its max flow, by link
+        self.prefixes = min_cost_prefixes(inst.network, inst.sender, inst.receiver)
         dist_s, dist_r = route_distances(inst)
         self.first = [  # f_l, None off every route
             dist_s[l.tail] + l.delay + dist_r[l.head]
@@ -153,6 +150,22 @@ class PeriodScan:
             for l in inst.network.links
         ]
 
+    def best_prefix(self, bound: int) -> tuple[Prefix | None, Rational]:
+        """The first min-cost prefix of the largest `repeated_value` at
+        ``bound``, and that value; None and 0 when no path arrives by then.
+
+        Truncating Ford and Fulkerson's temporally repeated flow to one
+        period keeps every capacity group within its bandwidth
+        (`lift_path_flow`), so a value reaching the batch settles the bound;
+        one short of it proves nothing.
+        """
+        best, value = None, 0
+        for prefix in self.prefixes:
+            reach = repeated_value(prefix, self.period, bound)
+            if reach > value:
+                best, value = prefix, reach
+        return best, value
+
     def settle(self, bound: int) -> tuple[str, PeriodicSolution | None]:
         """The engine that settles ``bound`` at the scan's period, and its schedule.
 
@@ -160,11 +173,11 @@ class PeriodScan:
         schedule, None when the bound is infeasible.  `flowlp`'s rungs are
         looked up on that module, so a test switches one off there.
         """
-        inst, period = self.inst, self.period
+        inst, period, net = self.inst, self.period, self.inst.network
         batch = inst.batch
-        solution = temporally_repeated(inst, period, bound)
-        if solution is not None:
-            return "temporally-repeated", solution
+        best, value = self.best_prefix(bound)
+        if value >= batch:  # trimmed to exactly the batch
+            return "temporally-repeated", lift_path_flow(net, best.paths, period, bound, batch)
         if self.cut(bound) < batch:
             return "period-cut", None
 
@@ -212,7 +225,7 @@ class PeriodScan:
         bound no lower than the last continues from the last bound's max flow.
         The first bound, and any lower one, starts from the truncated
         temporally repeated flow of the best min-cost prefix at M
-        (`maxflow._best_prefix`, as `temporally_repeated` takes it):
+        (`best_prefix`, as `settle`'s first rung takes it):
         x_P * min(T, M + 1 - d_P) on each of its paths P of delay d_P <= M.
         It fits the capacities and conserves.  A link l on P has f_l <= d_P, since
         dist_s and dist_r are shortest delays, so c_l >= M + 1 - d_P >= 1.  The
@@ -228,7 +241,7 @@ class PeriodScan:
             for first, b in zip(self.first, net.view.bandwidth)
         ]
         if self.flow is None or bound < self.bound:
-            best, _ = _best_prefix(net, inst.sender, inst.receiver, period, bound)
+            best, _ = self.best_prefix(bound)
             load: dict[str, Rational] = {}
             for (links, rate), delay in zip(best.paths, best.delays) if best else ():
                 if delay <= bound:

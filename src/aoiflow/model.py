@@ -135,7 +135,7 @@ def network(nodes: Iterable[str], links: Iterable[tuple]) -> Network:
     """Build a Network from (id, tail, head, delay, bandwidth) tuples."""
     return Network(
         nodes=tuple(nodes),
-        links=tuple(Link(i, t, h, int(d), b) for i, t, h, d, b in links),
+        links=tuple(Link(i, t, h, d, b) for i, t, h, d, b in links),
     )
 
 
@@ -311,7 +311,9 @@ def validate_network(net: Network) -> list[Violation]:
         if link.id in seen_ids:
             violations.append(Violation("duplicate-link-id", link.id))
         seen_ids.add(link.id)
-        if link.delay < 1:
+        if isinstance(link.delay, bool) or not isinstance(link.delay, int):
+            violations.append(Violation("non-integer-delay", link.id, f"delay={link.delay!r}"))
+        elif link.delay < 1:
             violations.append(
                 Violation("nonpositive-delay", link.id, f"delay={link.delay}")
             )
@@ -447,21 +449,21 @@ def validate_solution(
     return (not violations, sol.max_delay, violations)
 
 
-def simulate_aoi(sol: PeriodicSolution, max_delay: int) -> tuple[int, Fraction]:
+def simulate_aoi(sol: PeriodicSolution) -> tuple[int, Fraction]:
     """Slot-level age trace over one steady-state window.
 
     Replays the schedule's deliveries: a generation made at k*T is complete
     once the last positive entry has arrived, i.e. at k*T + C with C taken
     from the entries themselves.  The age at slot t is t minus the newest
-    complete generation.  Scanning t over [max_delay, max_delay + T) covers
-    one full period of the (periodic) trajectory exactly.
+    complete generation, t - T*floor((t - C)/T), which repeats every T
+    slots; scanning t over [C, C + T) covers one full period of it exactly.
     """
     period = sol.period
     completion = sol.max_delay
     if completion <= 0:
         raise ModelError("solution delivers nothing")
     ages = []
-    for t in range(max_delay, max_delay + period):
+    for t in range(completion, completion + period):
         # newest generation k*T whose batch fully arrived by t
         k = (t - completion) // period
         ages.append(t - k * period)

@@ -149,7 +149,7 @@ def test_criterion_4_slot_simulation_identity():
     pairs = _solved_pairs(_corpus())
     assert len(pairs) >= 100, f"corpus too small: {len(pairs)} solved subproblems"
     for inst, period, result in pairs[:100]:
-        simulated = simulate_aoi(result.solution, result.max_delay)
+        simulated = simulate_aoi(result.solution)
         assert simulated == aoi_from_max_delay(result.max_delay, period)
     _passed(4, "slot simulation == closed form on 100 solved subproblems")
 

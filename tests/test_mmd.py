@@ -18,6 +18,7 @@ from aoiflow import (
 )
 from aoiflow import flowlp as flowlp_module
 from aoiflow import mmd as mmd_module
+from aoiflow.expander import horizon_upper_bound
 from aoiflow.lp import UNBOUNDED, LpSolution
 from aoiflow.experiments import (
     complete_graph,
@@ -26,14 +27,8 @@ from aoiflow.experiments import (
     pick_endpoints,
     scaled_instance,
 )
-from aoiflow.maxflow import (
-    _peel,
-    max_flow,
-    min_cost_prefixes,
-    quickest_bound,
-    repeated_value,
-)
-from aoiflow.mmd import PeriodScan, _min_max_delay_cached, lift_path_flow, temporally_repeated
+from aoiflow.maxflow import _peel, max_flow, min_cost_prefixes, quickest_bound
+from aoiflow.mmd import PeriodScan, _min_max_delay_cached, lift_path_flow, repeated_value
 from aoiflow.solvers import mmd1_exact
 from conftest import corpus_instance, make_fastslow_instance, make_triple_instance
 
@@ -168,9 +163,11 @@ def test_scan_ends_by_period_minus_one_plus_least_full_rate_delay():
                 assert min_max_delay(inst, period) is None, (inst, period)
                 continue
             top = period - 1 + least
+            # so the safe horizon, the default ceiling, is never reached
+            assert top < horizon_upper_bound(inst), (inst, period)
             assert min_max_delay(inst, period).max_delay <= top, (inst, period)
-            solution = temporally_repeated(inst, period, top)
-            assert solution is not None, (inst, period)
+            engine, solution = PeriodScan(inst, period).settle(top)
+            assert engine == "temporally-repeated", (inst, period)
             ok, max_delay, violations = validate_solution(inst, solution)
             assert ok and max_delay <= top, violations
             assert solution.total_amount == inst.batch
@@ -242,7 +239,8 @@ def test_oracle_runs_no_fast_rung(monkeypatch):
 
     for module, name in (
         (mmd_module, "PeriodScan"),
-        (mmd_module, "temporally_repeated"),
+        (mmd_module, "lift_path_flow"),
+        (mmd_module, "repeated_value"),
         (mmd_module, "quickest_bound"),
         (flowlp_module, "group_augment"),
         (flowlp_module, "residual_cut"),

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from aoiflow import (
     Instance,
+    Link,
     ModelError,
+    Network,
     PeriodicSolution,
     ScheduleEntry,
     Violation,
@@ -39,6 +41,18 @@ def test_fastslow_network_is_clean():
 def test_zero_delay_rejected():
     net = network(["s", "r"], [("e1", "s", "r", 0, 1)])
     assert "nonpositive-delay" in codes(validate_network(net))
+
+
+@pytest.mark.parametrize("delay", [2.9, 2.5, True, "3"])
+def test_non_integer_delay_rejected(delay):
+    # a delay is a whole number of slots: none is truncated or solved as 1
+    for net in (
+        network(["s", "r"], [("e1", "s", "r", delay, 1)]),
+        Network(("s", "r"), (Link("e1", "s", "r", delay, 1),)),
+    ):
+        assert codes(validate_network(net)) == ["non-integer-delay"]
+        with pytest.raises(ModelError, match="non-integer-delay: e1"):
+            Instance(net, "s", "r", 1, F(1, 2), 1)
 
 
 def test_unknown_endpoint_rejected():
@@ -114,7 +128,7 @@ def test_aoi_needs_a_positive_delay():
 
 def test_simulation_needs_a_delivery():
     with pytest.raises(ModelError, match="delivers nothing"):
-        simulate_aoi(PeriodicSolution(3, ()), 5)
+        simulate_aoi(PeriodicSolution(3, ()))
 
 
 # --- ScheduleEntry -----------------------------------------------------------
@@ -336,13 +350,13 @@ def test_residue_loads_match_slotwise_brute_force():
 
 def test_simulate_matches_triple_unit_rate():
     sol = triple_unit_rate_solution()
-    assert simulate_aoi(sol, 5) == (9, F(7))
+    assert simulate_aoi(sol) == (9, F(7))
 
 
 def test_simulate_constant_when_period_one():
     net_entries = (ScheduleEntry(("e",), (0, 3), F(1)),)
     sol = PeriodicSolution(1, net_entries)
-    assert simulate_aoi(sol, 3) == (3, F(3))
+    assert simulate_aoi(sol) == (3, F(3))
 
 
 def test_simulate_triple_t4():
@@ -350,7 +364,7 @@ def test_simulate_triple_t4():
         ScheduleEntry(("e1",), (0, i + 1), F(1)) for i in range(4)
     ) + (ScheduleEntry(("e2",), (0, 6), F(1)),)
     sol = PeriodicSolution(4, entries)
-    assert simulate_aoi(sol, 6) == (9, F(15, 2))
+    assert simulate_aoi(sol) == (9, F(15, 2))
 
 
 @given(period=st.integers(1, 32), max_delay=st.integers(1, 64))
@@ -361,4 +375,4 @@ def test_simulate_equals_closed_form(period, max_delay):
         ScheduleEntry(("e",), (0, max_delay), F(1)),
     )
     sol = PeriodicSolution(period, net_entries)
-    assert simulate_aoi(sol, max_delay) == aoi_from_max_delay(max_delay, period)
+    assert simulate_aoi(sol) == aoi_from_max_delay(max_delay, period)

@@ -4,8 +4,10 @@ Each certificate ahead of the simplex (the truncated temporally repeated
 flow, which settles most "yes" probes without an expansion, the period cut
 of the physical network, the stalled pusher's residual cut and the float
 solve with an exact dual certificate) is switched off by patching one
-module-level name (for the period cut, `mmd.PeriodScan.cut`), one at a
-time and all together, and the answers and probe trails are held equal to
+module-level name (for the temporally repeated flow and the period cut,
+`mmd.PeriodScan.best_prefix` and `mmd.PeriodScan.cut`; with no best prefix
+the cut starts from zero, which changes no answer), one at a time and all
+together, and the answers and probe trails are held equal to
 the normal stack's on a corpus slice.  So is
 where the scan starts, the quickest bound in `mmd`: lowered to the shortest
 delay, it changes the probe trails but not the delays or the schedules.
@@ -53,8 +55,8 @@ from aoiflow.flowlp import (
     snap_primal,
 )
 from aoiflow.lp import violated_row
-from aoiflow.maxflow import min_cost_prefixes, quickest_bound, repeated_value, shortest_delay
-from aoiflow.mmd import PeriodScan, _min_max_delay_cached, min_max_delay
+from aoiflow.maxflow import min_cost_prefixes, quickest_bound, shortest_delay
+from aoiflow.mmd import PeriodScan, _min_max_delay_cached, min_max_delay, repeated_value
 from conftest import corpus_instance, expansion_cut
 
 SLICE = range(20, 32)
@@ -69,7 +71,11 @@ SWITCHES = {
     ),
     "residual-cut": (flowlp_module, "residual_cut", lambda *args: float("inf")),
     "dual-certificate": (flowlp_module, "_scipy_solve", lambda program: None),
-    "temporally-repeated": (mmd_module, "temporally_repeated", lambda *args: None),
+    "temporally-repeated": (
+        mmd_module.PeriodScan,
+        "best_prefix",
+        lambda self, bound: (None, 0),
+    ),
     "period-cut": (mmd_module.PeriodScan, "cut", lambda self, bound: float("inf")),
 }
 
@@ -611,15 +617,15 @@ def repeated_schedules(instances, monkeypatch):
     """(instance, period, bound, schedule) for every schedule the temporally
     repeated flow wrote while solving every feasible period."""
     written = []
-    repeated = mmd_module.temporally_repeated
+    settle = mmd_module.PeriodScan.settle
 
-    def recording(inst, period, bound):
-        solution = repeated(inst, period, bound)
-        if solution is not None:
-            written.append((inst, period, bound, solution))
-        return solution
+    def recording(scan, bound):
+        engine, solution = settle(scan, bound)
+        if engine == "temporally-repeated":
+            written.append((scan.inst, scan.period, bound, solution))
+        return engine, solution
 
-    monkeypatch.setattr(mmd_module, "temporally_repeated", recording)
+    monkeypatch.setattr(mmd_module.PeriodScan, "settle", recording)
     for inst in instances:
         for period in feasible_periods(inst):
             min_max_delay(inst, period)
