@@ -106,15 +106,17 @@ def lift_path_flow(
     entries = []
     remaining = amount
     for links, rate in path_rates:
+        if remaining is not None and remaining <= 0:
+            break
         if rate <= 0:
             continue
-        arrivals = (0, *accumulate(index[link_id].delay for link_id in links))
+        links = tuple(links)
+        arrivals = tuple(accumulate(index[link_id].delay for link_id in links))
         for start in range(min(period, bound + 1 - arrivals[-1])):
             take = rate if remaining is None else min(rate, remaining)
             if take <= 0:
                 break
-            offsets = (0,) + tuple(start + at for at in arrivals[1:])
-            entries.append(ScheduleEntry(tuple(links), offsets, take))
+            entries.append(ScheduleEntry(links, (0, *[start + at for at in arrivals]), take))
             if remaining is not None:
                 remaining -= take
     return PeriodicSolution(period, tuple(entries))

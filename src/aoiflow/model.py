@@ -179,13 +179,21 @@ class Instance:
             if (self.batch / rate).denominator != 1:
                 raise ModelError(f"batch/{name} must be a positive integer")
 
-    @property
+    @cached_property
     def max_period(self) -> int:
         return int(self.batch / self.r_min)
 
-    @property
+    @cached_property
     def min_period(self) -> int:
         return int(self.batch / self.r_max)
+
+
+def _link(index: dict[str, Link], link_id: str) -> Link:
+    """The link of ``index`` that ``link_id`` names; ModelError if none does."""
+    link = index.get(link_id)
+    if link is None:
+        raise ModelError(f"entry references unknown link {link_id!r}")
+    return link
 
 
 @dataclass(frozen=True)
@@ -201,9 +209,16 @@ class ScheduleEntry:
     amount: Rational
 
     def __post_init__(self):
-        object.__setattr__(self, "links", tuple(self.links))
-        object.__setattr__(self, "offsets", tuple(map(int, self.offsets)))
-        object.__setattr__(self, "amount", exact(self.amount))
+        # most entries arrive in normal form; a field is re-set only when not
+        if type(self.links) is not tuple:
+            object.__setattr__(self, "links", tuple(self.links))
+        if type(self.offsets) is not tuple:
+            object.__setattr__(self, "offsets", tuple(self.offsets))
+        if exact(self.amount) is not self.amount:
+            object.__setattr__(self, "amount", exact(self.amount))
+        wrong = [u for u in self.offsets if type(u) is not int]
+        if wrong:
+            raise ModelError(f"offsets must be integers, not {wrong!r}")
         if len(self.offsets) != len(self.links) + 1:
             raise ModelError("offsets must have one entry per hop plus the origin")
         if not self.links:
@@ -217,14 +232,9 @@ class ScheduleEntry:
 
     def path_nodes(self, net: Network) -> tuple[str, ...]:
         index = net.link_index
-        first = index.get(self.links[0])
-        if first is None:
-            raise ModelError(f"entry references unknown link {self.links[0]!r}")
-        nodes = [first.tail]
+        nodes = [_link(index, self.links[0]).tail]
         for link_id in self.links:
-            link = index.get(link_id)
-            if link is None:
-                raise ModelError(f"entry references unknown link {link_id!r}")
+            link = _link(index, link_id)
             if link.tail != nodes[-1]:
                 raise ModelError(f"hops are not contiguous at link {link_id!r}")
             nodes.append(link.head)
@@ -245,8 +255,9 @@ class PeriodicSolution:
     entries: tuple[ScheduleEntry, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if self.period < 1:
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
+        if type(self.period) is not int or self.period < 1:
             raise ModelError("period must be a positive integer")
 
     @property
@@ -354,17 +365,23 @@ def aoi_from_max_delay(max_delay: int, period: int) -> tuple[int, Fraction]:
 def residue_loads(
     net: Network, sol: PeriodicSolution
 ) -> dict[tuple[str, int], Rational]:
-    """Aggregate amount pushed onto each link per offset residue class."""
+    """Aggregate amount pushed onto each link per offset residue class;
+    raises ModelError for an entry on an unknown link."""
     loads: dict[tuple[str, int], Rational] = {}
     index = net.link_index
-    delays: dict[tuple[str, ...], tuple[int, ...]] = {}  # hop delays, once a path
+    period = sol.period
+    tables: dict[tuple[str, ...], tuple[tuple[int, str, int], ...]] = {}  # by path
     for entry in sol.entries:
-        hops = delays.get(entry.links)
-        if hops is None:
-            hops = delays[entry.links] = tuple(index[hop].delay for hop in entry.links)
-        for link_id, delay, arrival in zip(entry.links, hops, entry.offsets[1:]):
-            key = (link_id, (arrival - delay) % sol.period)
-            loads[key] = loads.get(key, 0) + entry.amount
+        hops = tables.get(entry.links)
+        if hops is None:  # (hop, link id, delay) of each of its hops
+            hops = tables[entry.links] = tuple(
+                (i, link_id, _link(index, link_id).delay)
+                for i, link_id in enumerate(entry.links, start=1)
+            )
+        offsets, amount = entry.offsets, entry.amount
+        for i, link_id, delay in hops:
+            key = (link_id, (offsets[i] - delay) % period)
+            loads[key] = loads.get(key, 0) + amount
     return loads
 
 
@@ -408,24 +425,27 @@ def validate_solution(
 
     shapes: dict[tuple[str, ...], _PathShape] = {}
     for pos, entry in enumerate(sol.entries):
-        label = f"entry[{pos}]"
         shape = shapes.get(entry.links)
         if shape is None:
             shape = shapes[entry.links] = _path_shape(inst, entry)
         problems, delays = shape
-        violations += (Violation(code, label, detail) for code, detail in problems)
-        if entry.amount <= 0:
-            violations.append(Violation("nonpositive-amount", label))
         offsets = entry.offsets
-        for i, delay in enumerate(delays, start=1):
-            if offsets[i] < offsets[i - 1] + delay:
-                violations.append(
-                    Violation(
-                        "offset-order",
-                        label,
-                        f"hop {i} arrives before it can be pushed",
-                    )
-                )
+        late = []  # hops arriving before they can be pushed
+        previous = offsets[0]
+        for hop, delay in enumerate(delays, start=1):
+            arrival = offsets[hop]
+            if arrival < previous + delay:
+                late.append(hop)
+            previous = arrival
+        if problems or late or entry.amount <= 0:
+            label = f"entry[{pos}]"
+            violations += (Violation(code, label, detail) for code, detail in problems)
+            if entry.amount <= 0:
+                violations.append(Violation("nonpositive-amount", label))
+            violations += (
+                Violation("offset-order", label, f"hop {hop} arrives before it can be pushed")
+                for hop in late
+            )
 
     total = sol.total_amount
     if total != inst.batch:

@@ -380,6 +380,18 @@ def test_lift_truncates_departures_to_the_bound():
     assert short.total_amount == 7 and short.max_delay == 7
 
 
+def test_lift_stops_once_the_amount_is_covered():
+    # the first path's third departure reaches the amount: no later path
+    # gets an entry, not even one of amount 0
+    inst = make_fastslow_instance()
+    net = inst.network
+    paths = [(("e1",), F(4)), (("e2",), F(10)), (("e1",), F(1))]
+    lifted = lift_path_flow(net, paths, 7, bound=11, amount=inst.batch)
+    pushed = [(e.links, e.amount) for e in lifted.entries]
+    assert pushed == [(("e1",), 4), (("e1",), 4), (("e1",), 2)]
+    assert lifted.total_amount == inst.batch
+
+
 def test_repeated_flow_ends_scan_by_fastest_rate_paths(monkeypatch):
     # the last min-cost prefix is a maximum flow; d* is the least delay at
     # which its paths no slower than d* carry rate D/T.  Each of them departs

@@ -140,11 +140,34 @@ def test_simulation_needs_a_delivery():
         (("e1",), (0,), "one entry per hop plus the origin"),
         ((), (0,), "at least one hop"),
         (("e1",), (1, 2), "first offset must be 0"),
+        # an offset is a whole slot: none is truncated, and True is not slot 1
+        *((("e1",), (0, u), "offsets must be integers") for u in (2.9, 2.5, True, "3")),
     ],
 )
 def test_malformed_entry_rejected(links, offsets, message):
     with pytest.raises(ModelError, match=message):
         ScheduleEntry(links, offsets, F(1))
+
+
+@pytest.mark.parametrize("period", [2.5, True])
+def test_non_integer_period_rejected(period):
+    with pytest.raises(ModelError, match="period must be a positive integer"):
+        PeriodicSolution(period, (ScheduleEntry(("e",), (0, 3), 1),))
+
+
+def test_entry_fields_take_normal_form():
+    entry = ScheduleEntry(["e"], [0, 3], F(4, 2))
+    assert entry.links == ("e",) and type(entry.links) is tuple
+    assert entry.offsets == (0, 3) and type(entry.offsets) is tuple
+    assert entry.amount == 2 and type(entry.amount) is int
+    assert type(ScheduleEntry(("e",), (0, 3), F(1, 2)).amount) is F
+    # fields already in normal form are kept as passed
+    links, offsets, amount = ("e",), (0, 3), F(1, 2)
+    entry = ScheduleEntry(links, offsets, amount)
+    assert entry.links is links and entry.offsets is offsets and entry.amount is amount
+    entries = (entry,)
+    assert PeriodicSolution(4, entries).entries is entries
+    assert PeriodicSolution(4, [entry]).entries == entries
 
 
 def test_path_nodes_names_an_unknown_later_link():
@@ -343,6 +366,12 @@ def test_residue_loads_match_slotwise_brute_force():
                 F(0),
             )
             assert slot_load == loads.get((link.id, t % sol.period), F(0))
+
+
+def test_residue_loads_name_an_unknown_link():
+    sol = PeriodicSolution(7, (ScheduleEntry(("e1", "e9"), (0, 1, 2), F(1)),))
+    with pytest.raises(ModelError, match="unknown link 'e9'"):
+        residue_loads(make_fastslow_network(), sol)
 
 
 # --- simulate_aoi ------------------------------------------------------------
